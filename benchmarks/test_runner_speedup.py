@@ -17,6 +17,7 @@ import time
 
 from repro.obs import RunTelemetry
 from repro.runner import run_study_parallel
+from repro.spec import StudySpec
 from repro.study import Study
 
 BENCH_SEED = 20150401
@@ -31,8 +32,7 @@ def test_sharded_speedup(benchmark):
         t1 = time.perf_counter()
         telemetry = RunTelemetry()
         traces, campaign = run_study_parallel(
-            scale=SPEEDUP_SCALE,
-            seed=BENCH_SEED,
+            StudySpec(scale=SPEEDUP_SCALE, seed=BENCH_SEED),
             workers=WORKERS,
             targets=sequential.traces.server_addrs,
             # Timing only: worker-side metric registries would tax the

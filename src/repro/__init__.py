@@ -40,6 +40,7 @@ from .netsim.ecn import ECN
 from .scenario.internet import SyntheticInternet
 from .scenario.parameters import ScenarioParams, default_params, scaled_params
 from .scenario.vantages import VANTAGES
+from .spec import StudySpec
 from .study import Study
 
 __version__ = "1.0.0"
@@ -51,6 +52,7 @@ __all__ = [
     "ProbeOutcome",
     "ScenarioParams",
     "Study",
+    "StudySpec",
     "SyntheticInternet",
     "Trace",
     "TraceSet",

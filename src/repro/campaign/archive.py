@@ -37,7 +37,6 @@ re-running or mis-merging.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import shutil
@@ -45,7 +44,6 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
 
-from ..faults.profiles import PROFILES
 from ..ioutil import atomic_write_text
 from ..scenario.timeline import (
     PAPER_YEAR,
@@ -53,6 +51,7 @@ from ..scenario.timeline import (
     Timeline,
     timeline_by_name,
 )
+from ..spec import StudySpec, ValidationError, boolean, number
 
 #: Version tag rejecting foreign files, mirroring the other envelopes.
 CAMPAIGN_FORMAT = "ecn-udp-campaign/1"
@@ -67,6 +66,10 @@ REPORT_NAME = "report.txt"
 ALERTS_NAME = "alerts.jsonl"
 EPOCHS_DIRNAME = "epochs"
 
+#: The campaign's own fields in ``campaign.json``'s spec object; every
+#: other key there belongs to the embedded :class:`~repro.spec.StudySpec`.
+CAMPAIGN_FIELDS = ("start_year", "cadence_years", "timeline", "pool_churn")
+
 
 class CampaignError(ValueError):
     """A campaign archive that cannot be used (missing/corrupt/foreign)."""
@@ -79,23 +82,20 @@ class CampaignSpec:
     Epoch ``N`` of a campaign is a pure function of ``(spec, N)``:
     the spec carries no runtime knobs (worker counts, progress sinks),
     only identity — which is why a resumed campaign converges on an
-    archive byte-identical to an uninterrupted run.
+    archive byte-identical to an uninterrupted run.  ``study`` is the
+    study every epoch runs; its ``drift`` stays ``None`` because each
+    epoch's drift is derived from the timeline fields.
     """
 
-    scale: float = 0.1
-    seed: int = 20150401
+    study: StudySpec = StudySpec()
     start_year: float = PAPER_YEAR
     cadence_years: float = 1.0
     timeline: str = "fresh-look"
     pool_churn: bool = True
-    chaos: str | None = None
-    chaos_seed: int = 0
-    quic: bool = False
-    traceroutes: bool = True
 
     def __post_init__(self) -> None:
-        if not 0 < self.scale <= 1:
-            raise CampaignError(f"scale must be in (0, 1]: {self.scale!r}")
+        if self.study.drift is not None:
+            raise CampaignError("a campaign's study spec carries no drift")
         if self.cadence_years <= 0:
             raise CampaignError(
                 f"cadence_years must be > 0: {self.cadence_years!r}"
@@ -104,11 +104,6 @@ class CampaignSpec:
             timeline_by_name(self.timeline)
         except ValueError as exc:
             raise CampaignError(str(exc)) from exc
-        if self.chaos is not None and self.chaos not in PROFILES:
-            known = ", ".join(sorted(PROFILES))
-            raise CampaignError(
-                f"unknown chaos profile {self.chaos!r}; one of: {known}"
-            )
 
     @property
     def timeline_obj(self) -> Timeline:
@@ -120,7 +115,7 @@ class CampaignSpec:
     def drift_for_epoch(self, epoch: int) -> EpochDrift:
         """The drift epoch ``N`` runs under — pure in ``(spec, N)``."""
         return self.timeline_obj.drift_for_epoch(
-            seed=self.seed,
+            seed=self.study.seed,
             epoch=epoch,
             start_year=self.start_year,
             cadence_years=self.cadence_years,
@@ -128,44 +123,37 @@ class CampaignSpec:
         )
 
     def to_dict(self) -> dict:
-        payload: dict = {
-            "scale": self.scale,
-            "seed": self.seed,
-            "start_year": self.start_year,
-            "cadence_years": self.cadence_years,
-            "timeline": self.timeline,
-            "pool_churn": self.pool_churn,
-        }
-        if self.chaos is not None:
-            payload["chaos"] = self.chaos
-            payload["chaos_seed"] = self.chaos_seed
-        if self.quic:
-            payload["quic"] = True
-        if not self.traceroutes:
+        study = self.study.to_json()
+        payload: dict = {"scale": study.pop("scale"), "seed": study.pop("seed")}
+        payload.update((name, getattr(self, name)) for name in CAMPAIGN_FIELDS)
+        # campaign.json has always listed traceroutes last.
+        traceroutes = study.pop("traceroutes", True)
+        payload.update(study)
+        if not traceroutes:
             payload["traceroutes"] = False
         return payload
 
     @classmethod
-    def from_dict(cls, payload: Mapping) -> "CampaignSpec":
+    def from_dict(cls, payload) -> "CampaignSpec":
+        """Validate a spec object strictly: a wrongly typed or unknown
+        field raises :class:`CampaignError` naming it."""
         if not isinstance(payload, Mapping):
             raise CampaignError(f"campaign spec must be an object: {payload!r}")
+        fields = dict(payload)
+        options = {name: fields.pop(name) for name in CAMPAIGN_FIELDS if name in fields}
+        timeline = options.get("timeline", "fresh-look")
         try:
+            if not isinstance(timeline, str):
+                raise ValidationError(f"timeline must be a string: {timeline!r}")
             return cls(
-                scale=float(payload.get("scale", 0.1)),
-                seed=int(payload.get("seed", 20150401)),
-                start_year=float(payload.get("start_year", PAPER_YEAR)),
-                cadence_years=float(payload.get("cadence_years", 1.0)),
-                timeline=str(payload.get("timeline", "fresh-look")),
-                pool_churn=bool(payload.get("pool_churn", True)),
-                chaos=payload.get("chaos"),
-                chaos_seed=int(payload.get("chaos_seed", 0)),
-                quic=bool(payload.get("quic", False)),
-                traceroutes=bool(payload.get("traceroutes", True)),
+                study=StudySpec.from_json(fields),
+                start_year=number(options, "start_year", PAPER_YEAR),
+                cadence_years=number(options, "cadence_years", 1.0),
+                timeline=timeline,
+                pool_churn=boolean(options, "pool_churn", True),
             )
-        except (TypeError, ValueError) as exc:
-            if isinstance(exc, CampaignError):
-                raise
-            raise CampaignError(f"unusable campaign spec: {exc}") from exc
+        except ValidationError as exc:
+            raise CampaignError(f"unusable campaign spec: {exc}") from None
 
 
 @dataclass(frozen=True)

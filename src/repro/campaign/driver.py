@@ -27,6 +27,7 @@ from __future__ import annotations
 import os
 import signal
 import time
+from dataclasses import replace
 from pathlib import Path
 
 from ..core.measurement import ProgressFn
@@ -237,22 +238,14 @@ class CampaignDriver:
 
         Separated out so tests can substitute a fast deterministic
         fake while exercising the real checkpoint/rename/merge
-        machinery around it.  ``collect_metrics`` stays off: telemetry
-        carries wall-clock timings, which would break byte-identity
-        between interrupted and uninterrupted campaigns.
+        machinery around it.  Metrics stay off: telemetry carries
+        wall-clock timings, which would break byte-identity between
+        interrupted and uninterrupted campaigns.
         """
-        spec = self.archive.spec
         study = Study.run(
-            scale=spec.scale,
-            seed=spec.seed,
-            traceroutes=spec.traceroutes,
+            **vars(replace(self.archive.spec.study, drift=drift)),
             workers=self.workers,
             progress=self.progress,
-            collect_metrics=False,
-            faults=spec.chaos,
-            chaos_seed=spec.chaos_seed,
             pool=self.pool,
-            quic=spec.quic,
-            drift=drift,
         )
         study.save(directory)

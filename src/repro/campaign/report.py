@@ -46,7 +46,7 @@ def trend_point(record: CheckpointRecord, summary: dict) -> dict:
 def render_trend_report(archive: CampaignArchive) -> str:
     """Render the campaign's trend as a text report (Figure 6 style)."""
     points = archive.trend_points()
-    spec = archive.spec
+    spec, study = archive.spec, archive.spec.study
     # No directory name in the header: the report participates in the
     # byte-identity contract, and archives must survive being renamed
     # or relocated without their derived artefacts changing.
@@ -54,11 +54,11 @@ def render_trend_report(archive: CampaignArchive) -> str:
         f"Longitudinal ECN campaign ({spec.timeline} timeline)",
         "=" * 60,
         (
-            f"timeline={spec.timeline}  scale={spec.scale}  seed={spec.seed}  "
+            f"timeline={spec.timeline}  scale={study.scale}  seed={study.seed}  "
             f"cadence={spec.cadence_years}y  pool_churn={'on' if spec.pool_churn else 'off'}"
         ),
         f"epochs merged: {len(points)} / target {archive.target_epochs}"
-        + (f"  chaos={spec.chaos}" if spec.chaos else ""),
+        + (f"  chaos={study.faults}" if study.faults else ""),
         "",
     ]
     if not points:

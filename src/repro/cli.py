@@ -25,45 +25,16 @@ import json
 import sys
 from pathlib import Path
 
-from .core.analysis import (
-    DifferentialAnalysis,
-    analyze_campaign,
-    analyze_correlation,
-    analyze_geography,
-    analyze_quic_ecn,
-    analyze_reachability,
-    analyze_tcp_ecn,
-)
 from .core.discovery import PoolDiscovery
-from .core.measurement import MeasurementApplication
-from .core.traces import TraceSet, TracerouteCampaign
-from .ioutil import atomic_write_text
 from .netsim.ipv4 import format_addr
 from .obs import (
     FilterError,
-    MetricsRegistry,
-    PathTracer,
     RunTelemetry,
     parse_filter,
     render_metrics_report,
 )
-from .reporting.export import (
-    export_figure_data,
-    export_metrics_json,
-    export_spans_json,
-    export_summary_json,
-    export_telemetry_json,
-    export_traces_csv,
-)
-from .reporting.report import full_report
-from .scenario.internet import SyntheticInternet
-from .scenario.timeline import EpochDrift, drifted_params
-
-
-def _build_world(
-    scale: float, seed: int, drift: EpochDrift | None = None
-) -> SyntheticInternet:
-    return SyntheticInternet(drifted_params(scale, seed, drift))
+from .spec import DEFAULT_SCALE, DEFAULT_SEED, StudySpec, ValidationError
+from .study import Study
 
 
 def _fail(message: str) -> int:
@@ -72,46 +43,44 @@ def _fail(message: str) -> int:
     return 2
 
 
-def _checked_world(scale: float, seed: int) -> SyntheticInternet:
-    """Build a world, treating any out-of-range scale as input error.
+def _spec(args: argparse.Namespace) -> StudySpec:
+    """The run spec named by the flags :func:`_add_spec_flags` declares.
 
-    ``params_for_scale`` maps scales above 1 to the full paper scale;
-    on the command line that is almost certainly a typo, so the CLI
-    rejects it rather than silently running a 2500-server study.
+    Raises :class:`~repro.spec.ValidationError` on bad values — on the
+    command line a scale above 1 is almost certainly a typo, so it is
+    rejected rather than silently run at the full paper scale.
     """
-    if not 0 < scale <= 1:
-        raise ValueError(f"scale must be in (0, 1]: {scale!r}")
-    return _build_world(scale, seed)
+    return StudySpec(
+        scale=args.scale,
+        seed=args.seed,
+        quic=getattr(args, "quic", False),
+        faults=getattr(args, "chaos", None),
+        chaos_seed=getattr(args, "chaos_seed", 0),
+    )
 
 
-def _analyses(world: SyntheticInternet, traces: TraceSet, campaign: TracerouteCampaign):
-    geo = analyze_geography(traces.server_addrs, world.geo)
-    reach = analyze_reachability(traces)
-    diff_a = DifferentialAnalysis(traces, "plain-only")
-    diff_b = DifferentialAnalysis(traces, "ect-only")
-    tcp = analyze_tcp_ecn(traces)
-    paths = analyze_campaign(campaign, world.noisy_as_map)
-    corr = analyze_correlation(traces)
-    # None when the study ran without the QUIC probe family — report
-    # and export then reproduce the legacy artefacts byte for byte.
-    quic_summary = analyze_quic_ecn(traces)
-    quic = quic_summary if quic_summary.total else None
-    return geo, reach, diff_a, diff_b, tcp, paths, corr, quic
+def _probe_target(args: argparse.Namespace):
+    """``(world, vantage host, server)`` named by ``--scale``/``--seed``/
+    ``--vantage``/``--server``; raises ValidationError on bad values."""
+    world = _spec(args).build_world()
+    if args.vantage not in world.vantage_hosts:
+        raise ValidationError(
+            f"unknown vantage {args.vantage!r}; one of: {', '.join(world.vantage_hosts)}"
+        )
+    if not 0 <= args.server < len(world.servers):
+        raise ValidationError(f"server index out of range (0..{len(world.servers) - 1})")
+    return world, world.vantage_hosts[args.vantage], world.servers[args.server]
 
 
 def cmd_study(args: argparse.Namespace) -> int:
-    trace_filter = getattr(args, "trace_packets", None)
     workers = args.workers
     if workers < 0:
         return _fail(f"--workers must be >= 0: {workers}")
-    span_detail = getattr(args, "spans", None)
-    profile = getattr(args, "profile", False)
-    obs_dir = args.out if args.out else None
-    if profile and obs_dir is None:
+    if args.profile and not args.out:
         return _fail("--profile needs --out to write profile dumps into")
-    if trace_filter is not None:
+    if args.trace_packets is not None:
         try:
-            parse_filter(trace_filter)
+            parse_filter(args.trace_packets)
         except FilterError as exc:
             return _fail(f"bad --trace-packets expression: {exc}")
         if workers > 0:
@@ -123,183 +92,48 @@ def cmd_study(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             workers = 0
-
     try:
-        world = _checked_world(args.scale, args.seed)
-    except ValueError as exc:
+        spec = _spec(args)
+    except ValidationError as exc:
         return _fail(str(exc))
-    print(f"built {world!r}", file=sys.stderr)
 
-    fault_plan = None
-    if args.chaos is not None:
-        from .faults import generate_fault_plan
+    def progress(done: int, total: int, label: str) -> None:
+        print(f"trace {done + 1}/{total} from {label}", file=sys.stderr)
 
-        try:
-            fault_plan = generate_fault_plan(
-                world, profile=args.chaos, chaos_seed=args.chaos_seed
-            )
-        except ValueError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-        summary = fault_plan.summary()
+    if workers > 0:
+        print(f"running sharded across {workers} workers", file=sys.stderr)
+    study = Study.run(
+        **vars(spec),
+        workers=workers,
+        progress=progress if args.verbose else None,
+        collect_metrics=args.metrics,
+        trace_filter=args.trace_packets,
+        record_spans=args.spans or False,
+        collect_events=args.events,
+        obs_dir=args.out,
+        profile=args.profile,
+    )
+    print(f"built {study.world!r}", file=sys.stderr)
+    print(f"discovered {len(study.traces.server_addrs)} servers", file=sys.stderr)
+    if study.spec.plan is not None:
+        summary = study.spec.plan.summary()
         print(
             f"chaos profile={summary['profile']} seed={summary['chaos_seed']}: "
             f"{summary['events']} events over "
             f"{summary['epochs_touched']} epochs",
             file=sys.stderr,
         )
-
-    discovery = PoolDiscovery(
-        world.vantage_hosts["ugla-wired"], world.dns_addr, world.pool.zone_names()
-    )
-    report = discovery.run()
-    print(
-        f"discovered {len(report)} servers in {report.sweeps} sweeps",
-        file=sys.stderr,
-    )
-
-    def progress(done: int, total: int, label: str) -> None:
-        print(f"trace {done + 1}/{total} from {label}", file=sys.stderr)
-
-    metrics_snapshot = None
-    telemetry = None
-    spans = None
-    events_list = None
-    tracer = PathTracer(match=trace_filter) if trace_filter is not None else None
-    if workers > 0:
-        from .runner import run_study_parallel
-
-        print(f"running sharded across {args.workers} workers", file=sys.stderr)
-        telemetry = RunTelemetry() if args.metrics else None
-        span_sink: list = []
-        event_sink: list = []
-        traces, campaign = run_study_parallel(
-            scale=args.scale,
-            seed=args.seed,
-            workers=workers,
-            targets=report.addresses,
-            world=world,
-            progress=progress if args.verbose else None,
-            fault_plan=fault_plan,
-            telemetry=telemetry,
-            span_detail=span_detail,
-            span_sink=span_sink if span_detail is not None else None,
-            event_sink=event_sink if args.events else None,
-            flight_dir=obs_dir,
-            profile_dir=obs_dir if profile else None,
-            quic=args.quic,
-        )
-        if span_detail is not None:
-            spans = span_sink
-        if args.events:
-            events_list = event_sink
-        if telemetry is not None:
-            metrics_snapshot = telemetry.metrics
-    else:
-        registry = MetricsRegistry() if args.metrics else None
-        if registry is not None or tracer is not None:
-            world.network.set_observability(registry, tracer)
-        recorder = None
-        if span_detail is not None:
-            from .obs import SpanRecorder
-            from .runner.shard import shard_context_map
-
-            recorder = SpanRecorder(
-                detail=span_detail,
-                context_map=shard_context_map(world.params.schedule),
-            )
-            world.set_span_recorder(recorder)
-        event_log = None
-        if args.events:
-            from .obs import EventLog
-            from .runner.shard import shard_context_map
-
-            event_log = EventLog(
-                stamp_wall=False,
-                context_map=shard_context_map(world.params.schedule),
-            )
-            world.set_event_log(event_log)
-        if fault_plan is not None:
-            world.install_fault_plan(fault_plan)
-        profiler = None
-        if profile:
-            import cProfile
-
-            profiler = cProfile.Profile()
-            profiler.enable()
-        try:
-            app = MeasurementApplication(world, targets=report.addresses, quic=args.quic)
-            traces = app.run_study(progress=progress if args.verbose else None)
-            campaign = app.run_traceroutes()
-        finally:
-            if profiler is not None:
-                profiler.disable()
-            if registry is not None or tracer is not None:
-                world.network.set_observability(None, None)
-            if recorder is not None:
-                world.set_span_recorder(None)
-            if event_log is not None:
-                world.set_event_log(None)
-            if fault_plan is not None:
-                world.install_fault_plan(None)
-        if recorder is not None:
-            spans = recorder.export()
-        if event_log is not None:
-            events_list = event_log.export()
-        if profiler is not None:
-            out = Path(obs_dir)
-            out.mkdir(parents=True, exist_ok=True)
-            profiler.dump_stats(out / "profile-sequential.pstats")
-        if registry is not None:
-            metrics_snapshot = registry.snapshot()
-
-    geo, reach, diff_a, diff_b, tcp, paths, corr, quic = _analyses(
-        world, traces, campaign
-    )
-    text = full_report(geo, reach, diff_a, diff_b, tcp, campaign, paths, corr, quic=quic)
-
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        manifest: dict = {"scale": args.scale, "seed": args.seed}
-        if args.quic:
-            manifest["quic"] = True
-        if fault_plan is not None:
-            manifest["chaos"] = fault_plan.summary()
-        atomic_write_text(out / "manifest.json", json.dumps(manifest))
-        traces.save(out / "traces.json")
-        campaign.save(out / "traceroutes.json")
-        export_summary_json(out / "summary.json", geo, reach, tcp, paths, corr, quic=quic)
-        export_traces_csv(out / "traces.csv", traces)
-        if metrics_snapshot is not None:
-            export_metrics_json(out / "metrics.json", metrics_snapshot)
-        if telemetry is not None:
-            export_telemetry_json(out / "telemetry.json", telemetry)
-        if spans is not None:
-            from .obs import export_chrome_trace
-
-            export_spans_json(out / "spans.json", spans)
-            export_chrome_trace(spans, out / "trace.json")
-        if events_list is not None:
-            from .obs import canonical_events, render_events_jsonl
-
-            atomic_write_text(
-                out / "events.jsonl",
-                render_events_jsonl(canonical_events(events_list)),
-            )
-        export_figure_data(
-            out / "figures", reach, tcp, diff_a, diff_b, tcp.pct_negotiated
-        )
-        atomic_write_text(out / "report.txt", text + "\n")
-        print(f"study written to {out}/", file=sys.stderr)
-    print(text)
-    if tracer is not None:
-        print(f"\n== Packet trace ({trace_filter}) ==")
-        dumped = tracer.dump(max_lines=args.trace_limit)
+        study.save(args.out)
+        print(f"study written to {args.out}/", file=sys.stderr)
+    print(study.report())
+    if study.tracer is not None:
+        print(f"\n== Packet trace ({args.trace_packets}) ==")
+        dumped = study.tracer.dump(max_lines=args.trace_limit)
         print(dumped if dumped else "  (no packets matched)")
-    if metrics_snapshot is not None:
+    if study.metrics is not None:
         print()
-        print(render_metrics_report(metrics_snapshot, telemetry))
+        print(render_metrics_report(study.metrics, study.telemetry))
     return 0
 
 
@@ -358,40 +192,31 @@ def cmd_report(args: argparse.Namespace) -> int:
     if not study.is_dir():
         return _fail(f"no study directory at {study}/")
     try:
-        manifest = json.loads((study / "manifest.json").read_text())
-        # Drifted archives (campaign epochs) carry their drift in the
-        # manifest; rebuilding from (scale, seed) alone would analyse
-        # the traces against the wrong world.
-        drift = (
-            EpochDrift.from_dict(manifest["drift"])
-            if "drift" in manifest
-            else None
-        )
-        world = _build_world(manifest["scale"], manifest["seed"], drift)
-        traces = TraceSet.load(study / "traces.json")
-        campaign = TracerouteCampaign.load(study / "traceroutes.json")
+        # Drifted archives (campaign epochs) rebuild their drifted
+        # world from the manifest; QUIC sections appear when the traces
+        # carry QUIC outcome rows.
+        loaded = Study.load(study)
     except (OSError, ValueError, KeyError) as exc:
         return _fail(f"cannot load study from {study}/: {exc}")
-    # ``quic`` is auto-detected from the loaded traces: archives
-    # written with --quic carry the extended outcome rows.
-    geo, reach, diff_a, diff_b, tcp, paths, corr, quic = _analyses(
-        world, traces, campaign
-    )
-    print(full_report(geo, reach, diff_a, diff_b, tcp, campaign, paths, corr, quic=quic))
-    dashboard = getattr(args, "dashboard", None)
-    if dashboard is not None:
+    print(loaded.report())
+    _write_dashboard(study, args.dashboard)
+    return 0
+
+
+def _write_dashboard(directory: Path, option: str | None) -> None:
+    """Render ``--dashboard [PATH]`` (default ``<directory>/dashboard.html``)."""
+    if option is not None:
         from .obs import write_dashboard
 
-        target = study / "dashboard.html" if dashboard == "" else Path(dashboard)
-        written = write_dashboard(study, target)
+        target = directory / "dashboard.html" if option == "" else Path(option)
+        written = write_dashboard(directory, target)
         print(f"dashboard written to {written}", file=sys.stderr)
-    return 0
 
 
 def cmd_discover(args: argparse.Namespace) -> int:
     try:
-        world = _checked_world(args.scale, args.seed)
-    except ValueError as exc:
+        world = _spec(args).build_world()
+    except ValidationError as exc:
         return _fail(str(exc))
     discovery = PoolDiscovery(
         world.vantage_hosts["ugla-wired"], world.dns_addr, world.pool.zone_names()
@@ -412,20 +237,10 @@ def cmd_traceroute(args: argparse.Namespace) -> int:
     from .core.probes import run_traceroute
 
     try:
-        world = _checked_world(args.scale, args.seed)
-    except ValueError as exc:
+        world, vantage, target = _probe_target(args)
+    except ValidationError as exc:
         return _fail(str(exc))
-    if args.vantage not in world.vantage_hosts:
-        print(f"unknown vantage {args.vantage!r}; one of: "
-              f"{', '.join(world.vantage_hosts)}", file=sys.stderr)
-        return 2
-    if not 0 <= args.server < len(world.servers):
-        print(f"server index out of range (0..{len(world.servers) - 1})", file=sys.stderr)
-        return 2
-    target = world.servers[args.server]
-    path = run_traceroute(
-        world.vantage_hosts[args.vantage], target.addr, params=world.params.probes
-    )
+    path = run_traceroute(vantage, target.addr, params=world.params.probes)
     print(f"traceroute to {target.hostname} ({format_addr(target.addr)}) "
           f"from {args.vantage}, ECT(0)-marked UDP")
     for hop in path.hops:
@@ -443,21 +258,11 @@ def cmd_tracebox(args: argparse.Namespace) -> int:
     from .netsim.ecn import dscp_from_tos, ecn_from_tos
 
     try:
-        world = _checked_world(args.scale, args.seed)
-    except ValueError as exc:
+        world, vantage, target = _probe_target(args)
+    except ValidationError as exc:
         return _fail(str(exc))
-    if args.vantage not in world.vantage_hosts:
-        print(f"unknown vantage {args.vantage!r}", file=sys.stderr)
-        return 2
-    if not 0 <= args.server < len(world.servers):
-        print(f"server index out of range (0..{len(world.servers) - 1})", file=sys.stderr)
-        return 2
-    target = world.servers[args.server]
     result = run_tracebox(
-        world.vantage_hosts[args.vantage],
-        target.addr,
-        dscp=args.dscp,
-        params=world.params.probes,
+        vantage, target.addr, dscp=args.dscp, params=world.params.probes
     )
     print(
         f"tracebox to {target.hostname} from {args.vantage} "
@@ -478,23 +283,20 @@ def cmd_tracebox(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    from .core.analysis.uncertainty import headline_intervals
-    from .core.analysis.validation import validate_study
-
     try:
-        world = _checked_world(args.scale, args.seed)
-    except ValueError as exc:
+        spec = _spec(args)
+    except ValidationError as exc:
         return _fail(str(exc))
-    app = MeasurementApplication(world)
-    traces = app.run_study()
-    campaign = app.run_traceroutes()
+    # Every deployed server is probed: inference quality is scored
+    # against ground truth, not against what discovery happened to see.
+    study = Study.run(**vars(spec), discover=False)
 
     print("Headline statistics (bootstrap over traces):")
-    for line in headline_intervals(traces).summary_lines():
+    for line in study.intervals().summary_lines():
         print(f"  {line}")
 
     print("\nInference quality vs deployed ground truth:")
-    for quality in validate_study(world, traces, campaign):
+    for quality in study.validate():
         print(
             f"  {quality.name:<18} precision={quality.precision:.2f} "
             f"recall={quality.recall:.2f} f1={quality.f1:.2f}"
@@ -564,44 +366,20 @@ def cmd_studies(args: argparse.Namespace) -> int:
     return 0
 
 
-def _campaign_progress(verbose: bool):
-    if not verbose:
-        return None
+def _drive_campaign(args: argparse.Namespace, open_driver) -> int:
+    """Open a campaign driver (create or resume), run it, report."""
+    from .campaign import CampaignError
+
+    if args.workers < 0:
+        return _fail(f"--workers must be >= 0: {args.workers}")
 
     def progress(done: int, total: int, label: str) -> None:
         print(f"  [{done}/{total}] {label}", file=sys.stderr)
 
-    return progress
-
-
-def cmd_campaign_run(args: argparse.Namespace) -> int:
-    from .campaign import CampaignDriver, CampaignError, CampaignSpec
-
-    if args.workers < 0:
-        return _fail(f"--workers must be >= 0: {args.workers}")
-    if args.epochs < 1:
-        return _fail(f"--epochs must be >= 1: {args.epochs}")
     try:
-        spec = CampaignSpec(
-            scale=args.scale,
-            seed=args.seed,
-            start_year=args.start_year,
-            cadence_years=args.cadence,
-            timeline=args.timeline,
-            pool_churn=not args.no_pool_churn,
-            chaos=args.chaos,
-            chaos_seed=args.chaos_seed,
-            quic=args.quic,
-        )
-        driver = CampaignDriver.create(
-            args.dir,
-            spec,
-            target_epochs=args.epochs,
-            workers=args.workers,
-            progress=_campaign_progress(args.verbose),
-        )
+        driver = open_driver(progress if args.verbose else None)
         executed = driver.run()
-    except CampaignError as exc:
+    except (CampaignError, ValidationError) as exc:
         return _fail(str(exc))
     print(
         f"campaign {args.dir}: ran {executed} epoch(s), "
@@ -611,26 +389,38 @@ def cmd_campaign_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_campaign_resume(args: argparse.Namespace) -> int:
-    from .campaign import CampaignDriver, CampaignError
+def cmd_campaign_run(args: argparse.Namespace) -> int:
+    from .campaign import CampaignDriver, CampaignSpec
 
-    if args.workers < 0:
-        return _fail(f"--workers must be >= 0: {args.workers}")
-    try:
-        driver = CampaignDriver.resume(
+    if args.epochs < 1:
+        return _fail(f"--epochs must be >= 1: {args.epochs}")
+    return _drive_campaign(
+        args,
+        lambda progress: CampaignDriver.create(
             args.dir,
+            CampaignSpec(
+                _spec(args),
+                start_year=args.start_year,
+                cadence_years=args.cadence,
+                timeline=args.timeline,
+                pool_churn=not args.no_pool_churn,
+            ),
             target_epochs=args.epochs,
             workers=args.workers,
-            progress=_campaign_progress(args.verbose),
-        )
-        executed = driver.run()
-    except CampaignError as exc:
-        return _fail(str(exc))
-    print(
-        f"campaign {args.dir}: ran {executed} epoch(s), "
-        f"{len(driver.archive.checkpoints())}/{driver.archive.target_epochs} complete"
+            progress=progress,
+        ),
     )
-    return 0
+
+
+def cmd_campaign_resume(args: argparse.Namespace) -> int:
+    from .campaign import CampaignDriver
+
+    return _drive_campaign(
+        args,
+        lambda progress: CampaignDriver.resume(
+            args.dir, target_epochs=args.epochs, workers=args.workers, progress=progress
+        ),
+    )
 
 
 def cmd_campaign_status(args: argparse.Namespace) -> int:
@@ -672,18 +462,30 @@ def cmd_campaign_report(args: argparse.Namespace) -> int:
         print(render_trend_report(archive), end="")
     except CampaignError as exc:
         return _fail(str(exc))
-    dashboard = getattr(args, "dashboard", None)
-    if dashboard is not None:
-        from .obs import write_dashboard
-
-        target = (
-            archive.directory / "dashboard.html"
-            if dashboard == ""
-            else Path(dashboard)
-        )
-        written = write_dashboard(archive.directory, target)
-        print(f"dashboard written to {written}", file=sys.stderr)
+    _write_dashboard(archive.directory, args.dashboard)
     return 0
+
+
+def _add_world_flags(parser: argparse.ArgumentParser, scale: float = DEFAULT_SCALE) -> None:
+    """``--scale``/``--seed``: the world every subcommand builds."""
+    parser.add_argument("--scale", type=float, default=scale,
+                        help="population scale vs the paper's 2500 servers")
+    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
+
+
+def _add_spec_flags(parser: argparse.ArgumentParser) -> None:
+    """The :class:`~repro.spec.StudySpec` flags of ``study`` and ``campaign run``."""
+    _add_world_flags(parser)
+    parser.add_argument("--quic", action="store_true",
+                        help="also run the QUIC ECN-validation probe "
+                             "family (RFC 9000 §13.4 count validation "
+                             "against every server)")
+    parser.add_argument("--chaos", type=str, default=None, metavar="PROFILE",
+                        help="inject deterministic faults from a chaos "
+                             "profile (light/default/heavy/reroute)")
+    parser.add_argument("--chaos-seed", type=int, default=0,
+                        help="seed for fault-plan generation (same seed "
+                             "+ profile = same plan)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -694,9 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     study = sub.add_parser("study", help="run the full measurement study")
-    study.add_argument("--scale", type=float, default=0.1,
-                       help="population scale vs the paper's 2500 servers")
-    study.add_argument("--seed", type=int, default=20150401)
+    _add_spec_flags(study)
     study.add_argument("--out", type=str, default=None,
                        help="directory to write the dataset into")
     study.add_argument("--workers", type=int, default=0,
@@ -705,19 +505,6 @@ def build_parser() -> argparse.ArgumentParser:
     study.add_argument("--metrics", action="store_true",
                        help="collect simulation metrics (counters are "
                             "identical for any --workers value)")
-    study.add_argument("--quic", action="store_true",
-                       help="also run the QUIC ECN-validation probe "
-                            "family (RFC 9000 §13.4 count validation "
-                            "against every server; results identical "
-                            "for any --workers value)")
-    study.add_argument("--chaos", type=str, default=None,
-                       metavar="PROFILE",
-                       help="inject deterministic faults from a chaos "
-                            "profile (light/default/heavy/reroute); "
-                            "results still identical for any --workers")
-    study.add_argument("--chaos-seed", type=int, default=0,
-                       help="seed for fault-plan generation (same seed "
-                            "+ profile = same plan)")
     study.add_argument("--trace-packets", type=str, default=None,
                        metavar="EXPR",
                        help="trace packets matching a filter, e.g. "
@@ -770,14 +557,12 @@ def build_parser() -> argparse.ArgumentParser:
     metrics.set_defaults(func=cmd_metrics)
 
     discover = sub.add_parser("discover", help="run pool discovery only")
-    discover.add_argument("--scale", type=float, default=0.1)
-    discover.add_argument("--seed", type=int, default=20150401)
+    _add_world_flags(discover)
     discover.add_argument("--limit", type=int, default=20)
     discover.set_defaults(func=cmd_discover)
 
     traceroute = sub.add_parser("traceroute", help="print one traceroute")
-    traceroute.add_argument("--scale", type=float, default=0.1)
-    traceroute.add_argument("--seed", type=int, default=20150401)
+    _add_world_flags(traceroute)
     traceroute.add_argument("--vantage", type=str, default="ugla-wired")
     traceroute.add_argument("--server", type=int, default=0)
     traceroute.set_defaults(func=cmd_traceroute)
@@ -786,15 +571,13 @@ def build_parser() -> argparse.ArgumentParser:
         "validate",
         help="run a study and score its inferences against ground truth",
     )
-    validate.add_argument("--scale", type=float, default=0.05)
-    validate.add_argument("--seed", type=int, default=20150401)
+    _add_world_flags(validate, scale=0.05)
     validate.set_defaults(func=cmd_validate)
 
     tracebox = sub.add_parser(
         "tracebox", help="per-hop header diff (ECN + DSCP) to one server"
     )
-    tracebox.add_argument("--scale", type=float, default=0.1)
-    tracebox.add_argument("--seed", type=int, default=20150401)
+    _add_world_flags(tracebox)
     tracebox.add_argument("--vantage", type=str, default="ugla-wired")
     tracebox.add_argument("--server", type=int, default=0)
     tracebox.add_argument("--dscp", type=int, default=8)
@@ -834,8 +617,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="campaign archive directory (must not exist yet)")
     c_run.add_argument("--epochs", type=int, required=True,
                        help="number of epochs (simulated measurement rounds)")
-    c_run.add_argument("--scale", type=float, default=0.1)
-    c_run.add_argument("--seed", type=int, default=20150401)
+    _add_spec_flags(c_run)
     c_run.add_argument("--start-year", type=float, default=2015.33,
                        help="simulated calendar year of epoch 0 "
                             "(default: the paper's 2015 window)")
@@ -847,11 +629,6 @@ def build_parser() -> argparse.ArgumentParser:
     c_run.add_argument("--no-pool-churn", action="store_true",
                        help="freeze the address pool across epochs "
                             "instead of re-deriving it per epoch")
-    c_run.add_argument("--chaos", type=str, default=None, metavar="PROFILE",
-                       help="run every epoch under a chaos profile")
-    c_run.add_argument("--chaos-seed", type=int, default=0)
-    c_run.add_argument("--quic", action="store_true",
-                       help="include the QUIC ECN-validation probe family")
     c_run.add_argument("--workers", type=int, default=0,
                        help="worker processes per epoch (0 = sequential; "
                             "archives are identical)")

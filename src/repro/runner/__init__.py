@@ -5,7 +5,7 @@ single process.  This package partitions the same schedule into
 independent **shards** — one per ``(vantage, batch)`` slice of the
 trace plan, plus one per-vantage traceroute sweep — and executes them
 across a pool of worker processes.  Each worker deterministically
-rebuilds the synthetic Internet from ``(scale, seed)`` and runs its
+rebuilds the synthetic Internet from the study spec and runs its
 shards inside hermetic measurement epochs, so the merged study is
 **bit-identical** to a sequential run regardless of worker count,
 shard ordering, or mid-campaign retries.
@@ -31,7 +31,6 @@ from typing import Mapping, Sequence
 
 from ..core.measurement import ProgressFn, trace_plan
 from ..core.traces import TraceSet, TracerouteCampaign
-from ..faults.events import FaultPlan
 from ..obs import (
     FlightRecorder,
     MetricsRegistry,
@@ -42,7 +41,7 @@ from ..obs import (
     merge_snapshots,
 )
 from ..scenario.internet import SyntheticInternet
-from ..scenario.timeline import EpochDrift, drifted_params
+from ..spec import StudySpec
 from .merge import (
     MergeError,
     WIRE_FORMAT,
@@ -103,17 +102,14 @@ __all__ = [
 
 
 def run_study_parallel(
-    scale: float,
-    seed: int,
+    spec: StudySpec,
     workers: int,
     targets: Sequence[int] | None = None,
     world: SyntheticInternet | None = None,
-    traceroutes: bool = True,
     progress: ProgressFn | None = None,
     retry: RetryPolicy | None = None,
     shard_timeout: float | None = None,
     faults: Mapping[int, "FaultSpec"] | None = None,
-    fault_plan: FaultPlan | None = None,
     telemetry: RunTelemetry | None = None,
     observe: bool | None = None,
     span_detail: str | None = None,
@@ -123,16 +119,23 @@ def run_study_parallel(
     flight_dir: str | Path | None = None,
     profile_dir: str | Path | None = None,
     pool: SharedWorkerPool | None = None,
-    quic: bool = False,
-    drift: EpochDrift | None = None,
 ) -> tuple[TraceSet, TracerouteCampaign]:
     """Execute a full study as parallel shards and merge the results.
 
     The parent builds (or receives) the world and the probe-target
     list — discovery runs exactly once, in the parent — then ships
-    only ``(scale, seed, targets, shard)`` to each worker.  Returns
+    only ``(spec, targets, shard)`` to each worker.  Returns
     ``(TraceSet, TracerouteCampaign)`` bit-identical to what the
     sequential ``MeasurementApplication`` path produces.
+
+    ``spec`` (:class:`~repro.spec.StudySpec`) decides what runs.  A
+    chaos-profile name in it is expanded into its
+    :class:`~repro.faults.FaultPlan` here, against the parent's world;
+    the plan then ships inside every :class:`ShardJob` and joins the
+    worker's world-cache key (:meth:`~repro.spec.StudySpec.world_key`),
+    so each worker installs the identical plan and rebuilds the
+    identical (possibly drifted) world — the merged study stays
+    bit-identical to a sequential run.
 
     Passing a :class:`~repro.obs.RunTelemetry` turns observation on:
     every shard runs under a fresh worker-side metrics registry, and
@@ -146,19 +149,12 @@ def run_study_parallel(
     ``faults`` maps shard ids to :class:`FaultSpec` and exists for the
     fault-tolerance tests; production callers never pass it.
 
-    ``fault_plan`` is the simulation-level chaos schedule
-    (:class:`~repro.faults.FaultPlan`).  It ships inside every
-    :class:`ShardJob` and joins the worker's world-cache key, so each
-    worker installs the identical plan before its epochs run — the
-    merged chaotic study stays bit-identical to a sequential run given
-    the same plan.
-
     ``pool`` executes the shards on a shared
     :class:`~repro.runner.pool.SharedWorkerPool` instead of an owned
     per-campaign executor — the study server's path, where many
     concurrent studies multiplex one pool and reuse each worker's
-    per-process world cache across studies with the same
-    ``(scale, seed)``.  ``workers`` is then informational only.
+    per-process world cache across studies with the same world key.
+    ``workers`` is then informational only.
 
     ``span_detail`` turns on per-shard span recording at the given
     level; worker subtrees ship back in the wire results and the
@@ -181,26 +177,16 @@ def run_study_parallel(
     :class:`~repro.obs.EventLog` (the serve layer's, or the study's
     own) that the parent-side scheduler narrates shard lifecycle into
     — dispatch, retries, gang recoveries, pool rebuilds.
-
-    ``quic`` turns on the QUIC ECN-validation probe family in every
-    shard's measurement application; it rides in the
-    :class:`ShardJob` without joining the worker world-cache key.
-
-    ``drift`` applies longitudinal drift
-    (:class:`~repro.scenario.timeline.EpochDrift`) to the scenario
-    parameters: the parent builds (or receives) the drifted world, and
-    the drift ships inside every :class:`ShardJob`, joining the worker
-    world-cache key so each worker rebuilds the identical drifted
-    world.  ``None`` is the legacy undrifted path, bit for bit.
     """
     if world is None:
-        world = SyntheticInternet(drifted_params(scale, seed, drift))
+        world = spec.build_world()
+    spec = spec.with_fault_plan(world)
     if targets is None:
         targets = [server.addr for server in world.servers]
     target_tuple = tuple(targets)
     schedule = world.params.schedule
     plan = trace_plan(schedule)
-    shards = plan_shards(schedule, traceroutes=traceroutes)
+    shards = plan_shards(schedule, traceroutes=spec.traceroutes)
     fault_map = dict(faults) if faults else {}
     if observe is None:
         observe = telemetry is not None
@@ -208,19 +194,15 @@ def run_study_parallel(
     profile_path = str(profile_dir) if profile_dir is not None else None
     jobs = [
         ShardJob(
-            scale=scale,
-            seed=seed,
+            spec=spec,
             targets=target_tuple,
             shard=shard,
             fault=fault_map.get(shard.shard_id),
             observe=observe,
-            fault_plan=fault_plan,
             span_detail=span_detail,
             events=event_sink is not None,
             flight_dir=flight_path,
             profile_dir=profile_path,
-            quic=quic,
-            drift=drift,
         )
         for shard in shards
     ]
@@ -276,8 +258,8 @@ def run_study_parallel(
         telemetry.workers = workers
         telemetry.wall_seconds = time.perf_counter() - started
         telemetry.runner = runner_metrics.snapshot()["counters"]
-        if fault_plan is not None:
-            telemetry.chaos = fault_plan.summary()
+        if spec.plan is not None:
+            telemetry.chaos = spec.plan.summary()
         # Completion order must not influence the merged metrics, and
         # a shard observed twice (gang recovery races) must count once.
         by_shard = {}
@@ -306,7 +288,7 @@ def run_study_parallel(
             (r for r in results if r["kind"] == KIND_TRACEROUTES),
             vantage_order=list(world.vantage_hosts),
         )
-        if traceroutes
+        if spec.traceroutes
         else TracerouteCampaign()
     )
     return traces, campaign

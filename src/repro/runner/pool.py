@@ -5,7 +5,8 @@ executor outright: one study, one pool, torn down when the campaign
 ends.  A long-lived study server inverts that — many studies in flight
 at once, all multiplexed over **one** pool of worker processes so the
 per-process world cache (:mod:`repro.runner.worker`) keeps paying off
-across studies that share a ``(scale, seed)``.
+across studies that share a world key
+(:meth:`~repro.spec.StudySpec.world_key`).
 
 :class:`SharedWorkerPool` provides that shared executor with the same
 degradation and recovery semantics the owned path has:

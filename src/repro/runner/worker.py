@@ -1,14 +1,13 @@
 """Shard execution inside a worker process.
 
 A worker receives a :class:`ShardJob` — everything needed to rebuild
-the study context from scratch: ``(scale, seed)`` to rebuild the
-synthetic Internet through the canonical
-:func:`~repro.scenario.parameters.params_for_scale` mapping, the probe
-target list (discovery runs once, in the parent), and the shard to
-execute.  Worlds are cached per process, so a worker pays the build
-cost once and then runs any number of shards against it; hermetic
-measurement epochs guarantee the execution order across shards cannot
-influence results.
+the study context from scratch: the :class:`~repro.spec.StudySpec`
+(with its fault plan already expanded by the parent) to rebuild the
+synthetic Internet, the probe target list (discovery runs once, in the
+parent), and the shard to execute.  Worlds are cached per process, so
+a worker pays the build cost once and then runs any number of shards
+against it; hermetic measurement epochs guarantee the execution order
+across shards cannot influence results.
 
 Observability rides along per job: ``observe`` installs a fresh
 metrics registry, ``span_detail`` a fresh span recorder (its subtree
@@ -31,13 +30,12 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from ..core.measurement import MeasurementApplication
-from ..faults.events import FaultPlan
 from ..obs.events import EventLog
 from ..obs.flight import FlightRecorder
 from ..obs.metrics import MetricsRegistry
 from ..obs.spans import SpanRecorder
 from ..scenario.internet import SyntheticInternet
-from ..scenario.timeline import EpochDrift, drifted_params
+from ..spec import StudySpec
 from .merge import WIRE_FORMAT, encode_path, encode_trace
 from .shard import KIND_TRACES, Shard, shard_context_map
 
@@ -70,8 +68,8 @@ class FaultSpec:
 class ShardJob:
     """A self-contained unit of work shipped to a worker process."""
 
-    scale: float
-    seed: int
+    #: What to run; its ``faults`` is a ready FaultPlan or ``None``.
+    spec: StudySpec
     targets: tuple[int, ...]
     shard: Shard
     attempt: int = 0
@@ -79,9 +77,6 @@ class ShardJob:
     #: When True the worker installs a fresh metrics registry around
     #: this shard and ships its snapshot (plus timing) in the result.
     observe: bool = False
-    #: Chaos schedule applied by every worker identically (hashable, so
-    #: it participates in the per-process world cache key).
-    fault_plan: FaultPlan | None = None
     #: Span detail level (:data:`repro.obs.DETAIL_EPOCH` /
     #: :data:`~repro.obs.DETAIL_PROBE`); ``None`` records no spans.
     span_detail: str | None = None
@@ -93,14 +88,6 @@ class ShardJob:
     flight_dir: str | None = None
     #: Directory for per-shard cProfile dumps; ``None`` disables.
     profile_dir: str | None = None
-    #: Run the QUIC ECN-validation probe family after the paper's four
-    #: measurements.  Deliberately *not* part of the world-cache key:
-    #: QUIC servers are always deployed, only the probing app changes.
-    quic: bool = False
-    #: Longitudinal drift applied to the scenario parameters before the
-    #: world is built (hashable, so it joins the world-cache key next
-    #: to the fault plan); ``None`` is the legacy undrifted world.
-    drift: EpochDrift | None = None
 
 
 #: Per-process world cache: building a synthetic Internet dominates
@@ -109,13 +96,11 @@ class ShardJob:
 #: pool (``ecnudp serve``) interleaves shards of *different* studies on
 #: one worker, and clearing on every key change would rebuild worlds
 #: per shard instead of per study.  Insertion order is the LRU order.
-_WORLD_CACHE: dict[
-    tuple[float, int, FaultPlan | None, EpochDrift | None], SyntheticInternet
-] = {}
+_WORLD_CACHE: dict[tuple, SyntheticInternet] = {}
 
 #: Worlds kept per worker process.  Small on purpose: a full-scale
 #: world is large, and a server mixing more than this many distinct
-#: ``(scale, seed, plan)`` keys at once should pay rebuilds, not RAM.
+#: world keys at once should pay rebuilds, not RAM.
 WORLD_CACHE_SIZE = 4
 
 #: Lifetime cache hits/misses for this worker process (observability
@@ -128,13 +113,8 @@ _WORLD_CACHE_STATS = {"hits": 0, "misses": 0}
 _FLIGHT: FlightRecorder | None = None
 
 
-def _world_for(
-    scale: float,
-    seed: int,
-    fault_plan: FaultPlan | None = None,
-    drift: EpochDrift | None = None,
-) -> SyntheticInternet:
-    key = (scale, seed, fault_plan, drift)
+def _world_for(spec: StudySpec) -> SyntheticInternet:
+    key = spec.world_key()
     world = _WORLD_CACHE.get(key)
     if world is None:
         _WORLD_CACHE_STATS["misses"] += 1
@@ -142,9 +122,9 @@ def _world_for(
         # accumulate topologies beyond the budget.
         while len(_WORLD_CACHE) >= WORLD_CACHE_SIZE:
             _WORLD_CACHE.pop(next(iter(_WORLD_CACHE)))
-        world = SyntheticInternet(drifted_params(scale, seed, drift))
-        if fault_plan is not None:
-            world.install_fault_plan(fault_plan)
+        world = spec.build_world()
+        if spec.plan is not None:
+            world.install_fault_plan(spec.plan)
         _WORLD_CACHE[key] = world
     else:
         _WORLD_CACHE_STATS["hits"] += 1
@@ -249,8 +229,10 @@ def _execute_shard(job: ShardJob, flight: FlightRecorder | None) -> dict:
             f"injected failure for shard {job.shard.shard_id} "
             f"(attempt {job.attempt})"
         )
-    world = _world_for(job.scale, job.seed, job.fault_plan, job.drift)
-    app = MeasurementApplication(world, targets=list(job.targets), quic=job.quic)
+    world = _world_for(job.spec)
+    app = MeasurementApplication(
+        world, targets=list(job.targets), **job.spec.probe_families()
+    )
     shard = job.shard
     result: dict = {
         "format": WIRE_FORMAT,
@@ -264,26 +246,24 @@ def _execute_shard(job: ShardJob, flight: FlightRecorder | None) -> dict:
     registry = MetricsRegistry() if job.observe else None
     if registry is not None:
         world.network.set_observability(registry)
-    # Likewise a fresh span recorder per shard: its subtree ships back
-    # in the result, and a retried shard re-records from scratch.
+    # Likewise a fresh span recorder and event log per shard: spans ship
+    # back in the result, events carry no wall stamps (they are part of
+    # the determinism contract), and both resolve epochs through the
+    # full context map, so sequential and sharded runs mint identical
+    # ids and (shard, seq) pairs.  A retried shard re-records from
+    # scratch.
+    context_map = None
+    if job.span_detail is not None or job.events:
+        context_map = shard_context_map(world.params.schedule)
     spans = None
     if job.span_detail is not None:
         spans = SpanRecorder(
-            detail=job.span_detail,
-            context_map=shard_context_map(world.params.schedule),
-            flight=flight,
+            detail=job.span_detail, context_map=context_map, flight=flight
         )
         world.set_span_recorder(spans)
-    # And a fresh event log per shard: no wall stamps (shard events are
-    # part of the determinism contract) and the same context map the
-    # span recorder uses, so sequential and sharded runs mint identical
-    # (shard, seq) pairs.  A retried shard re-emits from scratch.
     event_log = None
     if job.events:
-        event_log = EventLog(
-            stamp_wall=False,
-            context_map=shard_context_map(world.params.schedule),
-        )
+        event_log = EventLog(stamp_wall=False, context_map=context_map)
         world.set_event_log(event_log)
     if flight is not None:
         # (Re)attach per job — also detaches a previous shard's log

@@ -38,15 +38,12 @@ from .index import (
 )
 from .queue import (
     QUEUE_FORMAT,
-    CampaignJob,
     QueueFull,
     QuotaExceeded,
-    StudyParams,
     StudyQueue,
+    StudySpec,
     Submission,
     ValidationError,
-    validate_campaign,
-    validate_params,
     validate_priority,
     validate_tenant,
 )
@@ -54,7 +51,6 @@ from .scheduler import RunHandle, StudyScheduler, WorldCache
 from .server import ServeConfig, StudyServer, run_server
 
 __all__ = [
-    "CampaignJob",
     "ChunkedWriter",
     "HttpError",
     "INDEX_FORMAT",
@@ -72,18 +68,16 @@ __all__ = [
     "ServeConfig",
     "StudyIndex",
     "StudyIndexError",
-    "StudyParams",
     "StudyQueue",
     "StudyScheduler",
     "StudyServer",
+    "StudySpec",
     "Submission",
     "ValidationError",
     "WorldCache",
     "migrate_results_root",
     "read_request",
     "run_server",
-    "validate_campaign",
-    "validate_params",
     "validate_priority",
     "validate_tenant",
     "write_response",

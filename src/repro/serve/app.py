@@ -39,7 +39,6 @@ from .queue import (
     StudyQueue,
     Submission,
     ValidationError,
-    validate_params,
     validate_priority,
     validate_tenant,
 )
@@ -161,19 +160,19 @@ class StudyApp:
         tenant = payload.get("tenant", request.headers.get("x-tenant"))
         tenant = validate_tenant(tenant)
         priority = validate_priority(payload.get("priority", 0))
-        params = validate_params(
-            {k: v for k, v in payload.items() if k not in ("tenant", "priority")}
-        )
         run_id = self._mint_run_id()
-        submission = Submission(
-            run_id=run_id, tenant=tenant, params=params, priority=priority
+        submission = Submission.from_params(
+            {k: v for k, v in payload.items() if k not in ("tenant", "priority")},
+            run_id=run_id,
+            tenant=tenant,
+            priority=priority,
         )
         admitted = self.queue.submit(submission)  # raises under pressure
         self.index.register(
             run_id,
             self.studies_dir / run_id,
-            scale=params.scale,
-            seed=params.seed,
+            scale=submission.spec.scale,
+            seed=submission.spec.seed,
             status=STATUS_QUEUED,
             tenant=tenant,
         )

@@ -17,12 +17,14 @@ once even across a server generation.
 
 from __future__ import annotations
 
+import dataclasses
 import heapq
 import itertools
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from ..faults.profiles import PROFILES
+from ..campaign.archive import CAMPAIGN_FIELDS, CampaignError, CampaignSpec
+from ..spec import StudySpec, ValidationError, integer
 
 #: Version tag for persisted queue snapshots.
 QUEUE_FORMAT = "ecn-udp-queue/1"
@@ -30,111 +32,11 @@ QUEUE_FORMAT = "ecn-udp-queue/1"
 #: Inclusive bounds on a submission's priority knob.
 PRIORITY_MIN, PRIORITY_MAX = -10, 10
 
-#: Upper bound on accepted scales: the server exists to run many
-#: studies concurrently; full-scale (1.0) studies belong to the batch
-#: CLI.  Generous enough for every benchmark in the repo.
-MAX_SCALE = 1.0
-
-
-class ValidationError(ValueError):
-    """A submission document that cannot become a study."""
-
-
 #: Upper bound on epochs per campaign submission.  Campaigns are
 #: *recurring*: re-submitting the same campaign ``id`` extends the
 #: archive by another batch of epochs, so the cap bounds one grant of
 #: queue time, not the campaign's lifetime length.
 MAX_CAMPAIGN_EPOCHS = 32
-
-
-@dataclass(frozen=True)
-class CampaignJob:
-    """The campaign-shaped part of a submission, validated.
-
-    ``id`` names the on-disk campaign archive; re-submitting with the
-    same id resumes and extends it (the recurring-job idiom).  ``None``
-    derives the archive name from the run id — a one-shot campaign.
-    """
-
-    epochs: int
-    start_year: float = 2015.33
-    cadence_years: float = 1.0
-    timeline: str = "fresh-look"
-    pool_churn: bool = True
-    id: str | None = None
-
-    def to_dict(self) -> dict:
-        payload: dict = {"epochs": self.epochs}
-        if self.start_year != 2015.33:
-            payload["start_year"] = self.start_year
-        if self.cadence_years != 1.0:
-            payload["cadence_years"] = self.cadence_years
-        if self.timeline != "fresh-look":
-            payload["timeline"] = self.timeline
-        if not self.pool_churn:
-            payload["pool_churn"] = False
-        if self.id is not None:
-            payload["id"] = self.id
-        return payload
-
-
-def validate_campaign(payload) -> CampaignJob:
-    """Validate a submission's nested ``campaign`` object."""
-    from ..scenario.timeline import TIMELINES
-
-    if not isinstance(payload, Mapping):
-        raise ValidationError(f"campaign must be a JSON object: {payload!r}")
-    known = {"epochs", "start_year", "cadence_years", "timeline", "pool_churn", "id"}
-    unknown = sorted(set(payload) - known)
-    if unknown:
-        raise ValidationError(f"unknown campaign field(s): {', '.join(unknown)}")
-    epochs = payload.get("epochs")
-    if isinstance(epochs, bool) or not isinstance(epochs, int):
-        raise ValidationError(f"campaign epochs must be an integer: {epochs!r}")
-    if not 1 <= epochs <= MAX_CAMPAIGN_EPOCHS:
-        raise ValidationError(
-            f"campaign epochs must be in [1, {MAX_CAMPAIGN_EPOCHS}]: {epochs!r}"
-        )
-    start_year = payload.get("start_year", 2015.33)
-    if isinstance(start_year, bool) or not isinstance(start_year, (int, float)):
-        raise ValidationError(f"campaign start_year must be a number: {start_year!r}")
-    cadence = payload.get("cadence_years", 1.0)
-    if isinstance(cadence, bool) or not isinstance(cadence, (int, float)):
-        raise ValidationError(f"campaign cadence_years must be a number: {cadence!r}")
-    if float(cadence) <= 0:
-        raise ValidationError(f"campaign cadence_years must be > 0: {cadence!r}")
-    timeline = payload.get("timeline", "fresh-look")
-    if not isinstance(timeline, str) or timeline not in TIMELINES:
-        known_timelines = ", ".join(sorted(TIMELINES))
-        raise ValidationError(
-            f"unknown campaign timeline {timeline!r}; one of: {known_timelines}"
-        )
-    pool_churn = payload.get("pool_churn", True)
-    if not isinstance(pool_churn, bool):
-        raise ValidationError(f"campaign pool_churn must be a boolean: {pool_churn!r}")
-    campaign_id = payload.get("id")
-    if campaign_id is not None:
-        # Same character discipline as tenants: the id becomes a
-        # directory name under the results root.
-        if (
-            not isinstance(campaign_id, str)
-            or not campaign_id
-            or len(campaign_id) > 64
-            or not all(c.isalnum() or c in "-_." for c in campaign_id)
-            or campaign_id.startswith(".")
-        ):
-            raise ValidationError(
-                f"campaign id must be <=64 chars of [alnum - _ .], not "
-                f"starting with '.': {campaign_id!r}"
-            )
-    return CampaignJob(
-        epochs=epochs,
-        start_year=float(start_year),
-        cadence_years=float(cadence),
-        timeline=timeline,
-        pool_churn=pool_churn,
-        id=campaign_id,
-    )
 
 
 class QueueFull(RuntimeError):
@@ -156,96 +58,20 @@ class QuotaExceeded(RuntimeError):
         self.retry_after = retry_after
 
 
-@dataclass(frozen=True)
-class StudyParams:
-    """The validated, hashable parameters of one requested study.
-
-    ``(scale, seed)`` is the world-cache key: submissions agreeing on
-    it share a cached synthetic Internet (and discovery), never cached
-    *results* — every run executes and archives separately.
-    """
-
-    scale: float
-    seed: int
-    traceroutes: bool = True
-    chaos: str | None = None
-    chaos_seed: int = 0
-    #: Set when the submission is a longitudinal campaign rather than
-    #: a single study; the scheduler routes it to the campaign driver.
-    campaign: CampaignJob | None = None
-
-    def world_key(self) -> tuple[float, int]:
-        return (self.scale, self.seed)
-
-    def to_dict(self) -> dict:
-        payload: dict = {"scale": self.scale, "seed": self.seed}
-        if not self.traceroutes:
-            payload["traceroutes"] = False
-        if self.chaos is not None:
-            payload["chaos"] = self.chaos
-            payload["chaos_seed"] = self.chaos_seed
-        if self.campaign is not None:
-            payload["campaign"] = self.campaign.to_dict()
-        return payload
-
-    @classmethod
-    def from_dict(cls, payload: Mapping) -> "StudyParams":
-        return validate_params(payload)
-
-
-def validate_params(payload) -> StudyParams:
-    """Validate a submission document into :class:`StudyParams`.
-
-    Raises :class:`ValidationError` with a message naming the first
-    offending field; the server maps it to ``400``.
-    """
-    if not isinstance(payload, Mapping):
-        raise ValidationError("submission must be a JSON object")
-    known = {
-        "scale",
-        "seed",
-        "traceroutes",
-        "chaos",
-        "chaos_seed",
-        "campaign",
-        "tenant",
-        "priority",
-    }
-    unknown = sorted(set(payload) - known)
-    if unknown:
-        raise ValidationError(f"unknown field(s): {', '.join(unknown)}")
-    scale = payload.get("scale", 0.1)
-    if isinstance(scale, bool) or not isinstance(scale, (int, float)):
-        raise ValidationError(f"scale must be a number: {scale!r}")
-    if not 0 < float(scale) <= MAX_SCALE:
-        raise ValidationError(f"scale must be in (0, {MAX_SCALE}]: {scale!r}")
-    seed = payload.get("seed", 20150401)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ValidationError(f"seed must be an integer: {seed!r}")
-    traceroutes = payload.get("traceroutes", True)
-    if not isinstance(traceroutes, bool):
-        raise ValidationError(f"traceroutes must be a boolean: {traceroutes!r}")
-    chaos = payload.get("chaos")
-    if chaos is not None:
-        if not isinstance(chaos, str) or chaos not in PROFILES:
-            known_profiles = ", ".join(sorted(PROFILES))
-            raise ValidationError(
-                f"unknown chaos profile {chaos!r}; one of: {known_profiles}"
-            )
-    chaos_seed = payload.get("chaos_seed", 0)
-    if isinstance(chaos_seed, bool) or not isinstance(chaos_seed, int):
-        raise ValidationError(f"chaos_seed must be an integer: {chaos_seed!r}")
-    campaign = payload.get("campaign")
-    if campaign is not None:
-        campaign = validate_campaign(campaign)
-    return StudyParams(
-        scale=float(scale),
-        seed=seed,
-        traceroutes=traceroutes,
-        chaos=chaos,
-        chaos_seed=chaos_seed,
-        campaign=campaign,
-    )
+def _validate_dirname(value, name: str) -> str:
+    """A run or campaign id: it becomes a directory under the results root."""
+    if (
+        not isinstance(value, str)
+        or not value
+        or len(value) > 64
+        or not all(c.isalnum() or c in "-_." for c in value)
+        or value.startswith(".")
+    ):
+        raise ValidationError(
+            f"{name} must be <=64 chars of [alnum - _ .], not starting "
+            f"with '.': {value!r}"
+        )
+    return value
 
 
 def validate_tenant(tenant) -> str:
@@ -270,19 +96,88 @@ def validate_priority(priority) -> int:
 
 @dataclass(frozen=True)
 class Submission:
-    """One admitted study: identity + tenancy + validated params."""
+    """One admitted study or campaign: identity + tenancy + its spec."""
 
     run_id: str
     tenant: str
-    params: StudyParams
+    spec: StudySpec
     priority: int = 0
     #: Admission sequence number: the FIFO tiebreak within a priority,
     #: stable across persistence so restarts preserve ordering.
     seq: int = 0
+    #: Set when the submission is a longitudinal campaign rather than a
+    #: single study (``campaign.study`` is ``spec``): run ``epochs``
+    #: more epochs in the archive named ``campaign_id``.  Re-submitting
+    #: an id resumes and extends that archive (the recurring-job
+    #: idiom); ``None`` names it after the run id — a one-shot campaign.
+    campaign: CampaignSpec | None = None
+    epochs: int = 0
+    campaign_id: str | None = None
 
     def sort_key(self) -> tuple[int, int]:
         # heapq is a min-heap: negate priority so higher runs first.
         return (-self.priority, self.seq)
+
+    @classmethod
+    def from_params(
+        cls, payload, run_id: str, tenant: str, priority: int = 0, seq: int = 0
+    ) -> "Submission":
+        """Validate a params document: a POST /studies body without
+        ``tenant`` and ``priority``.
+
+        The flat keys are a :class:`~repro.spec.StudySpec` (``drift``
+        aside: campaigns set it per epoch); an optional ``campaign``
+        object adds ``epochs``, ``id`` and the
+        :class:`~repro.campaign.CampaignSpec` timeline fields.  Raises
+        :class:`ValidationError` naming the first offending field; the
+        server maps it to ``400``.
+        """
+        if not isinstance(payload, Mapping):
+            raise ValidationError("submission must be a JSON object")
+        fields = dict(payload)
+        options = fields.pop("campaign", None)
+        if "drift" in fields:
+            raise ValidationError("unknown field(s): drift")
+        spec = StudySpec.from_json(fields)
+        if options is None:
+            return cls(run_id, tenant, spec, priority, seq)
+        if not isinstance(options, Mapping):
+            raise ValidationError(f"campaign must be a JSON object: {options!r}")
+        options = dict(options)
+        epochs = options.pop("epochs", None)
+        if isinstance(epochs, bool) or not isinstance(epochs, int):
+            raise ValidationError(f"campaign epochs must be an integer: {epochs!r}")
+        if not 1 <= epochs <= MAX_CAMPAIGN_EPOCHS:
+            raise ValidationError(
+                f"campaign epochs must be in [1, {MAX_CAMPAIGN_EPOCHS}]: {epochs!r}"
+            )
+        campaign_id = options.pop("id", None)
+        if campaign_id is not None:
+            _validate_dirname(campaign_id, "campaign id")
+        unknown = sorted(str(key) for key in options if key not in CAMPAIGN_FIELDS)
+        if unknown:
+            raise ValidationError(f"unknown campaign field(s): {', '.join(unknown)}")
+        try:
+            campaign = CampaignSpec.from_dict({**spec.to_json(), **options})
+        except CampaignError as exc:
+            raise ValidationError(f"campaign: {exc}") from None
+        return cls(run_id, tenant, spec, priority, seq, campaign, epochs, campaign_id)
+
+    def params(self) -> dict:
+        """The params document :meth:`from_params` reads back (sparse:
+        campaign fields at their defaults are omitted)."""
+        payload = self.spec.to_json()
+        if self.campaign is not None:
+            defaults = CampaignSpec(self.spec).to_dict()
+            options = {
+                key: value
+                for key, value in self.campaign.to_dict().items()
+                if value != defaults[key]
+            }
+            if self.campaign_id is not None:
+                options["id"] = self.campaign_id
+            payload["campaign"] = {"epochs": self.epochs, **options}
+        return payload
 
     def to_dict(self) -> dict:
         return {
@@ -290,17 +185,20 @@ class Submission:
             "tenant": self.tenant,
             "priority": self.priority,
             "seq": self.seq,
-            "params": self.params.to_dict(),
+            "params": self.params(),
         }
 
     @classmethod
-    def from_dict(cls, payload: Mapping) -> "Submission":
-        return cls(
-            run_id=str(payload["run_id"]),
-            tenant=validate_tenant(payload["tenant"]),
+    def from_dict(cls, payload) -> "Submission":
+        """Re-validate one persisted queue entry."""
+        if not isinstance(payload, Mapping):
+            raise ValidationError(f"queue entry must be a JSON object: {payload!r}")
+        return cls.from_params(
+            payload.get("params", {}),
+            run_id=_validate_dirname(payload.get("run_id"), "run_id"),
+            tenant=validate_tenant(payload.get("tenant")),
             priority=validate_priority(payload.get("priority", 0)),
-            seq=int(payload.get("seq", 0)),
-            params=validate_params(payload.get("params", {})),
+            seq=integer(payload, "seq", 0),
         )
 
 
@@ -357,13 +255,7 @@ class StudyQueue:
             raise QuotaExceeded(
                 submission.tenant, self.tenant_quota, retry_after=self.retry_after()
             )
-        admitted = Submission(
-            run_id=submission.run_id,
-            tenant=submission.tenant,
-            params=submission.params,
-            priority=submission.priority,
-            seq=next(self._seq),
-        )
+        admitted = dataclasses.replace(submission, seq=next(self._seq))
         heapq.heappush(self._heap, (admitted.sort_key(), admitted))
         self._queued[admitted.run_id] = admitted
         self.stats.admitted += 1
@@ -444,15 +336,18 @@ class StudyQueue:
         ]
         return {"format": QUEUE_FORMAT, "entries": entries}
 
-    def restore(self, document: Mapping) -> list[Submission]:
+    def restore(self, document) -> list[Submission]:
         """Re-admit a persisted snapshot; returns the restored entries.
 
         Restores preserve run ids and relative order (priority, then
         original admission sequence).  Quotas and depth are re-checked
         — a snapshot from a server with looser limits degrades to
         rejecting the tail, which the caller reports rather than
-        silently dropping.
+        silently dropping.  A malformed document raises
+        :class:`ValidationError`, whatever its shape.
         """
+        if not isinstance(document, Mapping):
+            raise ValidationError("queue snapshot must be a JSON object")
         if document.get("format") != QUEUE_FORMAT:
             raise ValidationError(
                 f"not a queue snapshot: format {document.get('format')!r}"

@@ -10,7 +10,8 @@ HTTP layer streams.
 
 Two caches make the multi-tenant case cheap:
 
-* the **parent world cache** here — ``(scale, seed)`` to a built
+* the **parent world cache** here — a spec's
+  :meth:`~repro.spec.StudySpec.world_key` to a built fault-free
   synthetic Internet *plus its first-discovery target list*.  The pair
   matters: DNS pool rotation is stateful, so only the first discovery
   against a world matches a fresh ``Study.run``; caching world and
@@ -37,7 +38,7 @@ from pathlib import Path
 from ..core.discovery import PoolDiscovery
 from ..obs import DURATION_BOUNDS, MetricsRegistry
 from ..scenario.internet import SyntheticInternet
-from ..scenario.parameters import params_for_scale
+from ..spec import StudySpec
 from ..study import Study
 from .index import (
     STATUS_CANCELLED,
@@ -95,7 +96,7 @@ class RunHandle:
             "tenant": self.submission.tenant,
             "priority": self.submission.priority,
             "status": self.status,
-            "params": self.submission.params.to_dict(),
+            "params": self.submission.params(),
             "events": len(self.events),
         }
         if self.error is not None:
@@ -143,37 +144,48 @@ class WorldCache:
         self.size = size
         self.metrics = metrics
         self._lock = threading.Lock()
-        self._entries: dict[tuple[float, int], _WorldEntry] = {}
+        self._entries: dict[tuple, _WorldEntry] = {}
+        #: One build lock per key being built: a second request for a
+        #: world under construction waits for it instead of building a
+        #: duplicate, so misses count distinct worlds, not races.
+        self._building: dict[tuple, threading.Lock] = {}
 
-    def entry_for(self, scale: float, seed: int) -> _WorldEntry:
-        key = (scale, seed)
+    def _cached(self, key: tuple) -> _WorldEntry | None:
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None:
                 self._entries[key] = self._entries.pop(key)  # mark MRU
                 if self.metrics:
                     self.metrics.incr("serve.world_cache.hits")
-                return entry
-        # Build outside the cache lock: worlds take real time and two
-        # distinct keys must be able to build concurrently.  A racing
-        # build of the *same* key is wasteful but harmless — identical
-        # params build identical worlds; last writer wins.
-        if self.metrics:
-            self.metrics.incr("serve.world_cache.misses")
-        world = SyntheticInternet(params_for_scale(scale, seed))
-        targets = PoolDiscovery(
-            world.vantage_hosts["ugla-wired"],
-            world.dns_addr,
-            world.pool.zone_names(),
-        ).run().addresses
-        entry = _WorldEntry(world=world, targets=list(targets))
+            return entry
+
+    def entry_for(self, spec: StudySpec) -> _WorldEntry:
+        key = spec.world_key()
+        entry = self._cached(key)
+        if entry is not None:
+            return entry
         with self._lock:
-            existing = self._entries.get(key)
-            if existing is not None:
-                return existing
-            while len(self._entries) >= self.size:
-                self._entries.pop(next(iter(self._entries)))
-            self._entries[key] = entry
+            building = self._building.setdefault(key, threading.Lock())
+        # Build outside the cache lock: worlds take real time and two
+        # distinct keys must be able to build concurrently.
+        with building:
+            entry = self._cached(key)
+            if entry is not None:
+                return entry
+            if self.metrics:
+                self.metrics.incr("serve.world_cache.misses")
+            world = spec.build_world()
+            targets = PoolDiscovery(
+                world.vantage_hosts["ugla-wired"],
+                world.dns_addr,
+                world.pool.zone_names(),
+            ).run().addresses
+            entry = _WorldEntry(world=world, targets=list(targets))
+            with self._lock:
+                while len(self._entries) >= self.size:
+                    self._entries.pop(next(iter(self._entries)))
+                self._entries[key] = entry
+                del self._building[key]
         return entry
 
 
@@ -328,6 +340,12 @@ class StudyScheduler:
             # otherwise — a second instance's flush would revert other
             # runs' statuses from its stale cache), so the save path
             # below deliberately archives without touching the index.
+            entry = dict(
+                scale=submission.spec.scale,
+                seed=submission.spec.seed,
+                status=STATUS_COMPLETE,
+                tenant=submission.tenant,
+            )
             if outcome is not None and outcome.get("kind") == "campaign":
                 # A campaign gets two kinds of entries: one for the
                 # campaign itself (naming its member epochs) and one
@@ -338,23 +356,13 @@ class StudyScheduler:
                     f"{campaign_dir.name}/{name}" for name in outcome["epochs"]
                 ]
                 self.index.register(
-                    campaign_dir.name,
-                    campaign_dir,
-                    scale=submission.params.scale,
-                    seed=submission.params.seed,
-                    status=STATUS_COMPLETE,
-                    tenant=submission.tenant,
-                    kind="campaign",
-                    epochs=epoch_ids,
+                    campaign_dir.name, campaign_dir, **entry, kind="campaign", epochs=epoch_ids
                 )
                 for name, epoch_id in zip(outcome["epochs"], epoch_ids):
                     self.index.register(
                         epoch_id,
                         campaign_dir / "epochs" / name,
-                        scale=submission.params.scale,
-                        seed=submission.params.seed,
-                        status=STATUS_COMPLETE,
-                        tenant=submission.tenant,
+                        **entry,
                         campaign=campaign_dir.name,
                     )
                 if campaign_dir.name != submission.run_id:
@@ -363,21 +371,13 @@ class StudyScheduler:
                     self.index.register(
                         submission.run_id,
                         campaign_dir,
-                        scale=submission.params.scale,
-                        seed=submission.params.seed,
-                        status=STATUS_COMPLETE,
-                        tenant=submission.tenant,
+                        **entry,
                         kind="campaign",
                         campaign=campaign_dir.name,
                     )
             else:
                 self.index.register(
-                    submission.run_id,
-                    self.studies_dir / submission.run_id,
-                    scale=submission.params.scale,
-                    seed=submission.params.seed,
-                    status=STATUS_COMPLETE,
-                    tenant=submission.tenant,
+                    submission.run_id, self.studies_dir / submission.run_id, **entry
                 )
         finally:
             handle.finished_at = time.monotonic()
@@ -408,20 +408,13 @@ class StudyScheduler:
         )
 
     def _execute(self, submission: Submission, progress) -> dict | None:
-        params = submission.params
-        if params.campaign is not None:
+        if submission.campaign is not None:
             return self._execute_campaign(submission, progress)
-        entry = self.worlds.entry_for(params.scale, params.seed)
+        spec = submission.spec
+        entry = self.worlds.entry_for(spec)
         run_dir = self.studies_dir / submission.run_id
         common = dict(
-            scale=params.scale,
-            seed=params.seed,
-            traceroutes=params.traceroutes,
-            faults=params.chaos,
-            chaos_seed=params.chaos_seed,
-            progress=progress,
-            world=entry.world,
-            targets=entry.targets,
+            vars(spec), progress=progress, world=entry.world, targets=entry.targets
         )
         if self.pool is not None:
             study = Study.run(
@@ -431,8 +424,8 @@ class StudyScheduler:
                 **common,
             )
         else:
-            # Sequential runs mutate the world: same-(scale, seed)
-            # studies serialise on the world's lock, distinct worlds
+            # Sequential runs mutate the world: same-world studies
+            # serialise on the world's lock, distinct worlds
             # run concurrently.
             with entry.lock:
                 study = Study.run(workers=0, **common)
@@ -452,27 +445,15 @@ class StudyScheduler:
         existing archive's spec fails loudly instead of silently
         measuring a different world under the same name.
 
-        Campaign epochs run drifted worlds, which the per-``(scale,
-        seed)`` world caches cannot hold — the driver builds each
-        epoch's world itself (workers still reuse theirs through the
-        drift-aware per-process cache).
+        Campaign epochs run drifted worlds, which the parent world
+        cache does not hold — the driver builds each epoch's world
+        itself (workers still reuse theirs through the drift-aware
+        per-process cache).
         """
-        from ..campaign import CampaignArchive, CampaignDriver, CampaignSpec
+        from ..campaign import CampaignArchive, CampaignDriver
 
-        params = submission.params
-        job = params.campaign
-        spec = CampaignSpec(
-            scale=params.scale,
-            seed=params.seed,
-            start_year=job.start_year,
-            cadence_years=job.cadence_years,
-            timeline=job.timeline,
-            pool_churn=job.pool_churn,
-            chaos=params.chaos,
-            chaos_seed=params.chaos_seed,
-            traceroutes=params.traceroutes,
-        )
-        directory = self.studies_dir / (job.id or submission.run_id)
+        spec = submission.campaign
+        directory = self.studies_dir / (submission.campaign_id or submission.run_id)
         workers = max(self.study_workers, 1) if self.pool is not None else 0
         if (directory / "campaign.json").exists():
             existing = CampaignArchive.load(directory)
@@ -483,7 +464,7 @@ class StudyScheduler:
                 )
             driver = CampaignDriver.resume(
                 directory,
-                target_epochs=existing.target_epochs + job.epochs,
+                target_epochs=existing.target_epochs + submission.epochs,
                 workers=workers,
                 pool=self.pool,
                 progress=progress,
@@ -493,7 +474,7 @@ class StudyScheduler:
             driver = CampaignDriver.create(
                 directory,
                 spec,
-                target_epochs=job.epochs,
+                target_epochs=submission.epochs,
                 workers=workers,
                 pool=self.pool,
                 progress=progress,

@@ -172,8 +172,8 @@ class StudyServer:
             self.index.register(
                 submission.run_id,
                 self.data_dir / submission.run_id,
-                scale=submission.params.scale,
-                seed=submission.params.seed,
+                scale=submission.spec.scale,
+                seed=submission.spec.seed,
                 status=STATUS_QUEUED,
                 tenant=submission.tenant,
             )

@@ -56,7 +56,8 @@ from .reporting.export import (
 )
 from .reporting.report import full_report
 from .scenario.internet import SyntheticInternet
-from .scenario.timeline import EpochDrift, drifted_params
+from .scenario.timeline import EpochDrift
+from .spec import DEFAULT_SCALE, DEFAULT_SEED, StudySpec
 
 
 @dataclass
@@ -66,8 +67,10 @@ class Study:
     world: SyntheticInternet
     traces: TraceSet
     campaign: TracerouteCampaign
-    scale: float
-    seed: int
+    #: The spec the study ran, its chaos profile expanded into the
+    #: :class:`~repro.faults.FaultPlan` it generated (``None`` when the
+    #: plan scheduled nothing).
+    spec: StudySpec
     #: Merged metric snapshot when the study ran with observation on
     #: (``None`` otherwise — archival output stays byte-identical).
     metrics: dict | None = None
@@ -81,9 +84,6 @@ class Study:
     #: Structured event stream when event collection was on, ordered
     #: by ``(shard, seq)``; byte-identical for any worker count.
     events: list | None = None
-    #: Longitudinal drift the world was built under (``None`` = the
-    #: legacy undrifted world; archives stay byte-identical then).
-    drift: EpochDrift | None = None
     _cache: dict = field(default_factory=dict, repr=False)
 
     # ------------------------------------------------------------------
@@ -92,8 +92,8 @@ class Study:
     @classmethod
     def run(
         cls,
-        scale: float = 0.1,
-        seed: int = 20150401,
+        scale: float = DEFAULT_SCALE,
+        seed: int = DEFAULT_SEED,
         discover: bool = True,
         traceroutes: bool = True,
         workers: int = 0,
@@ -114,6 +114,13 @@ class Study:
         drift: EpochDrift | None = None,
     ) -> "Study":
         """Execute the full §3 methodology at the given scale.
+
+        ``scale``, ``seed``, ``traceroutes``, ``quic``, ``faults``,
+        ``chaos_seed`` and ``drift`` are the fields of
+        :class:`~repro.spec.StudySpec` — what decides the archive — and
+        are validated as one; a caller holding a spec runs it with
+        ``Study.run(**vars(spec), ...)``.  Every other argument changes
+        how the study runs, never what it archives.
 
         ``workers=0`` (the default) runs the campaign sequentially in
         this process; ``workers=N`` shards it across ``N`` worker
@@ -138,9 +145,10 @@ class Study:
         so sequential and sharded chaotic runs stay bit-identical.
 
         ``world`` reuses an existing synthetic Internet instead of
-        building one — it must have been built from exactly
-        ``params_for_scale(scale, seed)``.  Hermetic measurement epochs
-        make worlds reusable across studies: a rerun against a cached
+        building one — it must be a fault-free world built from the
+        spec's parameters (:meth:`~repro.spec.StudySpec.build_world`).
+        Hermetic measurement epochs make worlds reusable across
+        studies: a rerun against a cached
         world is bit-identical to one against a fresh build, **provided
         discovery is not rerun** (DNS pool rotation is stateful, so a
         second discovery sees a different rotation).  Callers reusing a
@@ -183,10 +191,17 @@ class Study:
         of a campaign (:mod:`repro.campaign`) runs.  The drift is
         recorded in the archive manifest and rides into shard workers,
         so sharded and sequential drifted runs stay bit-identical and
-        :meth:`load` rebuilds the same drifted world.  A ``world``
-        passed alongside a drift must have been built from exactly
-        ``drifted_params(scale, seed, drift)``.
+        :meth:`load` rebuilds the same drifted world.
         """
+        spec = StudySpec(
+            scale=scale,
+            seed=seed,
+            traceroutes=traceroutes,
+            quic=quic,
+            faults=faults,
+            chaos_seed=chaos_seed,
+            drift=drift,
+        )
         span_detail: str | None = None
         if record_spans:
             span_detail = DETAIL_EPOCH if record_spans is True else record_spans
@@ -195,19 +210,8 @@ class Study:
         if pool is not None and workers <= 0:
             raise ValueError("pool= requires workers > 0 (sharded execution)")
         if world is None:
-            world = SyntheticInternet(drifted_params(scale, seed, drift))
-        fault_plan = None
-        if faults is not None:
-            from .faults import FaultPlan, generate_fault_plan
-
-            if isinstance(faults, FaultPlan):
-                fault_plan = faults
-            else:
-                fault_plan = generate_fault_plan(
-                    world, profile=faults, chaos_seed=chaos_seed
-                )
-            if not fault_plan.events:
-                fault_plan = None
+            world = spec.build_world()
+        spec = spec.with_fault_plan(world)
         if targets is None and discover:
             report = PoolDiscovery(
                 world.vantage_hosts["ugla-wired"],
@@ -233,14 +237,11 @@ class Study:
             span_sink: list = []
             event_sink: list = []
             traces, campaign = run_study_parallel(
-                scale=scale,
-                seed=seed,
+                spec,
                 workers=workers,
                 targets=targets,
                 world=world,
-                traceroutes=traceroutes,
                 progress=progress,
-                fault_plan=fault_plan,
                 telemetry=telemetry,
                 span_detail=span_detail,
                 span_sink=span_sink if span_detail is not None else None,
@@ -249,8 +250,6 @@ class Study:
                 flight_dir=obs_dir,
                 profile_dir=obs_dir if profile else None,
                 pool=pool,
-                quic=quic,
-                drift=drift,
             )
             if span_detail is not None:
                 span_list = span_sink
@@ -264,40 +263,30 @@ class Study:
                 tracer = PathTracer(match=trace_filter)
             if registry is not None or tracer is not None:
                 world.network.set_observability(registry, tracer)
-            recorder = None
-            if span_detail is not None:
+            context_map = None
+            if span_detail is not None or collect_events:
                 from .runner.shard import shard_context_map
 
-                # The sequential recorder resolves every epoch through
-                # the full (kind, vantage, batch) -> shard map, so it
-                # mints the same span ids a worker fleet would.
-                recorder = SpanRecorder(
-                    detail=span_detail,
-                    context_map=shard_context_map(
-                        world.params.schedule, traceroutes=traceroutes
-                    ),
+                # The sequential recorders resolve every epoch through
+                # the full (kind, vantage, batch) -> shard map, so they
+                # mint the same span ids and (shard, seq) event pairs a
+                # worker fleet would: merged streams compare byte for byte.
+                context_map = shard_context_map(
+                    world.params.schedule, traceroutes=spec.traceroutes
                 )
+            recorder = None
+            if span_detail is not None:
+                recorder = SpanRecorder(detail=span_detail, context_map=context_map)
                 world.set_span_recorder(recorder)
             event_log = None
             if collect_events:
-                from .runner.shard import shard_context_map
-
-                # Same context-map trick as the span recorder: the
-                # sequential log mints the identical (shard, seq)
-                # pairs a worker fleet would, so merged event streams
-                # compare byte for byte.
-                event_log = EventLog(
-                    stamp_wall=False,
-                    context_map=shard_context_map(
-                        world.params.schedule, traceroutes=traceroutes
-                    ),
-                )
+                event_log = EventLog(stamp_wall=False, context_map=context_map)
                 world.set_event_log(event_log)
-            if fault_plan is not None:
+            if spec.plan is not None:
                 # Installed after discovery, exactly as the parallel
                 # path does (workers install the plan; the parent's
                 # discovery never sees it).
-                world.install_fault_plan(fault_plan)
+                world.install_fault_plan(spec.plan)
             profiler = None
             if profile:
                 import cProfile
@@ -307,11 +296,13 @@ class Study:
             if profiler is not None:
                 profiler.enable()
             try:
-                app = MeasurementApplication(world, targets=targets, quic=quic)
+                app = MeasurementApplication(
+                    world, targets=targets, **spec.probe_families()
+                )
                 traces = app.run_study(progress=progress)
                 campaign = (
                     app.run_traceroutes(progress=progress)
-                    if traceroutes
+                    if spec.traceroutes
                     else TracerouteCampaign()
                 )
             finally:
@@ -323,7 +314,7 @@ class Study:
                     world.set_span_recorder(None)
                 if event_log is not None:
                     world.set_event_log(None)
-                if fault_plan is not None:
+                if spec.plan is not None:
                     # Leave the retained world pristine, matching the
                     # parent-side world of a sharded run.
                     world.install_fault_plan(None)
@@ -342,20 +333,18 @@ class Study:
                     wall_seconds=time.perf_counter() - started,
                     metrics=metrics_snapshot,
                 )
-                if fault_plan is not None:
-                    telemetry.chaos = fault_plan.summary()
+                if spec.plan is not None:
+                    telemetry.chaos = spec.plan.summary()
         return cls(
             world=world,
             traces=traces,
             campaign=campaign,
-            scale=scale,
-            seed=seed,
+            spec=spec,
             metrics=metrics_snapshot,
             telemetry=telemetry,
             tracer=tracer,
             spans=span_list,
             events=event_list,
-            drift=drift,
         )
 
     # ------------------------------------------------------------------
@@ -461,13 +450,14 @@ class Study:
         """
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
-        manifest: dict = {"scale": self.scale, "seed": self.seed}
-        if self.drift is not None:
+        spec = self.spec
+        manifest: dict = {"scale": spec.scale, "seed": spec.seed}
+        if spec.drift is not None:
             # Drifted worlds cannot be rebuilt from (scale, seed)
             # alone; the manifest carries the drift so load() and
             # `ecnudp report` re-derive the identical world.  Absent
             # for undrifted runs, keeping legacy archives byte-stable.
-            manifest["drift"] = self.drift.to_dict()
+            manifest["drift"] = spec.drift.to_dict()
         if self.telemetry is not None and self.telemetry.chaos is not None:
             # Record that the archived data came from a chaotic run —
             # load() rebuilds a pristine world, so ground-truth
@@ -518,29 +508,32 @@ class Study:
             from .serve.index import StudyIndex
 
             StudyIndex(directory.parent).register(
-                run_id, directory, scale=self.scale, seed=self.seed
+                run_id, directory, scale=spec.scale, seed=spec.seed
             )
         return directory
 
     @classmethod
     def load(cls, directory: str | Path) -> "Study":
-        """Re-hydrate a saved study (world rebuilt from the manifest)."""
+        """Re-hydrate a saved study (world rebuilt from the manifest).
+
+        The manifest is validated as a :class:`~repro.spec.StudySpec`
+        (its ``chaos`` audit record aside), so a corrupt one raises
+        :class:`~repro.spec.ValidationError`.  The world is rebuilt
+        fault-free: chaos is a property of the run, not the world.
+        """
         directory = Path(directory)
         manifest = json.loads((directory / "manifest.json").read_text())
-        scale, seed = manifest["scale"], manifest["seed"]
-        drift = None
-        if "drift" in manifest:
-            drift = EpochDrift.from_dict(manifest["drift"])
+        if isinstance(manifest, dict):
+            manifest.pop("chaos", None)
+        spec = StudySpec.from_json(manifest)
         spans = None
         spans_path = directory / "spans.json"
         if spans_path.exists():
             spans = json.loads(spans_path.read_text())["spans"]
         return cls(
-            world=SyntheticInternet(drifted_params(scale, seed, drift)),
+            world=spec.build_world(),
             traces=TraceSet.load(directory / "traces.json"),
             campaign=TracerouteCampaign.load(directory / "traceroutes.json"),
-            scale=scale,
-            seed=seed,
+            spec=spec,
             spans=spans,
-            drift=drift,
         )

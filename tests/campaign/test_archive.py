@@ -13,11 +13,12 @@ from repro.campaign import (
     CampaignSpec,
     CheckpointRecord,
 )
+from repro.spec import StudySpec
 
 
 @pytest.fixture
 def spec() -> CampaignSpec:
-    return CampaignSpec(scale=0.02, seed=7, cadence_years=2.0)
+    return CampaignSpec(StudySpec(scale=0.02, seed=7), cadence_years=2.0)
 
 
 def fake_epoch(archive: CampaignArchive, epoch: int) -> CheckpointRecord:
@@ -26,7 +27,7 @@ def fake_epoch(archive: CampaignArchive, epoch: int) -> CheckpointRecord:
     directory = archive.epoch_dir(epoch)
     directory.mkdir(parents=True)
     (directory / "manifest.json").write_text(
-        json.dumps({"scale": archive.spec.scale, "seed": archive.spec.seed})
+        json.dumps({"scale": archive.spec.study.scale, "seed": archive.spec.study.seed})
     )
     (directory / "summary.json").write_text(
         json.dumps(
@@ -89,7 +90,7 @@ class TestCreateLoad:
 class TestSpecValidation:
     def test_bad_scale(self):
         with pytest.raises(CampaignError):
-            CampaignSpec(scale=0.0)
+            CampaignSpec.from_dict({"scale": 0.0})
 
     def test_bad_cadence(self):
         with pytest.raises(CampaignError):
@@ -101,11 +102,34 @@ class TestSpecValidation:
 
     def test_unknown_chaos_profile(self):
         with pytest.raises(CampaignError, match="chaos profile"):
-            CampaignSpec(chaos="no-such")
+            CampaignSpec.from_dict({"chaos": "no-such"})
+
+    @pytest.mark.parametrize(
+        "payload, field",
+        [
+            ({"quic": "false"}, "quic"),  # once loaded as True
+            ({"seed": 7.9}, "seed"),  # once loaded as 7
+            ({"pool_churn": "no"}, "pool_churn"),
+            ({"start_year": "2015"}, "start_year"),
+            ({"timeline": 3}, "timeline"),
+            ({"traceroutes": 0}, "traceroutes"),
+            ({"colour": "red"}, "colour"),
+            ({"drift": {"year": 2020.0}}, "drift"),
+        ],
+    )
+    def test_campaign_json_is_checked_not_coerced(self, tmp_path, payload, field):
+        with pytest.raises(CampaignError, match=field):
+            CampaignSpec.from_dict(payload)
+        # And through the archive loader a resumed campaign goes through.
+        (tmp_path / "campaign.json").write_text(
+            json.dumps({"format": CAMPAIGN_FORMAT, "spec": payload, "target_epochs": 1})
+        )
+        with pytest.raises(CampaignError, match=field):
+            CampaignArchive.load(tmp_path)
 
     def test_dict_round_trip(self, spec):
         assert CampaignSpec.from_dict(spec.to_dict()) == spec
-        chaotic = CampaignSpec(scale=0.02, seed=7, chaos="default", chaos_seed=3)
+        chaotic = CampaignSpec(StudySpec(scale=0.02, seed=7, faults="default", chaos_seed=3))
         assert CampaignSpec.from_dict(chaotic.to_dict()) == chaotic
 
 

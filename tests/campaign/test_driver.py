@@ -20,6 +20,7 @@ from pathlib import Path
 import pytest
 
 from repro.campaign import CampaignArchive, CampaignDriver, CampaignError, CampaignSpec
+from repro.spec import StudySpec
 
 SRC = Path(__file__).resolve().parent.parent.parent / "src"
 
@@ -30,8 +31,8 @@ def fake_materialise(self: CampaignDriver, epoch: int, drift, directory: Path) -
     (directory / "manifest.json").write_text(
         json.dumps(
             {
-                "scale": self.archive.spec.scale,
-                "seed": self.archive.spec.seed,
+                "scale": self.archive.spec.study.scale,
+                "seed": self.archive.spec.study.seed,
                 "drift": drift.to_dict(),
             }
         )
@@ -69,7 +70,7 @@ def archive_bytes(directory: Path) -> dict[str, bytes]:
 
 class TestRun:
     def test_runs_all_epochs_and_reports(self, tmp_path, fast_driver):
-        spec = CampaignSpec(scale=0.02, seed=7)
+        spec = CampaignSpec(StudySpec(scale=0.02, seed=7))
         driver = fast_driver.create(tmp_path / "camp", spec, target_epochs=3)
         assert driver.run() == 3
         archive = driver.archive
@@ -80,7 +81,7 @@ class TestRun:
         assert "2015.33" in report
 
     def test_completed_campaign_run_is_noop(self, tmp_path, fast_driver):
-        spec = CampaignSpec(scale=0.02, seed=7)
+        spec = CampaignSpec(StudySpec(scale=0.02, seed=7))
         driver = fast_driver.create(tmp_path / "camp", spec, target_epochs=2)
         driver.run()
         before = archive_bytes(tmp_path / "camp")
@@ -89,7 +90,7 @@ class TestRun:
         assert archive_bytes(tmp_path / "camp") == before
 
     def test_extend_target_runs_only_new_epochs(self, tmp_path, fast_driver):
-        spec = CampaignSpec(scale=0.02, seed=7)
+        spec = CampaignSpec(StudySpec(scale=0.02, seed=7))
         fast_driver.create(tmp_path / "camp", spec, target_epochs=2).run()
         resumed = fast_driver.resume(tmp_path / "camp", target_epochs=4)
         assert resumed.run() == 2
@@ -100,13 +101,13 @@ class TestResumeCrashWindows:
     """Each crash window, emulated on disk, resumes to identical bytes."""
 
     def control(self, fast_driver, directory: Path, epochs: int = 3) -> dict[str, bytes]:
-        spec = CampaignSpec(scale=0.02, seed=7)
+        spec = CampaignSpec(StudySpec(scale=0.02, seed=7))
         fast_driver.create(directory, spec, target_epochs=epochs).run()
         return archive_bytes(directory)
 
     def interrupted(self, fast_driver, directory: Path, epochs: int = 3) -> CampaignArchive:
         """A campaign stopped cleanly after epoch 1 of ``epochs``."""
-        spec = CampaignSpec(scale=0.02, seed=7)
+        spec = CampaignSpec(StudySpec(scale=0.02, seed=7))
         driver = fast_driver.create(directory, spec, target_epochs=1)
         driver.run()
         driver.archive.extend_target(epochs)
@@ -142,7 +143,7 @@ class TestResumeCrashWindows:
         # The driver died between the checkpoint write and the trend
         # merge: resume's final merge pass absorbs it idempotently.
         control = self.control(fast_driver, tmp_path / "control")
-        spec = CampaignSpec(scale=0.02, seed=7)
+        spec = CampaignSpec(StudySpec(scale=0.02, seed=7))
         driver = fast_driver.create(tmp_path / "crashed", spec, target_epochs=2)
         driver.run()
         driver.archive.extend_target(3)

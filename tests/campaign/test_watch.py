@@ -23,6 +23,7 @@ from repro.campaign import (
     wall_time_regression,
 )
 from repro.scenario.timeline import FRESH_LOOK, FROZEN
+from repro.spec import StudySpec
 
 from test_driver import fake_materialise
 
@@ -157,7 +158,7 @@ class TestWallTimeRegression:
 class TestArchivePersistence:
     def test_alerts_file_rebuilt_idempotently(self, tmp_path, monkeypatch):
         monkeypatch.setattr(CampaignDriver, "_materialise_epoch", fake_materialise)
-        spec = CampaignSpec(scale=0.02, seed=7)
+        spec = CampaignSpec(StudySpec(scale=0.02, seed=7))
         driver = CampaignDriver.create(tmp_path / "camp", spec, target_epochs=2)
         driver.run()
         archive = driver.archive
@@ -170,7 +171,7 @@ class TestArchivePersistence:
 
     def test_interrupted_campaign_converges_on_same_alerts(self, tmp_path, monkeypatch):
         monkeypatch.setattr(CampaignDriver, "_materialise_epoch", fake_materialise)
-        spec = CampaignSpec(scale=0.02, seed=7)
+        spec = CampaignSpec(StudySpec(scale=0.02, seed=7))
         CampaignDriver.create(tmp_path / "full", spec, target_epochs=4).run()
         half = CampaignDriver.create(tmp_path / "half", spec, target_epochs=2)
         half.run()
@@ -186,7 +187,7 @@ class TestArchivePersistence:
         from repro.obs import EventLog
 
         log = EventLog()
-        spec = CampaignSpec(scale=0.02, seed=7)
+        spec = CampaignSpec(StudySpec(scale=0.02, seed=7))
         driver = CampaignDriver.create(
             tmp_path / "camp", spec, target_epochs=3, events=log
         )
@@ -229,7 +230,7 @@ class TestDriftedCampaignAlerts:
 
     def run_campaign(self, directory: Path, timeline: str) -> CampaignDriver:
         spec = CampaignSpec(
-            scale=0.02, seed=7, cadence_years=4.0,
+            StudySpec(scale=0.02, seed=7), cadence_years=4.0,
             timeline=timeline, pool_churn=False,
         )
         driver = CampaignDriver.create(directory, spec, target_epochs=3)

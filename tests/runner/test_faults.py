@@ -20,6 +20,7 @@ from repro.runner import (
     ShardExecutionError,
     run_study_parallel,
 )
+from repro.spec import StudySpec
 from repro.study import Study
 
 pytestmark = [pytest.mark.slow, pytest.mark.chaos]
@@ -38,8 +39,7 @@ def sequential():
 
 def _run(sequential, workers, faults):
     return run_study_parallel(
-        scale=SCALE,
-        seed=SEED,
+        StudySpec(scale=SCALE, seed=SEED),
         workers=workers,
         targets=sequential.traces.server_addrs,
         retry=FAST_RETRY,
@@ -97,11 +97,9 @@ def test_hung_worker_gang_recovered(sequential):
     # still be bit-identical.
     telemetry = RunTelemetry()
     traces, _campaign = run_study_parallel(
-        scale=SCALE,
-        seed=SEED,
+        StudySpec(scale=SCALE, seed=SEED, traceroutes=False),
         workers=2,
         targets=sequential.traces.server_addrs,
-        traceroutes=False,
         retry=FAST_RETRY,
         shard_timeout=5.0,
         faults={0: FaultSpec(kind=FAULT_HANG, attempts=1, hang_seconds=30.0)},
@@ -122,8 +120,7 @@ def test_progress_reaches_total(sequential):
         calls.append((done, total, label))
 
     run_study_parallel(
-        scale=SCALE,
-        seed=SEED,
+        StudySpec(scale=SCALE, seed=SEED),
         workers=2,
         targets=sequential.traces.server_addrs,
         retry=FAST_RETRY,

@@ -17,6 +17,7 @@ from repro.runner import (
     ShardExecutionError,
     run_study_parallel,
 )
+from repro.spec import StudySpec
 
 pytestmark = [pytest.mark.slow, pytest.mark.chaos]
 
@@ -28,10 +29,8 @@ FAST_RETRY = RetryPolicy(max_attempts=3, backoff=0.01, backoff_cap=0.05)
 
 def _run(tmp_path, faults, workers=2, **kwargs):
     return run_study_parallel(
-        scale=SCALE,
-        seed=SEED,
+        StudySpec(scale=SCALE, seed=SEED, traceroutes=False),
         workers=workers,
-        traceroutes=False,
         retry=FAST_RETRY,
         faults=faults,
         flight_dir=tmp_path,

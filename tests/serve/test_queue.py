@@ -1,19 +1,21 @@
 """Unit tests for submission validation and the multi-tenant queue."""
 
-import pytest
+import json
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.campaign import CampaignSpec
 from repro.serve.queue import (
     MAX_CAMPAIGN_EPOCHS,
     QUEUE_FORMAT,
-    CampaignJob,
     QueueFull,
     QuotaExceeded,
-    StudyParams,
     StudyQueue,
+    StudySpec,
     Submission,
     ValidationError,
-    validate_campaign,
-    validate_params,
     validate_priority,
     validate_tenant,
 )
@@ -24,20 +26,62 @@ def sub(run_id, tenant="alice", priority=0, scale=0.01, seed=1):
         run_id=run_id,
         tenant=tenant,
         priority=priority,
-        params=StudyParams(scale=scale, seed=seed),
+        spec=StudySpec(scale=scale, seed=seed),
     )
+
+
+def parse(payload):
+    """Validate a params document the way POST /studies does."""
+    return Submission.from_params(payload, run_id="run-1", tenant="alice")
+
+
+def validate_campaign(payload):
+    return parse({"campaign": payload})
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=20,
+)
+#: Near-valid snapshots, so the search reaches entry and params parsing.
+entries = st.fixed_dictionaries(
+    {},
+    optional={
+        "run_id": st.sampled_from(["run-1", "run-2", "", ".x"]) | json_values,
+        "tenant": st.sampled_from(["alice", "bob"]) | json_values,
+        "priority": st.integers(-12, 12) | json_values,
+        "seq": st.integers() | json_values,
+        "params": st.fixed_dictionaries(
+            {},
+            optional={
+                "scale": st.sampled_from([0.01, 0, 2]) | json_values,
+                "seed": st.integers() | json_values,
+                "chaos": st.sampled_from(["light", "nope"]) | json_values,
+                "quic": st.booleans() | json_values,
+                "campaign": st.fixed_dictionaries(
+                    {"epochs": st.integers(0, 40) | json_values},
+                    optional={"timeline": st.sampled_from(["frozen", "x"]) | json_values},
+                ) | json_values,
+            },
+        ) | json_values,
+    },
+)
+snapshots = st.fixed_dictionaries(
+    {"format": st.just(QUEUE_FORMAT), "entries": st.lists(entries, max_size=4) | json_values}
+)
 
 
 class TestValidateParams:
     def test_defaults(self):
-        params = validate_params({})
-        assert params.scale == 0.1
-        assert params.traceroutes is True
-        assert params.chaos is None
+        spec = parse({}).spec
+        assert spec.scale == 0.1
+        assert spec.traceroutes is True
+        assert spec.faults is None
 
     def test_unknown_field_rejected(self):
         with pytest.raises(ValidationError, match="unknown field"):
-            validate_params({"scle": 0.1})
+            parse({"scle": 0.1})
 
     @pytest.mark.parametrize(
         "payload",
@@ -58,21 +102,28 @@ class TestValidateParams:
     )
     def test_bad_values_rejected(self, payload):
         with pytest.raises(ValidationError):
-            validate_params(payload)
+            parse(payload)
 
     def test_chaos_profile_accepted(self):
-        params = validate_params({"chaos": "light", "chaos_seed": 3})
-        assert params.chaos == "light"
-        assert params.chaos_seed == 3
+        spec = parse({"chaos": "light", "chaos_seed": 3}).spec
+        assert spec.faults == "light"
+        assert spec.chaos_seed == 3
 
     def test_world_key_ignores_execution_knobs(self):
-        a = StudyParams(scale=0.01, seed=2, traceroutes=False)
-        b = StudyParams(scale=0.01, seed=2, chaos="light")
-        assert a.world_key() == b.world_key() == (0.01, 2)
+        # Probing choices never change the world; a fault plan does.
+        a = StudySpec(scale=0.01, seed=2, traceroutes=False)
+        b = StudySpec(scale=0.01, seed=2, quic=True)
+        assert a.world_key() == b.world_key() == StudySpec(scale=0.01, seed=2).world_key()
+        assert StudySpec(scale=0.01, seed=2, faults="light").world_key() != a.world_key()
 
     def test_roundtrip_through_dict(self):
-        params = validate_params({"scale": 0.02, "seed": 9, "chaos": "light"})
-        assert StudyParams.from_dict(params.to_dict()) == params
+        submission = parse({"scale": 0.02, "seed": 9, "chaos": "light", "quic": True})
+        assert parse(submission.params()) == submission
+
+    def test_drift_is_not_a_submission_field(self):
+        drift = {"year": 2020.0}
+        with pytest.raises(ValidationError, match="unknown field"):
+            parse({"drift": drift})
 
 
 class TestValidateIdentity:
@@ -194,6 +245,32 @@ class TestPersistence:
         with pytest.raises(ValidationError):
             queue.restore({"format": QUEUE_FORMAT, "entries": "nope"})
 
+    @pytest.mark.parametrize(
+        "document",
+        [
+            {"format": QUEUE_FORMAT, "entries": [{"tenant": "a"}]},  # was KeyError
+            {"format": QUEUE_FORMAT, "entries": [["x"]]},  # was TypeError
+            [QUEUE_FORMAT],  # was AttributeError
+            {"format": QUEUE_FORMAT, "entries": [{"run_id": "../x", "tenant": "a"}]},
+            {"format": QUEUE_FORMAT, "entries": [{"run_id": "r", "tenant": "a", "seq": "1"}]},
+            {"format": QUEUE_FORMAT, "entries": [
+                {"run_id": "r", "tenant": "a", "params": {"drift": {"year": 2020.0}}}]},
+        ],
+    )
+    def test_malformed_snapshots_raise_validation_error(self, document):
+        with pytest.raises(ValidationError):
+            StudyQueue(depth=4, tenant_quota=4).restore(document)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(json_values, snapshots))
+    def test_restore_of_any_json_succeeds_or_raises_validation_error(self, document):
+        queue = StudyQueue(depth=64, tenant_quota=64)
+        try:
+            restored = queue.restore(json.loads(json.dumps(document)))
+        except ValidationError:
+            return
+        assert [s.run_id for s in restored] == queue.queued_ids()
+
     def test_restore_reapplies_admission_control(self):
         queue = StudyQueue(depth=10, tenant_quota=10)
         for i in range(3):
@@ -208,10 +285,11 @@ class TestPersistence:
 class TestValidateCampaign:
     def test_minimal(self):
         job = validate_campaign({"epochs": 3})
-        assert job == CampaignJob(epochs=3)
-        assert job.timeline == "fresh-look"
-        assert job.pool_churn is True
-        assert job.id is None
+        assert job.epochs == 3
+        assert job.campaign == CampaignSpec(StudySpec())
+        assert job.campaign.timeline == "fresh-look"
+        assert job.campaign.pool_churn is True
+        assert job.campaign_id is None
 
     def test_full(self):
         job = validate_campaign(
@@ -224,11 +302,11 @@ class TestValidateCampaign:
                 "id": "drift-watch",
             }
         )
-        assert job.start_year == 2020.0
-        assert job.cadence_years == 0.5
-        assert job.timeline == "frozen"
-        assert job.pool_churn is False
-        assert job.id == "drift-watch"
+        assert job.campaign.start_year == 2020.0
+        assert job.campaign.cadence_years == 0.5
+        assert job.campaign.timeline == "frozen"
+        assert job.campaign.pool_churn is False
+        assert job.campaign_id == "drift-watch"
 
     @pytest.mark.parametrize(
         "payload",
@@ -255,9 +333,10 @@ class TestValidateCampaign:
             validate_campaign(payload)
 
     def test_campaign_rides_in_study_params(self):
-        params = validate_params({"scale": 0.02, "campaign": {"epochs": 2, "id": "c1"}})
-        assert params.campaign == CampaignJob(epochs=2, id="c1")
-        assert StudyParams.from_dict(params.to_dict()) == params
+        job = parse({"scale": 0.02, "campaign": {"epochs": 2, "id": "c1"}})
+        assert job.campaign == CampaignSpec(StudySpec(scale=0.02))
+        assert (job.epochs, job.campaign_id) == (2, "c1")
+        assert parse(job.params()) == job
 
     def test_campaign_to_dict_is_sparse(self):
-        assert CampaignJob(epochs=2).to_dict() == {"epochs": 2}
+        assert validate_campaign({"epochs": 2}).params()["campaign"] == {"epochs": 2}

@@ -9,10 +9,13 @@ serve load benchmark.
 
 import asyncio
 import json
+import sys
+import threading
 
 import pytest
 
-from repro.serve import ServeConfig, StudyServer
+from repro.obs import MetricsRegistry
+from repro.serve import ServeConfig, StudyServer, StudySpec, WorldCache
 from repro.study import Study
 
 from serve_client import request, request_json, wait_idle
@@ -93,18 +96,29 @@ class TestLifecycleAndArtifacts:
 
                 status, _, metrics = await request_json(port, "GET", "/metrics")
                 assert metrics["queue"]["admitted"] == 1
-                return run_id, server.data_dir
+
+                # Any spec field rides a submission, the QUIC family too.
+                _, _, quic = await request_json(
+                    port, "POST", "/studies", submit_body(quic=True)
+                )
+                await wait_idle(server)
+                _, _, described = await request_json(
+                    port, "GET", f"/studies/{quic['run_id']}"
+                )
+                assert described["params"] == {"scale": SCALE, "seed": SEED, "quic": True}
+                return run_id, quic["run_id"], server.data_dir
             finally:
                 await server.shutdown()
 
-        run_id, data_dir = asyncio.run(go())
+        run_id, quic_id, data_dir = asyncio.run(go())
         # Served archives are bit-identical to a direct Study.run save.
-        direct = Study.run(scale=SCALE, seed=SEED)
-        direct.save(data_dir / "direct")
-        for name in ("manifest.json", "traces.json", "traceroutes.json",
-                     "summary.json", "report.txt"):
-            served = (data_dir / run_id / name).read_bytes()
-            assert served == (data_dir / "direct" / name).read_bytes(), name
+        for run_id, spec in ((run_id, {}), (quic_id, {"quic": True})):
+            direct = Study.run(scale=SCALE, seed=SEED, **spec)
+            direct.save(data_dir / "direct")
+            for name in ("manifest.json", "traces.json", "traceroutes.json",
+                         "summary.json", "report.txt"):
+                served = (data_dir / run_id / name).read_bytes()
+                assert served == (data_dir / "direct" / name).read_bytes(), (spec, name)
 
     def test_streaming_a_finished_run_replays_events(self, tmp_path):
         async def go():
@@ -274,6 +288,40 @@ class TestWorldReuse:
             assert (data_dir / run_a / name).read_bytes() == (
                 data_dir / run_b / name
             ).read_bytes()
+
+
+    def test_concurrent_requests_for_one_world_build_it_once(self):
+        # Six threads, two worlds, and a tiny switch interval so the
+        # check-then-build window is as racy as it can be: each world
+        # must still be built exactly once and handed to every caller.
+        metrics = MetricsRegistry()
+        cache = WorldCache(metrics=metrics)
+        specs = [StudySpec(scale=SCALE, seed=seed, quic=quic)
+                 for seed in (SEED, SEED + 1) for quic in (False, True, False)]
+        start = threading.Barrier(len(specs))
+        entries = {}
+
+        def request(index, spec):
+            start.wait(timeout=60)
+            entries[index] = cache.entry_for(spec)
+
+        threads = [threading.Thread(target=request, args=item) for item in enumerate(specs)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len({id(entries[i]) for i in range(3)}) == 1
+        assert len({id(entries[i]) for i in range(3, 6)}) == 1
+        assert entries[0] is not entries[3]
+        counters = metrics.snapshot()["counters"]
+        assert counters["serve.world_cache.misses"] == 2
+        assert counters["serve.world_cache.hits"] == 4
 
 
 class TestShutdownResume:

@@ -5,6 +5,15 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.study import Study
+
+
+def archive_files(directory):
+    return {
+        path.relative_to(directory).as_posix(): path.read_bytes()
+        for path in sorted(directory.rglob("*"))
+        if path.is_file()
+    }
 
 
 class TestParser:
@@ -113,6 +122,33 @@ class TestStudyAndReport:
     def test_profile_requires_out(self, capsys):
         assert main(["study", "--scale", "0.02", "--profile"]) == 2
         assert "--profile needs --out" in capsys.readouterr().err
+
+
+class TestOnePath:
+    """``ecnudp study --out`` is ``Study.run(...).save(out)``, file for file."""
+
+    @pytest.mark.parametrize(
+        "flags, kwargs",
+        [
+            (
+                ["--quic", "--chaos", "default", "--metrics"],
+                dict(quic=True, faults="default", collect_metrics=True),
+            ),
+            pytest.param(["--workers", "2"], dict(workers=2), marks=pytest.mark.slow),
+        ],
+    )
+    def test_cli_archive_is_the_library_archive(self, tmp_path, capsys, flags, kwargs):
+        cli_dir, lib_dir = tmp_path / "cli", tmp_path / "lib"
+        argv = ["study", "--scale", "0.002", "--seed", "3", "--out", str(cli_dir)]
+        assert main([*argv, *flags]) == 0
+        Study.run(scale=0.002, seed=3, **kwargs).save(lib_dir)
+        cli, lib = archive_files(cli_dir), archive_files(lib_dir)
+        assert sorted(cli) == sorted(lib)
+        assert ("telemetry.json" in cli) == ("collect_metrics" in kwargs)
+        for name in cli:
+            # telemetry.json carries wall-clock timings: presence only.
+            if name != "telemetry.json":
+                assert cli[name] == lib[name], name
 
 
 class TestExitCodes:
