@@ -187,9 +187,7 @@ def _plan_stream(scenario_seed: int, chaos_seed: int, profile_name: str) -> int:
 
 def _fault_inventory(world: "SyntheticInternet") -> dict:
     """Sorted target inventories; sorted so sampling is reproducible."""
-    links = sorted(
-        f"{src}->{dst}" for src, dst in world.topology.graph.edges
-    )
+    links = sorted(f"{link.src}->{link.dst}" for link in world.topology.all_links())
     # Never blackhole the measurement apparatus: every router in a
     # vantage AS (the chains are linear, so losing the border cuts the
     # vantage off entirely) and the DNS infrastructure AS.

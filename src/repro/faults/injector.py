@@ -46,8 +46,7 @@ class FaultInjector:
         self.plan = plan
         self._reverts: list[Callable[[], None]] = []
         self._links_by_id = {
-            f"{src}->{dst}": data["link"]
-            for src, dst, data in world.topology.graph.edges(data=True)
+            f"{link.src}->{link.dst}": link for link in world.topology.all_links()
         }
 
     # ------------------------------------------------------------------

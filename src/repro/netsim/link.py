@@ -51,6 +51,9 @@ class Link:
     jitter: float = 0.0
     loss: LossModel = field(default_factory=NoLoss)
     aqm: AQMModel = field(default_factory=NoCongestion)
+    #: Routing metric: routes minimise the summed weight, so the default
+    #: makes them hop-count shortest paths.
+    weight: float = 1.0
     #: Windowed impairment installed by :mod:`repro.faults` (a
     #: :class:`~repro.faults.windows.LinkFault`); ``None`` in normal
     #: operation, so an unfaulted link pays one attribute check.

@@ -78,7 +78,7 @@ class Network:
         topology.validate()
         self.topology = topology
         self.scheduler = scheduler if scheduler is not None else EventScheduler()
-        self.routing = RoutingTable(topology.graph)
+        self.routing = RoutingTable(topology)
         self.rng = random.Random(seed)
         self.mode = mode
         self.counters = NetworkCounters()
@@ -131,11 +131,11 @@ class Network:
         if cached is not None:
             return cached
         nodes = self.routing.path(src_router, dst_router)
-        graph = self.topology.graph
+        succ = self.topology.succ
         routers = self.topology.routers
         hops = []
         for here, there in zip(nodes, nodes[1:]):
-            hops.append((routers[here], graph.edges[here, there]["link"]))
+            hops.append((routers[here], succ[here][there]))
         hops.append((routers[nodes[-1]], None))
         result = tuple(hops)
         self._hop_cache[key] = result
@@ -517,10 +517,8 @@ class Network:
         except RoutingError:
             links = None
         else:
-            edges = self.topology.graph.edges
-            links = tuple(
-                edges[here, there]["link"] for here, there in zip(nodes, nodes[1:])
-            )
+            succ = self.topology.succ
+            links = tuple(succ[here][there] for here, there in zip(nodes, nodes[1:]))
         cache[key] = links
         return links
 

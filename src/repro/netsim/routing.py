@@ -13,12 +13,15 @@ the IP→AS mapping in :mod:`repro.asmap`.
 
 from __future__ import annotations
 
-from typing import Hashable, Iterator
-
-import networkx as nx
+from heapq import heappop, heappush
+from itertools import count
+from typing import TYPE_CHECKING, Hashable, Iterator
 
 from .errors import RoutingError
 from .ipv4 import Prefix, format_addr
+
+if TYPE_CHECKING:
+    from .topology import Topology
 
 
 class PrefixTrie:
@@ -80,16 +83,13 @@ _MISSING = object()
 class RoutingTable:
     """Shortest-path routing over a topology's router graph.
 
-    Parameters
-    ----------
-    graph:
-        ``networkx.DiGraph`` whose nodes are router ids and whose edges
-        carry the :class:`~repro.netsim.link.Link` objects under the
-        ``"link"`` attribute and an optional ``"weight"``.
+    Reads the topology's ``succ``/``pred`` adjacency live, so links
+    added later count once :meth:`invalidate` drops the cache.
     """
 
-    def __init__(self, graph: nx.DiGraph) -> None:
-        self._graph = graph
+    def __init__(self, topology: Topology) -> None:
+        self._succ = topology.succ
+        self._pred = topology.pred
         self._path_cache: dict[tuple[Hashable, Hashable], tuple[Hashable, ...]] = {}
         self._excluded: frozenset[Hashable] = frozenset()
 
@@ -117,8 +117,9 @@ class RoutingTable:
     def path(self, src: Hashable, dst: Hashable) -> tuple[Hashable, ...]:
         """Router-id sequence from ``src`` to ``dst`` inclusive.
 
-        Deterministic (ties broken by node order via Dijkstra's heap)
-        and cached.  Raises :class:`RoutingError` if disconnected.
+        Deterministic (ties broken as networkx breaks them; see
+        :func:`_bidirectional_dijkstra`) and cached.  Raises
+        :class:`RoutingError` if disconnected.
         """
         excluded = self._excluded
         if excluded and (src in excluded or dst in excluded):
@@ -129,16 +130,11 @@ class RoutingTable:
         cached = self._path_cache.get(key)
         if cached is not None:
             return cached
-        graph = (
-            nx.restricted_view(self._graph, excluded, ()) if excluded else self._graph
-        )
-        try:
-            nodes = nx.shortest_path(graph, src, dst, weight="weight")
-        except (nx.NetworkXNoPath, nx.NodeNotFound) as exc:
-            raise RoutingError(f"no route from {src!r} to {dst!r}") from exc
-        result = tuple(nodes)
-        self._path_cache[key] = result
-        return result
+        nodes = _bidirectional_dijkstra(self._succ, self._pred, src, dst, excluded)
+        if nodes is None:
+            raise RoutingError(f"no route from {src!r} to {dst!r}")
+        self._path_cache[key] = nodes
+        return nodes
 
     def hops(self, src: Hashable, dst: Hashable) -> Iterator[tuple[Hashable, object]]:
         """Yield ``(router_id, egress_link)`` pairs along the path.
@@ -149,8 +145,65 @@ class RoutingTable:
         """
         nodes = self.path(src, dst)
         for here, there in zip(nodes, nodes[1:]):
-            yield here, self._graph.edges[here, there]["link"]
+            yield here, self._succ[here][there]
 
     def invalidate(self) -> None:
         """Drop all cached paths (call after topology changes)."""
         self._path_cache.clear()
+
+
+def _bidirectional_dijkstra(succ, pred, source, target, excluded) -> tuple | None:
+    """Shortest ``source``→``target`` router path avoiding ``excluded``.
+
+    A line-for-line port of networkx 3.6.1 ``bidirectional_dijkstra``
+    (``algorithms/shortest_paths/weighted.py``): directions alternate
+    starting forward, both heaps draw ``(dist, counter, node)`` tie
+    breakers from one counter, and neighbours are scanned in adjacency
+    insertion order.  With unit weights ties are everywhere, so any
+    other search picks different paths.  Excluded routers are skipped
+    as neighbours, as ``restricted_view`` did; ``None`` means no path
+    (or an unknown endpoint).
+    """
+    if source not in succ or target not in succ:
+        return None
+    dists: tuple[dict, dict] = ({}, {})
+    preds: tuple[dict, dict] = ({source: None}, {target: None})
+    fringe: tuple[list, list] = ([], [])
+    seen: tuple[dict, dict] = ({source: 0}, {target: 0})
+    c = count()
+    heappush(fringe[0], (0, next(c), source))
+    heappush(fringe[1], (0, next(c), target))
+    neighbors = (succ, pred)
+    finaldist = None
+    meetnode = None
+    direction = 1
+    while fringe[0] and fringe[1]:
+        direction = 1 - direction
+        dist, _, v = heappop(fringe[direction])
+        if v in dists[direction]:
+            continue
+        dists[direction][v] = dist
+        if v in dists[1 - direction]:
+            return (*reversed(_walk(preds[0], meetnode)), *_walk(preds[1], preds[1][meetnode]))
+        for w, link in neighbors[direction][v].items():
+            if w in excluded or w in dists[direction]:
+                continue
+            vw_length = dist + link.weight
+            if w not in seen[direction] or vw_length < seen[direction][w]:
+                seen[direction][w] = vw_length
+                heappush(fringe[direction], (vw_length, next(c), w))
+                preds[direction][w] = v
+                if w in seen[1 - direction]:
+                    finaldist_w = vw_length + seen[1 - direction][w]
+                    if finaldist is None or finaldist > finaldist_w:
+                        finaldist, meetnode = finaldist_w, w
+    return None
+
+
+def _walk(preds: dict, node) -> list:
+    """``node`` followed by its predecessor chain."""
+    chain = []
+    while node is not None:
+        chain.append(node)
+        node = preds[node]
+    return chain

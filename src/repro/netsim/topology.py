@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from typing import Iterable
 
-import networkx as nx
-
 from .errors import TopologyError
 from .host import Host
 from .ipv4 import Prefix, format_addr
@@ -29,7 +27,10 @@ class Topology:
     def __init__(self) -> None:
         self.routers: dict[str, Router] = {}
         self.hosts: dict[int, Host] = {}
-        self.graph = nx.DiGraph()
+        #: ``succ[a][b]`` and ``pred[b][a]`` are the link a→b.  Their
+        #: insertion order is the order routing breaks ties in.
+        self.succ: dict[str, dict[str, Link]] = {}
+        self.pred: dict[str, dict[str, Link]] = {}
         self._prefix_owner = PrefixTrie()
         self._host_names: dict[str, Host] = {}
 
@@ -41,23 +42,25 @@ class Topology:
         if router.router_id in self.routers:
             raise TopologyError(f"duplicate router id {router.router_id!r}")
         self.routers[router.router_id] = router
-        self.graph.add_node(router.router_id)
+        self.succ[router.router_id] = {}
+        self.pred[router.router_id] = {}
         return router
 
-    def add_link(self, link: Link, weight: float = 1.0) -> Link:
+    def add_link(self, link: Link) -> Link:
         """Register a unidirectional link between two known routers."""
         for endpoint in (link.src, link.dst):
             if endpoint not in self.routers:
                 raise TopologyError(f"link references unknown router {endpoint!r}")
-        if self.graph.has_edge(link.src, link.dst):
+        if link.dst in self.succ[link.src]:
             raise TopologyError(f"duplicate link {link.src!r} -> {link.dst!r}")
-        self.graph.add_edge(link.src, link.dst, link=link, weight=weight)
+        self.succ[link.src][link.dst] = link
+        self.pred[link.dst][link.src] = link
         return link
 
-    def add_link_pair(self, forward: Link, backward: Link, weight: float = 1.0) -> None:
+    def add_link_pair(self, forward: Link, backward: Link) -> None:
         """Register both directions of a symmetric link."""
-        self.add_link(forward, weight)
-        self.add_link(backward, weight)
+        self.add_link(forward)
+        self.add_link(backward)
 
     def add_host(self, host: Host) -> Host:
         """Attach a host to its access router."""
@@ -103,14 +106,12 @@ class Topology:
 
     def links_between(self, a: str, b: str) -> tuple[Link | None, Link | None]:
         """The (a→b, b→a) links, each possibly None."""
-        forward = self.graph.edges[a, b]["link"] if self.graph.has_edge(a, b) else None
-        backward = self.graph.edges[b, a]["link"] if self.graph.has_edge(b, a) else None
-        return forward, backward
+        return self.succ.get(a, {}).get(b), self.succ.get(b, {}).get(a)
 
     def all_links(self) -> Iterable[Link]:
-        """Iterate every unidirectional link."""
-        for _u, _v, data in self.graph.edges(data=True):
-            yield data["link"]
+        """Iterate every unidirectional link, grouped by source router."""
+        for links in self.succ.values():
+            yield from links.values()
 
     def validate(self) -> None:
         """Check structural invariants; raises :class:`TopologyError`.
@@ -119,8 +120,16 @@ class Topology:
         vantage can reach every server) and every host's router must
         exist (enforced at attach time, re-checked here).
         """
-        if self.routers and not nx.is_weakly_connected(self.graph):
-            raise TopologyError("router graph is not connected")
+        if self.routers:
+            reached = {next(iter(self.routers))}
+            frontier = list(reached)
+            while frontier:
+                here = frontier.pop()
+                new = (self.succ[here].keys() | self.pred[here].keys()) - reached
+                reached |= new
+                frontier.extend(new)
+            if len(reached) != len(self.routers):
+                raise TopologyError("router graph is not connected")
         for host in self.hosts.values():
             if host.router_id not in self.routers:
                 raise TopologyError(
@@ -129,6 +138,6 @@ class Topology:
 
     def __repr__(self) -> str:
         return (
-            f"Topology(routers={len(self.routers)}, links={self.graph.number_of_edges()}, "
+            f"Topology(routers={len(self.routers)}, links={sum(map(len, self.succ.values()))}, "
             f"hosts={len(self.hosts)})"
         )

@@ -713,11 +713,9 @@ class SyntheticInternet:
             host.reset_measurement_state(
                 stream ^ (0x9E3779B1 * (host_index + 1) & 0xFFFFFFFF)
             )
-        for _src, _dst, data in self.topology.graph.edges(data=True):
-            link = data.get("link")
-            if link is not None:
-                link.loss.reset()
-                link.aqm.reset()
+        for link in self.topology.all_links():
+            link.loss.reset()
+            link.aqm.reset()
         for server in self.servers:
             # QUIC connection state is evolved state the per-host reset
             # above doesn't cover (it lives in the daemon, not the

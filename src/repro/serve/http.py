@@ -78,7 +78,7 @@ class Request:
             raise HttpError(400, "request body must be a JSON object")
         try:
             return json.loads(self.body)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:  # too deeply nested
             raise HttpError(400, f"invalid JSON body: {exc}") from exc
 
 
@@ -140,12 +140,11 @@ async def read_request(reader: asyncio.StreamReader) -> Request | None:
             raise HttpError(400, f"malformed header: {line[:80]!r}")
         headers[name.strip().lower()] = value.strip()
     length_text = headers.get("content-length", "0")
-    try:
-        length = int(length_text)
-    except ValueError:
-        raise HttpError(400, f"bad Content-Length: {length_text!r}") from None
-    if length < 0:
+    # ASCII digits only: int() would also take "+10", "1_0" and
+    # non-ASCII digits.
+    if not (length_text.isascii() and length_text.isdigit()):
         raise HttpError(400, f"bad Content-Length: {length_text!r}")
+    length = int(length_text)
     if length > MAX_BODY_BYTES:
         raise HttpError(413, f"request body over {MAX_BODY_BYTES} bytes")
     body = b""
@@ -154,7 +153,10 @@ async def read_request(reader: asyncio.StreamReader) -> Request | None:
             body = await reader.readexactly(length)
         except asyncio.IncompleteReadError as exc:
             raise HttpError(400, "request body truncated") from exc
-    split = urlsplit(target)
+    try:
+        split = urlsplit(target)
+    except ValueError as exc:  # e.g. an unclosed "[" IPv6 literal
+        raise HttpError(400, f"malformed request target: {target[:80]!r}") from exc
     query = dict(parse_qsl(split.query))
     return Request(
         method=method,

@@ -30,15 +30,15 @@ def _plan(*events):
 
 
 def _some_link_id(world):
-    src, dst = next(iter(world.topology.graph.edges))
-    return f"{src}->{dst}"
+    link = next(iter(world.topology.all_links()))
+    return f"{link.src}->{link.dst}"
 
 
 class TestLinkFaults:
     def test_flap_installed_and_reverted(self, fresh_world):
         link_id = _some_link_id(fresh_world)
         src, dst = link_id.split("->")
-        link = fresh_world.topology.graph.edges[src, dst]["link"]
+        link = fresh_world.topology.succ[src][dst]
         fresh_world.install_fault_plan(
             _plan(FaultEvent(kind=LINK_FLAP, epoch=1, target=link_id, magnitude=0.9))
         )
@@ -54,7 +54,7 @@ class TestLinkFaults:
     def test_delay_spike_adds_delay(self, fresh_world):
         link_id = _some_link_id(fresh_world)
         src, dst = link_id.split("->")
-        link = fresh_world.topology.graph.edges[src, dst]["link"]
+        link = fresh_world.topology.succ[src][dst]
         fresh_world.install_fault_plan(
             _plan(
                 FaultEvent(
@@ -209,7 +209,7 @@ class TestLifecycle:
     def test_detach_reverts_current_epoch(self, fresh_world):
         link_id = _some_link_id(fresh_world)
         src, dst = link_id.split("->")
-        link = fresh_world.topology.graph.edges[src, dst]["link"]
+        link = fresh_world.topology.succ[src][dst]
         fresh_world.install_fault_plan(
             _plan(FaultEvent(kind=LINK_FLAP, epoch=0, target=link_id))
         )

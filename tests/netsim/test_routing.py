@@ -1,14 +1,15 @@
 """Tests for the prefix trie and shortest-path routing."""
 
-import networkx as nx
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.netsim.errors import RoutingError
 from repro.netsim.ipv4 import Prefix, parse_addr
 from repro.netsim.link import Link
+from repro.netsim.router import Router
 from repro.netsim.routing import PrefixTrie, RoutingTable
+from repro.netsim.topology import Topology
 
 
 class TestPrefixTrie:
@@ -81,12 +82,18 @@ def test_trie_matches_linear_scan(entries, probe):
         assert trie.lookup_default(probe) is None
 
 
+def add_router(topo, rid):
+    topo.add_router(Router(rid, asn=64500, interface_addr=parse_addr("10.0.0.1")))
+
+
 def build_graph(edges):
-    graph = nx.DiGraph()
+    topo = Topology()
     for a, b in edges:
-        graph.add_edge(a, b, link=Link(a, b), weight=1.0)
-        graph.add_edge(b, a, link=Link(b, a), weight=1.0)
-    return graph
+        for rid in (a, b):
+            if rid not in topo.routers:
+                add_router(topo, rid)
+        topo.add_link_pair(Link(a, b), Link(b, a))
+    return topo
 
 
 class TestRoutingTable:
@@ -104,14 +111,13 @@ class TestRoutingTable:
 
     def test_weights_respected(self):
         graph = build_graph([("a", "b"), ("b", "c")])
-        graph.add_edge("a", "c", link=Link("a", "c"), weight=10.0)
-        graph.add_edge("c", "a", link=Link("c", "a"), weight=10.0)
+        graph.add_link_pair(Link("a", "c", weight=10.0), Link("c", "a", weight=10.0))
         table = RoutingTable(graph)
         assert table.path("a", "c") == ("a", "b", "c")
 
     def test_no_route_raises(self):
         graph = build_graph([("a", "b")])
-        graph.add_node("island")
+        add_router(graph, "island")
         table = RoutingTable(graph)
         with pytest.raises(RoutingError):
             table.path("a", "island")
@@ -137,6 +143,64 @@ class TestRoutingTable:
         graph = build_graph([("a", "b"), ("b", "c")])
         table = RoutingTable(graph)
         assert table.path("a", "c") == ("a", "b", "c")
-        graph.add_edge("a", "c", link=Link("a", "c"), weight=0.1)
+        graph.add_link(Link("a", "c", weight=0.1))
         table.invalidate()
         assert table.path("a", "c") == ("a", "c")
+
+
+_ROUTERS = [f"r{i}" for i in range(9)]
+
+
+@st.composite
+def router_graphs(draw):
+    """Routers, weighted links in the order they are added, and an
+    exclusion set.  Links are mostly unit-weight and often symmetric,
+    as in the synthetic Internet, so equal-cost ties are common."""
+    count = draw(st.integers(2, len(_ROUTERS)))
+    routers = draw(st.permutations(_ROUTERS[:count]))
+    pairs = [(a, b) for a in routers for b in routers if a != b]
+    links: dict[tuple[str, str], float] = {}
+    for (a, b), weight, both in draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(pairs),
+                st.sampled_from([1.0, 1.0, 1.0, 1.0, 2.0, 0.5]),
+                st.booleans(),
+            ),
+            max_size=2 * len(routers),
+        )
+    ):
+        links.setdefault((a, b), weight)
+        if both:
+            links.setdefault((b, a), weight)
+    excluded = draw(st.frozensets(st.sampled_from(routers), max_size=2))
+    return routers, links, excluded
+
+
+@settings(max_examples=300, deadline=None)
+@given(router_graphs())
+def test_paths_match_networkx(graph):
+    """The ported search picks networkx's path for every router pair,
+    ties and exclusions included."""
+    nx = pytest.importorskip("networkx", exc_type=ImportError)
+    routers, links, excluded = graph
+    topo = Topology()
+    reference = nx.DiGraph()
+    for rid in routers:
+        add_router(topo, rid)
+        reference.add_node(rid)
+    for (a, b), weight in links.items():
+        topo.add_link(Link(a, b, weight=weight))
+        reference.add_edge(a, b, weight=weight)
+    table = RoutingTable(topo)
+    table.set_excluded(excluded)
+    view = nx.restricted_view(reference, excluded, ())
+    for src in routers:
+        for dst in routers:
+            try:
+                expected = tuple(nx.shortest_path(view, src, dst, weight="weight"))
+            except (nx.NetworkXNoPath, nx.NodeNotFound):
+                with pytest.raises(RoutingError):
+                    table.path(src, dst)
+            else:
+                assert table.path(src, dst) == expected

@@ -64,9 +64,11 @@ class TestReadRequest:
         assert parse(b"") is None
 
     def test_malformed_request_line(self):
-        with pytest.raises(HttpError) as exc:
-            parse(b"NONSENSE\r\n\r\n")
-        assert exc.value.status == 400
+        # urlsplit() raises ValueError on an unclosed IPv6 literal.
+        for start in (b"NONSENSE", b"GET //[x HTTP/1.1"):
+            with pytest.raises(HttpError) as exc:
+                parse(start + b"\r\n\r\n")
+            assert exc.value.status == 400, start
 
     def test_malformed_header(self):
         with pytest.raises(HttpError) as exc:
@@ -74,9 +76,12 @@ class TestReadRequest:
         assert exc.value.status == 400
 
     def test_bad_content_length(self):
-        with pytest.raises(HttpError) as exc:
-            parse(b"GET / HTTP/1.1\r\nContent-Length: ponies\r\n\r\n")
-        assert exc.value.status == 400
+        # int() alone would take "1_0" and "+10" as 10; b"\xb2" is
+        # latin-1 superscript two, which str.isdigit() accepts.
+        for value in (b"ponies", b"1_0", b"+10", b"-1", b"", b"\xb2"):
+            with pytest.raises(HttpError) as exc:
+                parse(b"GET / HTTP/1.1\r\nContent-Length: " + value + b"\r\n\r\n0123456789")
+            assert exc.value.status == 400, value
 
     def test_oversize_body_is_413(self):
         raw = (

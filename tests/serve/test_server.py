@@ -179,9 +179,48 @@ class TestValidationAndRouting:
 
         asyncio.run(go())
 
+    def test_deeply_nested_json_is_400(self, tmp_path):
+        """Nesting past the JSON decoder's recursion limit is a bad
+        request, not a handler crash (500)."""
+
+        async def go():
+            server = StudyServer(config(tmp_path))
+            await server.start()
+            try:
+                body = b"[" * 200_000
+                reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+                writer.write(
+                    b"POST /studies HTTP/1.1\r\nContent-Length: %d\r\n\r\n" % len(body)
+                    + body
+                )
+                await writer.drain()
+                raw = await reader.read()
+                writer.close()
+                status_line, _, rest = raw.partition(b"\r\n")
+                assert status_line.split()[1] == b"400", status_line
+                assert b"invalid JSON body" in rest
+            finally:
+                await server.shutdown()
+
+        asyncio.run(go())
+
 
 class TestBackpressureAndCancel:
-    def test_quota_queue_full_and_cancel(self, tmp_path):
+    def test_quota_queue_full_and_cancel(self, tmp_path, monkeypatch):
+        from repro.serve import scheduler as scheduler_module
+
+        # Hold the running study until the admission checks are done: a
+        # small study can finish within a few requests, free its slot
+        # and race the queue-full assertion.
+        release = threading.Event()
+        execute = scheduler_module.StudyScheduler._execute
+
+        def gated(self, submission, progress):
+            release.wait(timeout=60)
+            return execute(self, submission, progress)
+
+        monkeypatch.setattr(scheduler_module.StudyScheduler, "_execute", gated)
+
         async def go():
             server = StudyServer(
                 config(tmp_path, max_concurrent=1, queue_depth=2, tenant_quota=2)
@@ -240,6 +279,7 @@ class TestBackpressureAndCancel:
                 )
                 assert status == 409
 
+                release.set()
                 await wait_idle(server)
                 _, _, listing = await request_json(port, "GET", "/studies")
                 statuses = {
@@ -251,6 +291,7 @@ class TestBackpressureAndCancel:
                 # The cancelled run produced no archive directory.
                 assert not (server.data_dir / second["run_id"]).exists()
             finally:
+                release.set()
                 await server.shutdown()
 
         asyncio.run(go())

@@ -1,8 +1,14 @@
 """The public API surface: exports exist and __all__ is truthful."""
 
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 PACKAGES = [
     "repro",
@@ -68,3 +74,19 @@ def test_docstrings_on_public_classes():
             obj = getattr(module, export)
             if callable(obj) or isinstance(obj, type):
                 assert obj.__doc__, f"{name}.{export} lacks a docstring"
+
+
+def test_entry_points_import_no_third_party_packages():
+    """The package runs on the standard library alone: importing every
+    entry point leaves networkx and numpy unloaded."""
+    entry_points = "repro.study, repro.cli, repro.serve, repro.campaign, repro.runner.worker"
+    code = (
+        f"import sys, {entry_points}\n"
+        "print(sorted({'networkx', 'numpy'} & set(sys.modules)))"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "[]"
