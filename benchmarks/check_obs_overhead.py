@@ -1,4 +1,4 @@
-"""CI gate: observability must be cheap when off, spans cheap when on.
+"""CI gate: observability must be cheap when off, recording cheap when on.
 
 The :mod:`repro.obs` layer promises that disabled instrumentation
 costs one falsey-predicate per call site.  A build cannot time itself
@@ -13,14 +13,11 @@ registry is doing real work — and the check fails.  The enabled-mode
 cost is reported for the record but not gated: counting ~1.5 M events
 is allowed to cost something.
 
-Span recording gets its own gate: epoch-detail spans touch one context
-switch and one span per measurement epoch, so turning them on must
-cost at most ``--span-budget`` (default 5 %) over a spans-off run.
-
-The structured event log gets the same treatment: events touch one
-context switch per epoch plus a handful of emissions per shard, so
-``collect_events=True`` must cost at most ``--event-budget`` (default
-5 %) over an events-off run.
+Recording gets its own gate: ``record="epoch"`` turns on the study's
+event log — one context switch, one span and a handful of events per
+measurement epoch — so it must cost at most ``--record-budget``
+(default 5 %) over a run with recording off.  Spans and events are one
+record stream behind one switch, so a single gate covers both.
 
 Usage::
 
@@ -64,8 +61,7 @@ def best_of(
     scale: float,
     seed: int,
     collect_metrics: bool,
-    record_spans: bool = False,
-    collect_events: bool = False,
+    record: str | None = None,
 ) -> float:
     timings = []
     for _ in range(runs):
@@ -74,8 +70,7 @@ def best_of(
             scale=scale,
             seed=seed,
             collect_metrics=collect_metrics,
-            record_spans=record_spans,
-            collect_events=collect_events,
+            record=record,
         )
         timings.append(time.perf_counter() - started)
     return min(timings)
@@ -93,16 +88,10 @@ def main(argv: list[str] | None = None) -> int:
         help="max tolerated disabled-vs-enabled slowdown (fraction)",
     )
     parser.add_argument(
-        "--span-budget",
+        "--record-budget",
         type=float,
         default=0.05,
-        help="max tolerated cost of epoch-detail span recording (fraction)",
-    )
-    parser.add_argument(
-        "--event-budget",
-        type=float,
-        default=0.05,
-        help="max tolerated cost of structured event logging (fraction)",
+        help="max tolerated cost of epoch-detail recording (fraction)",
     )
     args = parser.parse_args(argv)
 
@@ -127,36 +116,19 @@ def main(argv: list[str] | None = None) -> int:
         )
         failed = True
 
-    spans_on = best_of(
-        args.runs, args.scale, args.seed, collect_metrics=False, record_spans=True
+    recording = best_of(
+        args.runs, args.scale, args.seed, collect_metrics=False, record="epoch"
     )
-    span_overhead = spans_on / disabled - 1.0
+    record_overhead = recording / disabled - 1.0
     print(
-        f"span recording (epoch detail) best {spans_on:.2f}s; "
-        f"overhead vs spans-off: {span_overhead:+.1%} "
-        f"(budget {args.span_budget:.0%})"
+        f"recording (epoch detail) best {recording:.2f}s; "
+        f"overhead vs recording off: {record_overhead:+.1%} "
+        f"(budget {args.record_budget:.0%})"
     )
-    if span_overhead > args.span_budget:
+    if record_overhead > args.record_budget:
         print(
-            "FAIL: epoch-detail span recording costs more than its budget — "
-            "the recorder is doing per-packet-scale work on the epoch path",
-            file=sys.stderr,
-        )
-        failed = True
-
-    events_on = best_of(
-        args.runs, args.scale, args.seed, collect_metrics=False, collect_events=True
-    )
-    event_overhead = events_on / disabled - 1.0
-    print(
-        f"event logging best {events_on:.2f}s; "
-        f"overhead vs events-off: {event_overhead:+.1%} "
-        f"(budget {args.event_budget:.0%})"
-    )
-    if event_overhead > args.event_budget:
-        print(
-            "FAIL: structured event logging costs more than its budget — "
-            "emission is doing per-packet-scale work on the epoch path",
+            "FAIL: epoch-detail recording costs more than its budget — "
+            "the event log is doing per-packet-scale work on the epoch path",
             file=sys.stderr,
         )
         failed = True
@@ -180,24 +152,17 @@ def main(argv: list[str] | None = None) -> int:
                 "-",
             ],
             [
-                "spans on, epoch detail (reference: spans off)",
-                f"{spans_on:.2f}",
-                f"{span_overhead:+.1%}",
-                f"{args.span_budget:.0%}",
-                "FAIL" if span_overhead > args.span_budget else "ok",
-            ],
-            [
-                "events on (reference: events off)",
-                f"{events_on:.2f}",
-                f"{event_overhead:+.1%}",
-                f"{args.event_budget:.0%}",
-                "FAIL" if event_overhead > args.event_budget else "ok",
+                "recording on, epoch detail (reference: recording off)",
+                f"{recording:.2f}",
+                f"{record_overhead:+.1%}",
+                f"{args.record_budget:.0%}",
+                "FAIL" if record_overhead > args.record_budget else "ok",
             ],
         ],
     )
     if failed:
         return 1
-    print("OK: disabled observability, spans, and events are within budget")
+    print("OK: disabled observability and recording are within budget")
     return 0
 
 

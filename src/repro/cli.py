@@ -108,8 +108,7 @@ def cmd_study(args: argparse.Namespace) -> int:
         progress=progress if args.verbose else None,
         collect_metrics=args.metrics,
         trace_filter=args.trace_packets,
-        record_spans=args.spans or False,
-        collect_events=args.events,
+        record=args.record,
         obs_dir=args.out,
         profile=args.profile,
     )
@@ -511,19 +510,15 @@ def build_parser() -> argparse.ArgumentParser:
                             "'udp and dst 10.3.0.7' (forces sequential)")
     study.add_argument("--trace-limit", type=int, default=200,
                        help="max packet-trace lines to print")
-    study.add_argument("--spans", nargs="?", const="epoch",
+    study.add_argument("--record", nargs="?", const="epoch",
                        choices=["epoch", "probe"], default=None,
                        metavar="DETAIL",
-                       help="record the hierarchical span timeline "
+                       help="record the study's event log: epoch starts, "
+                            "chaos installations and the span timeline "
                             "(epoch or probe detail; canonical form "
                             "identical for any --workers value); with "
-                            "--out also writes spans.json + trace.json "
-                            "(Perfetto / chrome://tracing)")
-    study.add_argument("--events", action="store_true",
-                       help="record the structured event log (epoch "
-                            "starts, chaos installations; canonical "
-                            "form identical for any --workers value); "
-                            "with --out also writes events.jsonl")
+                            "--out also writes events.jsonl, spans.json "
+                            "and trace.json (Perfetto / chrome://tracing)")
     study.add_argument("--profile", action="store_true",
                        help="capture cProfile stats per shard (or one "
                             "sequential profile) into --out")

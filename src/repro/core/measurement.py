@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from ..netsim.ecn import ECN
-from ..obs.spans import CTX_TRACEROUTES, CTX_TRACES, DETAIL_PROBE
+from ..obs.events import CTX_TRACEROUTES, CTX_TRACES, DETAIL_PROBE
 from ..netsim.host import Host
 from ..scenario.internet import SyntheticInternet
 from ..scenario.parameters import ProbeParams, TraceScheduleParams
@@ -110,8 +110,8 @@ class MeasurementApplication:
     def measure_server(self, vantage_host: Host, server_addr: int) -> ProbeOutcome:
         """The four §3 measurements against one server."""
         probe = self.probe_params
-        spans = self.world.spans
-        phased = spans if spans and spans.detail == DETAIL_PROBE else None
+        log = self.world.log
+        phased = log if log and log.detail == DETAIL_PROBE else None
         metrics = self.world.network.metrics
         # Per-family probe-duration histograms, in *sim-time*: each
         # probe drives the scheduler to completion, so the elapsed sim
@@ -205,8 +205,8 @@ class MeasurementApplication:
     def run_trace(self, vantage_key: str, trace_id: int, batch: int) -> Trace:
         """One complete trace: every target, four measurements each."""
         vantage_host = self.world.vantage_hosts[vantage_key]
-        spans = self.world.spans
-        probe_spans = bool(spans) and spans.detail == DETAIL_PROBE
+        log = self.world.log
+        probe_spans = bool(log) and log.detail == DETAIL_PROBE
         trace = Trace(
             trace_id=trace_id,
             vantage_key=vantage_key,
@@ -215,7 +215,7 @@ class MeasurementApplication:
         )
         for server_addr in self.targets:
             cm = (
-                spans.span("probe", f"probe-{server_addr}", server=server_addr)
+                log.span("probe", f"probe-{server_addr}", server=server_addr)
                 if probe_spans
                 else nullcontext()
             )
@@ -244,21 +244,18 @@ class MeasurementApplication:
         """
         total = progress_total if progress_total is not None else len(planned)
         traces: list[Trace] = []
-        spans = self.world.spans
-        events = self.world.events
+        log = self.world.log
         for index, entry in enumerate(planned):
             if progress is not None:
                 progress(index, total, entry.vantage_key)
-            if spans:
+            if log:
                 # Attribute this epoch to the shard owning its
-                # (vantage, batch) slice before minting span ids, so
-                # sequential and sharded runs agree on every id.
-                spans.enter_context(CTX_TRACES, entry.vantage_key, entry.batch)
-            if events:
-                events.enter_context(CTX_TRACES, entry.vantage_key, entry.batch)
-                # Before begin_epoch, so the epoch-start event precedes
-                # the fault events installed for this epoch.
-                events.emit(
+                # (vantage, batch) slice before minting ids, so
+                # sequential and sharded runs agree on every id.  The
+                # epoch-start event goes first, ahead of the fault
+                # events begin_epoch installs.
+                log.enter_context(CTX_TRACES, entry.vantage_key, entry.batch)
+                log.emit(
                     "epoch-start",
                     "debug",
                     epoch=entry.trace_id,
@@ -271,17 +268,17 @@ class MeasurementApplication:
             if metrics:
                 metrics.incr("app.traces_run")
             # The epoch span opens *after* begin_epoch: its sim_start
-            # is then exactly the epoch origin, and fault events the
-            # injector buffered during installation flush into it.
+            # is then exactly the epoch origin, and the fault events
+            # recorded during installation attach to it.
             cm = (
-                spans.span(
+                log.span(
                     "trace",
                     f"trace-{entry.trace_id}",
                     trace_id=entry.trace_id,
                     vantage=entry.vantage_key,
                     batch=entry.batch,
                 )
-                if spans
+                if log
                 else nullcontext()
             )
             with cm:
@@ -334,13 +331,10 @@ class MeasurementApplication:
         """
         host = self.world.vantage_hosts[vantage_key]
         dsts = list(targets) if targets is not None else list(self.targets)
-        spans = self.world.spans
-        if spans:
-            spans.enter_context(CTX_TRACEROUTES, vantage_key)
-        events = self.world.events
-        if events:
-            events.enter_context(CTX_TRACEROUTES, vantage_key)
-            events.emit(
+        log = self.world.log
+        if log:
+            log.enter_context(CTX_TRACEROUTES, vantage_key)
+            log.emit(
                 "sweep-start",
                 "debug",
                 epoch=self.traceroute_epoch(vantage_key),
@@ -350,10 +344,10 @@ class MeasurementApplication:
         metrics = self.world.network.metrics
         if metrics:
             metrics.incr("app.traceroute_sweeps")
-        probe_spans = bool(spans) and spans.detail == DETAIL_PROBE
+        probe_spans = bool(log) and log.detail == DETAIL_PROBE
         sweep_cm = (
-            spans.span("sweep", f"sweep-{vantage_key}", vantage=vantage_key)
-            if spans
+            log.span("sweep", f"sweep-{vantage_key}", vantage=vantage_key)
+            if log
             else nullcontext()
         )
         paths: list[PathTrace] = []
@@ -362,7 +356,7 @@ class MeasurementApplication:
                 if progress is not None:
                     progress(step, len(dsts), vantage_key)
                 probe_cm = (
-                    spans.span("probe", f"traceroute-{dst}", server=dst)
+                    log.span("probe", f"traceroute-{dst}", server=dst)
                     if probe_spans
                     else nullcontext()
                 )

@@ -59,8 +59,7 @@ class FaultInjector:
         if not events:
             return
         metrics = self.world.network.metrics
-        spans = self.world.spans
-        event_log = self.world.events
+        log = self.world.log
         blackholed: set[str] = set()
         installed = 0
         for event in events:
@@ -68,23 +67,11 @@ class FaultInjector:
                 installed += 1
                 if metrics:
                     metrics.incr(f"faults.{event.kind}")
-                if spans:
-                    # Annotate the causal timeline: begin_epoch runs
-                    # before the epoch span opens, so the recorder
-                    # buffers these and flushes them into the span of
-                    # exactly the epoch this event impairs.
-                    spans.event(
-                        "fault",
-                        kind=event.kind,
-                        target=str(event.target),
-                        epoch=index,
-                        magnitude=event.magnitude,
-                    )
-                if event_log:
-                    # begin_epoch runs between spans, so there is no
-                    # open span id to link; the epoch index is the
-                    # correlation key here.
-                    event_log.emit(
+                if log:
+                    # begin_epoch runs before the epoch span opens, so
+                    # the span timeline files this under the next span
+                    # to open: exactly the epoch this fault impairs.
+                    log.emit(
                         "fault",
                         "warning",
                         fault=event.kind,

@@ -1,19 +1,19 @@
 """repro.obs — the simulation observability layer.
 
-Three cooperating pieces, all disabled by default and cheap when off:
+All of it is disabled by default and cheap when off:
 
-* :class:`MetricsRegistry` — deterministic named counters and
-  high-water gauges, updated by routers, queues, middleboxes, hosts,
-  the event engine and the runner.  Shard snapshots merge
-  bit-identically regardless of completion order
-  (:func:`merge_snapshots`).
-* :class:`PathTracer` — opt-in per-packet causality log: the ordered
-  ``(hop, action, ECN before/after)`` sequence of every packet
-  matching a filter (:func:`parse_filter` compiles the CLI's
-  tcpdump-flavoured expressions).
-* :class:`RunTelemetry` — per-shard timing, retry counts and the
-  merged metric snapshot for one campaign execution, exported next to
-  the archival JSON and rendered by ``ecnudp metrics``.
+* :class:`MetricsRegistry` — deterministic counters, high-water gauges
+  and fixed-bucket histograms, updated along the packet path, the
+  event engine and the runner; shard snapshots merge bit-identically
+  (:func:`merge_snapshots`) and render as Prometheus exposition.
+* :class:`EventLog` — the one record stream: leveled, rate-limited
+  events and the span timeline.  ``events.jsonl``, ``spans.json`` /
+  ``trace.json``, crash flight dumps and ``GET /events`` are its views.
+* :class:`PathTracer` — opt-in per-packet causality log for packets
+  matching a tcpdump-flavoured filter (:func:`parse_filter`).
+* :class:`RunTelemetry` — per-shard timing, retries and the merged
+  metric snapshot of one run; :mod:`~repro.obs.report` folds every
+  saved artefact into one run dashboard.
 
 Instrumented call sites are truthiness-gated (``if metrics: ...``), so
 with observability off every hot path pays one predicate and the
@@ -23,7 +23,6 @@ DESIGN.md's observability section for the overhead contract.
 
 from __future__ import annotations
 
-from .flight import DEFAULT_CAPACITY, FlightRecorder, load_flight_dump
 from .events import (
     DEFAULT_EVENT_CAPACITY,
     EVENTS_FORMAT,
@@ -31,9 +30,9 @@ from .events import (
     NULL_EVENTS,
     EventLog,
     NullEventLog,
-    assemble_study_events,
     canonical_events,
     level_rank,
+    load_flight_dump,
     parse_events_jsonl,
     render_events_jsonl,
 )
@@ -60,13 +59,7 @@ from .prom import (
 from .spans import (
     DETAIL_EPOCH,
     DETAIL_PROBE,
-    NULL_SPANS,
     ROOT_SPAN_ID,
-    NullSpanRecorder,
-    Span,
-    SpanRecorder,
-    assemble_study_spans,
-    canonical_spans,
     chrome_trace_events,
     export_chrome_trace,
     span_children,
@@ -90,7 +83,6 @@ from .tracing import (
 from .telemetry import RunTelemetry, ShardRecord, render_metrics_report
 
 __all__ = [
-    "DEFAULT_CAPACITY",
     "DEFAULT_EVENT_CAPACITY",
     "DETAIL_EPOCH",
     "DETAIL_PROBE",
@@ -99,16 +91,13 @@ __all__ = [
     "EventLog",
     "ExpositionError",
     "FilterError",
-    "FlightRecorder",
     "LEVELS",
     "METRIC_PREFIX",
     "MetricsRegistry",
     "NULL_EVENTS",
     "NULL_METRICS",
-    "NULL_SPANS",
     "NullEventLog",
     "NullRegistry",
-    "NullSpanRecorder",
     "PROM_CONTENT_TYPE",
     "PathEvent",
     "PathTracer",
@@ -117,12 +106,7 @@ __all__ = [
     "RunArtifacts",
     "RunTelemetry",
     "ShardRecord",
-    "Span",
-    "SpanRecorder",
-    "assemble_study_events",
-    "assemble_study_spans",
     "canonical_events",
-    "canonical_spans",
     "chrome_trace_events",
     "dashboard_sections",
     "empty_snapshot",

@@ -1,54 +1,55 @@
-"""Structured, leveled, rate-limited event log.
+"""The event log: the one observability record stream.
 
-The live counterpart of the archival observability layers: while
-metrics/spans describe a finished run, the event log is the stream a
-running system narrates itself through — shard lifecycle from the
-runner, admissions and rejections from the serve layer, injected chaos
-from the fault injector, epoch publishes from the campaign driver, and
-SLO breaches from the campaign watchdog.
+Every narrated fact about a run is a record in an :class:`EventLog` —
+shard lifecycle from the runner, admissions from the serve layer,
+injected chaos from the fault injector, epoch publishes and SLO
+breaches from campaigns — and so is the span timeline, whose open and
+close records (:meth:`EventLog.span`) ride in the same stream.
+``events.jsonl`` (:meth:`~EventLog.events`), ``spans.json`` /
+``trace.json`` (:meth:`~EventLog.spans`), crash flight dumps
+(:meth:`~EventLog.dump`) and ``GET /events`` (:meth:`~EventLog.since`)
+are views of it.
 
-Design constraints, in the order they shaped the module:
+* **Deterministic where it must be.**  A log built with a
+  ``context_map`` (:func:`repro.runner.shard.shard_context_map`)
+  resolves :meth:`~EventLog.enter_context` to shard ids and appends
+  what is recorded there to that shard's **stream**, minting per-shard
+  event ``seq`` numbers and ``s<shard>.<n>`` span ids.  A sequential
+  study interleaving many shards' epochs and a worker running one
+  shard fill identical streams, so the views are byte-identical for
+  any ``workers`` value.  Rate limiting is a per-``(shard, kind)`` cap,
+  a pure function of the emission sequence; wall-clock stamps live in
+  the ``wall`` / ``wall_ms`` fields :func:`canonical_events` strips.
+* **Cheap when off.**  :data:`NULL_EVENTS` is falsey; every recording
+  site is truthiness-gated (``if log: log.emit(...)``).
+* **Bounded where it is live.**  Every record also lands in a ring:
+  old records fall off the front while the stream position keeps
+  rising — the since-cursor ``GET /events`` serves.
 
-* **Deterministic where it must be.**  Worker-shard events participate
-  in the same contract as metrics and spans: a ``workers=4`` study's
-  merged event list must be byte-identical to ``workers=0``.  So each
-  event carries a per-log monotonic ``seq``, merge order is ``(shard,
-  seq)``, rate limiting is a pure function of the emission sequence
-  (a per-kind cap, not a wall-clock token bucket), and the wall-clock
-  stamp is quarantined in one field (``wall``) that
-  :func:`canonical_events` strips — exactly the
-  :data:`~repro.obs.spans._WALL_FIELDS` discipline.
-* **Cheap when off.**  :data:`NULL_EVENTS` is falsey; every emission
-  site is truthiness-gated (``if events: events.emit(...)``).
-* **Bounded everywhere.**  The buffer is a ring: old events fall off
-  the front, ``seq`` keeps rising, and :meth:`EventLog.since` exposes
-  the since-cursor window ``GET /events`` serves.
-
-Correlation model: an :class:`EventLog` is constructed with (or later
-:meth:`~EventLog.bind`-s) context fields — ``run_id``, ``tenant``,
-``shard``, ``epoch`` — that are folded into every event it emits;
-``span_id`` is passed per event by emitters that sit inside a span
-(``SpanRecorder.current_span_id``).
-
-Shard attribution reuses the span layer's trick: a log built with a
-``context_map`` (:func:`repro.runner.shard.shard_context_map`)
-resolves :meth:`EventLog.enter_context` calls to shard ids and mints
-**per-shard** ``seq`` numbers — a sequential study interleaving many
-shards' epochs and a worker running one shard assign every event the
-same ``(shard, seq)``, which is what makes the merged stream
-byte-identical for any ``workers`` value.  Rate-limit counters are
-keyed per ``(shard, kind)`` for the same reason.
+Correlation fields (``run_id``, ``tenant``, ...) given to the
+constructor or :meth:`~EventLog.bind` are folded into every event.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import threading
 import time
-from typing import Iterable, Mapping
+from collections import deque
+from contextlib import contextmanager
+from itertools import islice
+from pathlib import Path
+from time import perf_counter
+from typing import Callable, Iterable, Mapping
 
-#: Document format tag for events.jsonl exports and flight tails.
+from .spans import DETAIL_EPOCH, DETAIL_PROBE, SPAN_CLOSE, SPAN_OPEN, span_id, span_tree
+
+#: Document format tag for events.jsonl exports.
 EVENTS_FORMAT = "ecn-udp-events/1"
+
+#: Document format tag for crash flight dumps.
+FLIGHT_FORMAT = "ecn-udp-flight/1"
 
 #: Severity levels, least to most severe.
 LEVELS = ("debug", "info", "warning", "alert")
@@ -63,9 +64,16 @@ DEFAULT_EVENT_CAPACITY = 4096
 #: this many events of one kind, further ones are counted, not stored.
 DEFAULT_KIND_LIMIT = 512
 
+#: Records a flight dump carries: the causal tail, not the stream.
+FLIGHT_TAIL = 512
+
+#: Execution-context kinds (match the runner's shard kinds).
+CTX_TRACES = "traces"
+CTX_TRACEROUTES = "traceroutes"
+
 #: Fields whose values depend on the wall clock, stripped from the
 #: canonical (determinism-checked) form.
-_WALL_FIELDS = ("wall",)
+_WALL_FIELDS = ("wall", "wall_ms")
 
 
 def level_rank(level: str) -> int:
@@ -78,19 +86,23 @@ def level_rank(level: str) -> int:
 
 
 class EventLog:
-    """A bounded, leveled, deterministically rate-limited event buffer."""
+    """A bounded, leveled, deterministically rate-limited record stream."""
 
     __slots__ = (
         "capacity",
         "kind_limit",
+        "detail",
         "_min_rank",
         "_context",
-        "_events",
-        "_first_index_pos",
+        "_ring",
         "_pos",
-        "_shard_seqs",
         "_shard",
         "_context_map",
+        "_seqs",
+        "_span_seqs",
+        "_streams",
+        "_stack",
+        "_clock",
         "_kind_counts",
         "_dropped",
         "_lock",
@@ -104,30 +116,38 @@ class EventLog:
         kind_limit: int = DEFAULT_KIND_LIMIT,
         stamp_wall: bool = True,
         context_map: Mapping[tuple[str, str, int], int] | None = None,
+        detail: str | None = None,
         **context,
     ) -> None:
         if capacity <= 0:
             raise ValueError(f"capacity must be > 0: {capacity!r}")
         if kind_limit <= 0:
             raise ValueError(f"kind_limit must be > 0: {kind_limit!r}")
+        if detail not in (None, DETAIL_EPOCH, DETAIL_PROBE):
+            raise ValueError(f"unknown span detail level: {detail!r}")
         self.capacity = capacity
         self.kind_limit = kind_limit
+        #: Span detail the measurement records at (``None``: no study).
+        self.detail = detail
         self._min_rank = level_rank(min_level)
         self._context = {k: v for k, v in context.items() if v is not None}
-        self._events: list[dict] = []
-        self._first_index_pos = 0  # stream position of self._events[0]
+        self._ring: deque[dict] = deque(maxlen=capacity)
         self._pos = 0  # global stream position (the ring/tail cursor)
-        #: Per-shard seq counters, live only when a context map is set.
-        self._shard_seqs: dict[int, int] = {}
         self._shard: int | None = None
         self._context_map = dict(context_map) if context_map else None
+        #: Per-shard event seqs and span seqs.
+        self._seqs: dict[int, int] = {}
+        self._span_seqs: dict[int, int] = {}
+        #: shard -> its ``(sim_time, record)`` stream: the study archive.
+        self._streams: dict[int, list[tuple[float, dict]]] = {}
+        #: Open span-open records of the current context, innermost last.
+        self._stack: list[dict] = []
+        self._clock: Callable[[], float] = lambda: 0.0
         self._kind_counts: dict[tuple[int | None, str], int] = {}
         self._dropped: dict[str, int] = {}
         self._lock = threading.Lock()
-        #: Worker-shard logs set this False: their events must be a
-        #: pure function of the shard, and the wall stamp is the one
-        #: field that is not.  (Canonicalisation strips it anyway;
-        #: leaving it off keeps the wire payload honest about it.)
+        #: Study and worker logs set this False: their records must be
+        #: a pure function of the shard, and the wall stamp is not.
         self._stamp_wall = stamp_wall
 
     def __bool__(self) -> bool:
@@ -140,26 +160,54 @@ class EventLog:
                 {k: v for k, v in context.items() if v is not None}
             )
 
-    def enter_context(self, kind: str, vantage_key: str, batch: int = 0) -> None:
-        """Attribute subsequent events to the shard owning this context.
+    def bind_clock(self, clock: Callable[[], float]) -> None:
+        """Attach the simulated clock stream records are stamped with."""
+        self._clock = clock
 
-        A no-op without a ``context_map`` (parent/serve/campaign logs
-        have no shard structure).  Mirrors
-        ``SpanRecorder.enter_context``: the sequential study calls this
-        at every epoch boundary, a worker's map only contains its own
-        shard, and both resolve the same shard id.
+    def enter_context(self, kind: str, vantage_key: str, batch: int = 0) -> None:
+        """Attribute subsequent records to the shard owning this context.
+
+        Requires every span of the previous context to be closed
+        (epochs never interleave).  A no-op without a ``context_map``
+        (parent/serve/campaign logs have no shard structure): the
+        sequential study calls this at every epoch boundary, a worker's
+        map only contains its own shard, and both resolve the same id.
         """
+        if self._stack:
+            raise RuntimeError(
+                "cannot switch span context with open spans: "
+                + " > ".join(record["name"] for record in self._stack)
+            )
         if self._context_map is None:
             return
         try:
-            self._shard = self._context_map[(kind, vantage_key, batch)]
+            shard = self._context_map[(kind, vantage_key, batch)]
         except KeyError:
             raise ValueError(
                 f"no shard owns event context ({kind!r}, {vantage_key!r}, {batch!r})"
             ) from None
+        self._enter_shard(shard)
+
+    def _enter_shard(self, shard: int) -> None:
+        self._shard = shard
+        self._streams.setdefault(shard, [])
+
+    def _next_span_id(self, shard: int) -> str:
+        # Seq 0 of every shard is its shard span, which the span view
+        # synthesizes; recorded spans count from 1.
+        seq = self._span_seqs.get(shard, 0) + 1
+        self._span_seqs[shard] = seq
+        return span_id(shard, seq)
+
+    def _append(self, record: dict, shard: int | None) -> None:
+        """Add one record to the ring (and its shard's stream); locked."""
+        self._pos += 1
+        self._ring.append(record)
+        if shard is not None:
+            self._streams[shard].append((self._clock(), record))
 
     # ------------------------------------------------------------------
-    # Emission
+    # Recording
     # ------------------------------------------------------------------
     def emit(self, kind: str, level: str = "info", /, **fields) -> dict | None:
         """Record one event; returns it, or ``None`` if filtered.
@@ -167,14 +215,14 @@ class EventLog:
         ``kind`` is the event's stable machine name (``shard-retry``,
         ``serve-submit``, ``fault``, ...); ``fields`` are its payload.
         Payload fields never override the envelope (``seq``, ``kind``,
-        ``level``) or bound context — the envelope wins, matching the
-        FlightRecorder's reserved-field rule.
+        ``level``) or bound context — the envelope wins.
         """
         rank = level_rank(level)
         if rank < self._min_rank:
             return None
         with self._lock:
-            counter_key = (self._shard, kind)
+            shard = self._shard
+            counter_key = (shard, kind)
             seen = self._kind_counts.get(counter_key, 0) + 1
             self._kind_counts[counter_key] = seen
             if seen > self.kind_limit:
@@ -182,10 +230,10 @@ class EventLog:
                 return None
             event = dict(fields)
             event.update(self._context)
-            if self._shard is not None:
-                event["shard"] = self._shard
-                seq = self._shard_seqs.get(self._shard, 0)
-                self._shard_seqs[self._shard] = seq + 1
+            if shard is not None:
+                event["shard"] = shard
+                seq = self._seqs.get(shard, 0)
+                self._seqs[shard] = seq + 1
             else:
                 seq = self._pos
             event["seq"] = seq
@@ -193,13 +241,61 @@ class EventLog:
             event["level"] = level
             if self._stamp_wall:
                 event["wall"] = time.time()
-            self._pos += 1
-            self._events.append(event)
-            if len(self._events) > self.capacity:
-                overflow = len(self._events) - self.capacity
-                del self._events[:overflow]
-                self._first_index_pos += overflow
+            self._append(event, shard)
             return event
+
+    @contextmanager
+    def span(self, kind: str, name: str, **attrs):
+        """Record a child span of the innermost open span (or the shard).
+
+        Writes a ``span-open`` record on entry and a ``span-close``
+        record (carrying the span's wall time) on exit.  Without a
+        shard context the span belongs to shard 0.
+        """
+        if self._shard is None:
+            self._enter_shard(0)
+        shard = self._shard
+        opened = {
+            "kind": SPAN_OPEN,
+            "id": self._next_span_id(shard),
+            "parent": self._stack[-1]["id"] if self._stack else span_id(shard, 0),
+            "span": kind,
+            "name": name,
+            "shard": shard,
+        }
+        if attrs:
+            opened["attrs"] = attrs
+        with self._lock:
+            self._append(opened, shard)
+        self._stack.append(opened)
+        started = perf_counter()
+        try:
+            yield
+        finally:
+            wall_ms = (perf_counter() - started) * 1000.0
+            self._stack.pop()
+            closed = {
+                "kind": SPAN_CLOSE,
+                "id": opened["id"],
+                "name": name,
+                "shard": shard,
+                "wall_ms": wall_ms,
+            }
+            with self._lock:
+                self._append(closed, shard)
+
+    def annotate(self, **attrs) -> None:
+        """Merge attributes into the innermost open span."""
+        if self._stack:
+            self._stack[-1].setdefault("attrs", {}).update(attrs)
+
+    def absorb(self, shard: int, stream: Iterable) -> None:
+        """Adopt a shard stream recorded elsewhere (a worker's).
+
+        A shard delivered twice (gang-recovery races) keeps its first
+        stream — either copy is identical by the determinism contract.
+        """
+        self._streams.setdefault(shard, list(stream))
 
     # ------------------------------------------------------------------
     # Reading
@@ -215,87 +311,112 @@ class EventLog:
         return self._pos
 
     def since(self, cursor: int, limit: int | None = None) -> list[dict]:
-        """Buffered events from stream position ``cursor``, oldest first.
+        """Buffered records from stream position ``cursor``, oldest first.
 
         The since-cursor read behind ``GET /events``: a client replays
-        from its last seen ``seq + 1``.  Events that already fell off
+        from its last seen ``seq + 1``.  Records that already fell off
         the ring are simply gone — the ring is a tail, not a journal.
         """
         with self._lock:
-            start = max(0, cursor - self._first_index_pos)
-            window = self._events[start:]
-        if limit is not None:
-            window = window[:limit]
+            start = max(0, cursor - (self._pos - len(self._ring)))
+            stop = None if limit is None else start + limit
+            window = list(islice(self._ring, start, stop))
         return [dict(event) for event in window]
 
     def tail(self, limit: int) -> list[dict]:
-        """The most recent ``limit`` events, oldest first."""
-        with self._lock:
-            window = self._events[-limit:] if limit > 0 else []
-            return [dict(event) for event in window]
+        """The most recent ``limit`` records, oldest first."""
+        return self.since(self._pos - limit) if limit > 0 else []
 
     def export(self) -> list[dict]:
-        """Every buffered event, oldest first (the shard wire payload)."""
-        with self._lock:
-            return [dict(event) for event in self._events]
+        """Every buffered record, oldest first."""
+        return self.since(0)
 
     def dropped(self) -> dict[str, int]:
         """Per-kind counts of rate-limited (dropped) events."""
         with self._lock:
             return dict(self._dropped)
 
+    def stream(self, shard: int) -> list[tuple[float, dict]]:
+        """One shard's record stream (the shard wire payload)."""
+        return list(self._streams.get(shard, ()))
+
+    def events(self) -> list[dict]:
+        """The study's events: every shard stream's events, by ``(shard, seq)``."""
+        return [
+            dict(record)
+            for shard in sorted(self._streams)
+            for _, record in self._streams[shard]
+            if record["kind"] not in (SPAN_OPEN, SPAN_CLOSE)
+        ]
+
+    def spans(self) -> list[dict]:
+        """The study's span list, root first (:func:`~repro.obs.spans.span_tree`)."""
+        return span_tree(self._streams)
+
+    def dump(
+        self, directory: str | Path, reason: str, label: str = "parent", **context
+    ) -> Path:
+        """Write the stream's tail to ``flight-<label>.json``; returns it.
+
+        The crash black box: reason, label, pid, and the last
+        :data:`FLIGHT_TAIL` records oldest-first.  Never raises — a
+        failing flight dump must not mask the failure being recorded;
+        on write errors the intended path is returned anyway.
+        """
+        directory = Path(directory)
+        path = directory / f"flight-{label}.json"
+        document = {
+            "format": FLIGHT_FORMAT,
+            "label": label,
+            "reason": reason,
+            "pid": os.getpid(),
+            "dumped_at": time.time(),
+            "capacity": FLIGHT_TAIL,
+            "events_recorded": self._pos,
+            "events": self.tail(FLIGHT_TAIL),
+        }
+        dropped = self.dropped()
+        if dropped:
+            document["dropped"] = dropped
+        if context:
+            document["context"] = context
+        try:
+            directory.mkdir(parents=True, exist_ok=True)
+            path.write_text(json.dumps(document, indent=1, default=repr))
+        except (OSError, ValueError):  # pragma: no cover - disk-full / perms edge
+            pass
+        return path
+
     def clear(self) -> None:
         with self._lock:
-            self._events.clear()
+            self._ring.clear()
             self._kind_counts.clear()
             self._dropped.clear()
-            self._shard_seqs.clear()
+            self._seqs.clear()
+            self._span_seqs.clear()
+            self._streams.clear()
+            self._stack.clear()
             self._shard = None
             self._pos = 0
-            self._first_index_pos = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"EventLog({len(self._events)} events, next_seq={self._pos})"
+        return f"EventLog({len(self._ring)} records, next_seq={self._pos})"
 
 
-class NullEventLog:
-    """Disabled event log: falsey, every operation a no-op."""
+class NullEventLog(EventLog):
+    """Disabled event log: falsey, records nothing, reads empty."""
 
     __slots__ = ()
 
     def __bool__(self) -> bool:
         return False
 
-    def bind(self, **context) -> None:
-        pass
-
-    def enter_context(self, kind: str, vantage_key: str, batch: int = 0) -> None:
-        pass
-
     def emit(self, kind: str, level: str = "info", /, **fields) -> None:
         return None
 
-    @property
-    def next_seq(self) -> int:
-        return 0
-
-    def since(self, cursor: int, limit: int | None = None) -> list[dict]:
-        return []
-
-    def tail(self, limit: int) -> list[dict]:
-        return []
-
-    def export(self) -> list[dict]:
-        return []
-
-    def dropped(self) -> dict[str, int]:
-        return {}
-
-    def clear(self) -> None:
-        pass
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "NullEventLog()"
+    @contextmanager
+    def span(self, kind: str, name: str, **attrs):
+        yield
 
 
 #: Shared disabled-event-log sentinel.
@@ -303,31 +424,15 @@ NULL_EVENTS = NullEventLog()
 
 
 # ----------------------------------------------------------------------
-# Merging and canonical form
+# Canonical form, serialisation, loading
 # ----------------------------------------------------------------------
-def assemble_study_events(by_shard: Mapping[int, list[dict]]) -> list[dict]:
-    """Flatten per-shard event lists into the study's merged stream.
-
-    Deterministic for the same reason span assembly is: events are
-    ordered by ``(shard, seq)``, both of which are pure functions of
-    the shard's work, never of scheduling.  Shard completion order
-    cannot influence the result.
-    """
-    merged: list[dict] = []
-    for shard_id in sorted(by_shard):
-        for event in by_shard[shard_id]:
-            entry = dict(event)
-            entry.setdefault("shard", shard_id)
-            merged.append(entry)
-    return merged
-
-
 def canonical_events(events: Iterable[Mapping]) -> list[dict]:
     """The determinism-checked form: wall-clock stripped, key-sorted.
 
     This is what equivalence tests compare and what ``events.jsonl``
     archives, so a sharded study's export is byte-identical to the
-    sequential one.
+    sequential one.  Span lists (which carry no ``seq``) keep their
+    order, so the same projection compares span trees.
     """
     canonical = []
     for event in events:
@@ -348,16 +453,30 @@ def render_events_jsonl(events: Iterable[Mapping]) -> str:
 
 
 def parse_events_jsonl(text: str) -> list[dict]:
-    """Parse a JSONL event stream, loud on garbled lines."""
+    """Parse a JSONL event stream; raises ValueError on any bad line."""
     events = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         try:
             event = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"garbled event at line {lineno}: {exc}") from exc
+        except (ValueError, RecursionError) as exc:
+            raise ValueError(f"garbled event at line {lineno}: {exc}") from None
         if not isinstance(event, dict):
-            raise ValueError(f"event at line {lineno} is not an object: {event!r}")
+            kind = type(event).__name__
+            raise ValueError(f"event at line {lineno} is not an object: {kind}")
         events.append(event)
     return events
+
+
+def load_flight_dump(path: str | Path) -> dict:
+    """Read and validate a flight dump; raises ValueError on anything else."""
+    try:
+        document = json.loads(Path(path).read_bytes())
+    except RecursionError:
+        raise ValueError(f"not a flight dump: {path} (nested too deep)") from None
+    found = document.get("format") if isinstance(document, dict) else None
+    if found != FLIGHT_FORMAT:
+        shown = found if isinstance(found, str) else type(document).__name__
+        raise ValueError(f"not a flight dump: {path} ({shown!r})")
+    return document

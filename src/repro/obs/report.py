@@ -6,7 +6,7 @@ study directory — ``summary.json``, ``metrics.json``,
 — into a single self-contained document: a per-phase timing table, a
 slowest-shard flame summary, the chaos event timeline, and the ECN
 mark-survival breakdown the paper's §4 is about.  Everything degrades
-gracefully: a study saved without ``--metrics`` or ``--spans`` still
+gracefully: a study saved without ``--metrics`` or ``--record`` still
 renders, with the missing sections noted rather than omitted silently.
 
 Two renderers share one data model (:class:`RunArtifacts` →
@@ -57,7 +57,7 @@ class RunArtifacts:
 def _load_json(path: Path):
     try:
         return json.loads(path.read_text())
-    except (OSError, ValueError):
+    except (OSError, ValueError, RecursionError):
         return None
 
 
@@ -404,7 +404,7 @@ def dashboard_sections(artifacts: RunArtifacts) -> list[Section]:
                 "Phase timing",
                 [],
                 [],
-                "no spans.json — re-run with `ecnudp study --spans`",
+                "no spans.json — re-run with `ecnudp study --record`",
             )
         )
     flame = _flame_rows(artifacts)

@@ -1,55 +1,47 @@
-"""Hierarchical spans: the causal timeline of a campaign.
+"""The span-tree and Chrome-trace views of the event log.
 
-Where :mod:`repro.obs.metrics` answers *how much* happened and
-:mod:`repro.obs.telemetry` answers *how long the run took*, spans
-answer *when and where inside the campaign* things happened: the
-study decomposes into shards, shards into measurement epochs (one
-trace or one traceroute sweep), epochs into per-server probes, probes
-into protocol phases.  Every span carries two clocks:
+Spans answer *when and where inside the campaign* things happened: the
+study decomposes into shards, shards into measurement epochs (one trace
+or one traceroute sweep), epochs into per-server probes, probes into
+protocol phases.  :meth:`repro.obs.EventLog.span` writes each span as
+an open and a close record into its shard's stream; :func:`span_tree`
+folds the streams back into the span list ``spans.json`` archives.
 
-* **simulated time** (``sim_start`` / ``sim_end``) — read from the
-  event engine's clock, which :meth:`SyntheticInternet.begin_epoch`
-  resets to a pure function of the epoch index.  Simulated times are
-  therefore *deterministic*: identical between ``workers=0`` and
-  ``workers=N`` for the same ``(scale, seed, chaos_seed)``.
-* **wall-clock time** (``wall_ms``) — how long this process really
-  spent inside the span.  Wall times are facts about one run and are
-  excluded from the determinism contract (strip them with
-  :func:`canonical_spans` before comparing trees).
+Every span carries two clocks: **simulated time** (``sim_start`` /
+``sim_end``), read from the event engine's clock that
+:meth:`SyntheticInternet.begin_epoch` resets per epoch — deterministic,
+identical for any ``workers`` value — and **wall-clock time**
+(``wall_ms``), a fact about one run that
+:func:`~repro.obs.canonical_events` strips before trees are compared.
+Span ids are ``s<shard>.<n>`` in both execution modes, because the
+sequential study and a shard worker walk a shard's epochs in the same
+order (``tests/obs/test_span_equivalence.py``).
 
-Span identifiers are derived from ``(shard_id, sequence counter)``:
-the ``n``-th span recorded while executing shard ``k``'s work is
-``s<k>.<n>`` in *both* execution modes, because the sequential study
-and a shard worker walk a shard's epochs in the same order.  That is
-what makes the merged span forest of a sharded run bit-identical (in
-canonical form) to the sequential run's — the property
-``tests/obs/test_span_equivalence.py`` enforces.
-
-The assembled span list exports to Chrome Trace Event Format
-(:func:`export_chrome_trace`), loadable in Perfetto or
-``chrome://tracing``: shards map to processes, the simulated clock is
-the timeline, and wall-clock attribution rides in ``args``.
+:func:`export_chrome_trace` writes the list in Chrome Trace Event
+Format, loadable in Perfetto or ``chrome://tracing``: shards map to
+processes, the simulated clock is the timeline, and wall-clock
+attribution rides in ``args``.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from time import perf_counter
-from typing import Callable, Iterable, Mapping
+import json
+from pathlib import Path
+from typing import Iterable, Mapping
 
 #: Span detail levels, coarse to fine.
 DETAIL_EPOCH = "epoch"  # study / shard / trace / sweep
 DETAIL_PROBE = "probe"  # ... plus per-server probes and protocol phases
 
-#: Execution-context kinds (match the runner's shard kinds).
-CTX_TRACES = "traces"
-CTX_TRACEROUTES = "traceroutes"
-
 #: Identifier of the synthetic study root span.
 ROOT_SPAN_ID = "root"
 
-#: Wall-clock fields excluded from the determinism contract.
-_WALL_FIELDS = ("wall_ms",)
+#: Record kinds :meth:`~repro.obs.EventLog.span` writes.
+SPAN_OPEN = "span-open"
+SPAN_CLOSE = "span-close"
+
+#: Envelope fields of an event record; the rest is its payload.
+_ENVELOPE = ("seq", "kind", "level", "shard", "wall")
 
 
 def span_id(shard_id: int, seq: int) -> str:
@@ -57,321 +49,95 @@ def span_id(shard_id: int, seq: int) -> str:
     return f"s{shard_id}.{seq}"
 
 
-class Span:
-    """One open or closed span (mutable while open)."""
+def span_tree(streams: Mapping[int, Iterable]) -> list[dict]:
+    """The study's span list, root first, from per-shard record streams.
 
-    __slots__ = (
-        "id",
-        "parent",
-        "kind",
-        "name",
-        "sim_start",
-        "sim_end",
-        "attrs",
-        "events",
-        "_wall_start",
-        "_wall_ms",
-    )
-
-    def __init__(
-        self,
-        id: str,
-        parent: str | None,
-        kind: str,
-        name: str,
-        sim_start: float,
-        attrs: dict | None = None,
-    ) -> None:
-        self.id = id
-        self.parent = parent
-        self.kind = kind
-        self.name = name
-        self.sim_start = sim_start
-        self.sim_end = sim_start
-        self.attrs = attrs or {}
-        self.events: list[dict] = []
-        self._wall_start = perf_counter()
-        self._wall_ms = 0.0
-
-    def close(self, sim_now: float) -> None:
-        self.sim_end = sim_now
-        self._wall_ms += (perf_counter() - self._wall_start) * 1000.0
-
-    def add_event(self, name: str, sim_time: float, attrs: Mapping | None = None) -> None:
-        event: dict = {"name": name, "sim_time": sim_time}
-        if attrs:
-            event["attrs"] = dict(attrs)
-        self.events.append(event)
-
-    def to_dict(self) -> dict:
-        """JSON-safe export (wall-clock rounded to microseconds)."""
-        document: dict = {
-            "id": self.id,
-            "parent": self.parent,
-            "kind": self.kind,
-            "name": self.name,
-            "sim_start": self.sim_start,
-            "sim_end": self.sim_end,
-            "wall_ms": round(self._wall_ms, 3),
-        }
-        if self.attrs:
-            document["attrs"] = self.attrs
-        if self.events:
-            document["events"] = self.events
-        return document
-
-
-class SpanRecorder:
-    """Records the span tree of one execution context.
-
-    One recorder observes either a whole sequential study or a single
-    shard inside a worker process.  ``context_map`` translates the
-    measurement application's ``(kind, vantage, batch)`` coordinates
-    into shard ids (built by :func:`repro.runner.shard.shard_context_map`);
-    a worker passes the one-entry map for its own shard, the
-    sequential study passes the full map, and both therefore mint
-    identical ``(shard_id, seq)`` identifiers for identical work.
-
-    Truthiness-gated like :class:`~repro.obs.metrics.MetricsRegistry`:
-    instrumented call sites pay one predicate when no recorder is
-    installed.
-    """
-
-    def __init__(
-        self,
-        clock: Callable[[], float] | None = None,
-        detail: str = DETAIL_EPOCH,
-        context_map: Mapping[tuple[str, str, int], int] | None = None,
-        flight=None,
-    ) -> None:
-        if detail not in (DETAIL_EPOCH, DETAIL_PROBE):
-            raise ValueError(f"unknown span detail level: {detail!r}")
-        self._clock = clock if clock is not None else (lambda: 0.0)
-        self.detail = detail
-        self._context_map = dict(context_map or {})
-        self._flight = flight
-        #: shard_id -> its (still open) shard span.
-        self._shard_spans: dict[int, Span] = {}
-        #: shard_id -> next sequence number.
-        self._seq: dict[int, int] = {}
-        #: Closed + open spans below the shard level, per shard.
-        self._spans_by_shard: dict[int, list[Span]] = {}
-        #: Open spans of the *current* context, innermost last.
-        self._stack: list[Span] = []
-        #: Events recorded while no span is open (fault installation
-        #: runs inside ``begin_epoch``, before the epoch span opens);
-        #: flushed into the next span that opens.
-        self._pending_events: list[tuple[str, float, dict | None]] = []
-        self._shard_id: int | None = None
-
-    def __bool__(self) -> bool:
-        return True
-
-    # ------------------------------------------------------------------
-    # Context management
-    # ------------------------------------------------------------------
-    def bind_clock(self, clock: Callable[[], float]) -> None:
-        """Attach the simulated clock spans read their sim times from."""
-        self._clock = clock
-
-    def enter_context(self, kind: str, vantage_key: str, batch: int = 0) -> None:
-        """Switch to the shard owning ``(kind, vantage, batch)`` work.
-
-        Requires every non-shard span of the previous context to be
-        closed (epochs never interleave).  Unknown coordinates fall
-        back to shard 0 so a recorder without a map still works.
-        """
-        if self._stack:
-            raise RuntimeError(
-                "cannot switch span context with open spans: "
-                + " > ".join(span.name for span in self._stack)
-            )
-        shard = self._context_map.get((kind, vantage_key, batch), 0)
-        self._set_shard(shard)
-
-    def _set_shard(self, shard_id: int) -> None:
-        self._shard_id = shard_id
-        if shard_id not in self._shard_spans:
-            seq = self._next_seq(shard_id)
-            span = Span(
-                id=span_id(shard_id, seq),
-                parent=ROOT_SPAN_ID,
-                kind="shard",
-                name=f"shard-{shard_id}",
-                sim_start=0.0,
-                attrs={"shard_id": shard_id},
-            )
-            self._shard_spans[shard_id] = span
-            self._spans_by_shard[shard_id] = [span]
-            if self._flight:
-                self._flight.record("span-open", id=span.id, kind="shard", name=span.name)
-
-    def _next_seq(self, shard_id: int) -> int:
-        seq = self._seq.get(shard_id, 0)
-        self._seq[shard_id] = seq + 1
-        return seq
-
-    # ------------------------------------------------------------------
-    # Recording
-    # ------------------------------------------------------------------
-    @contextmanager
-    def span(self, kind: str, name: str, **attrs):
-        """Open a child span of the innermost open span (or the shard)."""
-        if self._shard_id is None:
-            self._set_shard(0)
-        shard = self._shard_id
-        parent = self._stack[-1].id if self._stack else self._shard_spans[shard].id
-        span = Span(
-            id=span_id(shard, self._next_seq(shard)),
-            parent=parent,
-            kind=kind,
-            name=name,
-            sim_start=self._clock(),
-            attrs=dict(attrs) if attrs else None,
-        )
-        for event_name, sim_time, event_attrs in self._pending_events:
-            span.add_event(event_name, sim_time, event_attrs)
-        self._pending_events.clear()
-        self._spans_by_shard[shard].append(span)
-        self._stack.append(span)
-        if self._flight:
-            self._flight.record("span-open", id=span.id, kind=kind, name=name)
-        try:
-            yield span
-        finally:
-            span.close(self._clock())
-            self._stack.pop()
-            if self._flight:
-                self._flight.record(
-                    "span-close", id=span.id, name=name, sim_end=span.sim_end
-                )
-
-    def event(self, name: str, **attrs) -> None:
-        """Attach a point event to the innermost open span.
-
-        Events recorded between spans (fault installation during
-        ``begin_epoch``) are buffered and flushed into the next span
-        that opens — the epoch they impair.
-        """
-        sim_time = self._clock()
-        if self._stack:
-            self._stack[-1].add_event(name, sim_time, attrs or None)
-        else:
-            self._pending_events.append((name, sim_time, dict(attrs) if attrs else None))
-        if self._flight:
-            self._flight.record("span-event", name=name, attrs=dict(attrs))
-
-    def annotate(self, **attrs) -> None:
-        """Merge attributes into the innermost open span."""
-        if self._stack:
-            self._stack[-1].attrs.update(attrs)
-
-    @property
-    def current_span_id(self) -> str | None:
-        """Id of the innermost open span — the event-log correlation id."""
-        return self._stack[-1].id if self._stack else None
-
-    # ------------------------------------------------------------------
-    # Export
-    # ------------------------------------------------------------------
-    def shard_exports(self) -> dict[int, list[dict]]:
-        """Per-shard span subtrees (shard span first), JSON-safe.
-
-        The shard span's simulated interval is synthesized from its
-        children — a sequential run executes one shard's epochs
-        interleaved with other shards', so recording order cannot
-        define it deterministically.
-        """
-        exports: dict[int, list[dict]] = {}
-        for shard_id, spans in self._spans_by_shard.items():
-            shard_span = self._shard_spans[shard_id]
-            shard_span._wall_ms = sum(s._wall_ms for s in spans if s is not shard_span)
-            children = [s for s in spans if s is not shard_span]
-            if children:
-                shard_span.sim_start = min(s.sim_start for s in children)
-                shard_span.sim_end = max(s.sim_end for s in children)
-            exports[shard_id] = [span.to_dict() for span in spans]
-        return exports
-
-    def export(self) -> list[dict]:
-        """The full study span list (root first), for a sequential run."""
-        return assemble_study_spans(self.shard_exports())
-
-
-class NullSpanRecorder:
-    """Disabled recorder: falsey, every operation a no-op."""
-
-    __slots__ = ()
-    detail = DETAIL_EPOCH
-
-    def __bool__(self) -> bool:
-        return False
-
-    def bind_clock(self, clock) -> None:
-        pass
-
-    def enter_context(self, kind: str, vantage_key: str, batch: int = 0) -> None:
-        pass
-
-    @contextmanager
-    def span(self, kind: str, name: str, **attrs):
-        yield None
-
-    def event(self, name: str, **attrs) -> None:
-        pass
-
-    def annotate(self, **attrs) -> None:
-        pass
-
-    @property
-    def current_span_id(self) -> None:
-        return None
-
-
-#: Shared disabled-recorder sentinel.
-NULL_SPANS = NullSpanRecorder()
-
-
-# ----------------------------------------------------------------------
-# Assembly and comparison
-# ----------------------------------------------------------------------
-def assemble_study_spans(shard_exports: Mapping[int, list[dict]]) -> list[dict]:
-    """Merge per-shard span subtrees under a synthetic study root.
-
-    This is the single assembly path shared by the sequential recorder
-    (:meth:`SpanRecorder.export`) and the parallel runner's merge of
-    worker-shipped subtrees, so the two modes produce structurally
-    identical documents by construction: spans sorted by
-    ``(shard_id, seq)``, root first.
+    Shards are laid out in id order, so the result is a pure function
+    of the streams, never of which process recorded them or when.
     """
     spans: list[dict] = []
-    for shard_id in sorted(shard_exports):
-        spans.extend(shard_exports[shard_id])
-    root: dict = {
-        "id": ROOT_SPAN_ID,
-        "parent": None,
-        "kind": "study",
-        "name": "study",
+    for shard_id in sorted(streams):
+        spans.extend(_shard_spans(shard_id, streams[shard_id]))
+    wall_ms = sum(s["wall_ms"] for s in spans if s["kind"] == "shard")
+    return [_enclosing(ROOT_SPAN_ID, None, "study", "study", spans, wall_ms)] + spans
+
+
+def _enclosing(ident: str, parent, kind: str, name: str, spans: list, wall_ms: float) -> dict:
+    """A synthesized span covering the simulated interval of ``spans``."""
+    return {
+        "id": ident,
+        "parent": parent,
+        "kind": kind,
+        "name": name,
         "sim_start": min((s["sim_start"] for s in spans), default=0.0),
         "sim_end": max((s["sim_end"] for s in spans), default=0.0),
-        "wall_ms": round(
-            sum(s["wall_ms"] for s in spans if s["kind"] == "shard"), 3
-        ),
+        "wall_ms": round(wall_ms, 3),
     }
-    return [root] + spans
 
 
-def canonical_spans(spans: Iterable[Mapping]) -> list[dict]:
-    """The deterministic projection of a span list.
+def _shard_spans(shard_id: int, stream: Iterable) -> list[dict]:
+    """One shard's spans (shard span first) from its record stream.
 
-    Strips wall-clock fields — facts about one run — leaving exactly
-    the fields the sharded-equals-sequential contract covers.
+    Events at info level and above become point events of the
+    innermost open span; events recorded between spans (fault
+    installation runs inside ``begin_epoch``, before the epoch span
+    opens) land in the next span that opens — the epoch they impair.
+    An event's subtype rides in the log under a field named after its
+    kind (``fault=link_flap``: ``kind`` is the envelope's); on the
+    timeline it becomes the point event's ``kind`` attribute.
+
+    The shard span (``s<shard>.0``) is synthesized from its children:
+    a sequential run executes one shard's epochs interleaved with other
+    shards', so recording order cannot define its interval.
     """
-    canonical = []
+    spans: list[dict] = []
+    stack: list[dict] = []
+    pending: list[dict] = []
+    for sim_time, record in stream:
+        kind = record["kind"]
+        if kind == SPAN_OPEN:
+            span: dict = {
+                "id": record["id"],
+                "parent": record["parent"],
+                "kind": record["span"],
+                "name": record["name"],
+                "sim_start": sim_time,
+                "sim_end": sim_time,
+                "wall_ms": 0.0,
+            }
+            if record.get("attrs"):
+                span["attrs"] = dict(record["attrs"])
+            if pending:
+                span["events"], pending = pending, []
+            spans.append(span)
+            stack.append(span)
+        elif kind == SPAN_CLOSE:
+            span = stack.pop()
+            span["sim_end"] = sim_time
+            span["wall_ms"] = record["wall_ms"]
+        elif record["level"] != "debug":
+            event: dict = {"name": kind, "sim_time": sim_time}
+            attrs = {
+                ("kind" if key == kind else key): value
+                for key, value in record.items()
+                if key not in _ENVELOPE
+            }
+            if attrs:
+                event["attrs"] = attrs
+            if stack:
+                stack[-1].setdefault("events", []).append(event)
+            else:
+                pending.append(event)
+    if not spans:
+        return spans
+    wall_ms = sum(s["wall_ms"] for s in spans)
+    shard = _enclosing(
+        span_id(shard_id, 0), ROOT_SPAN_ID, "shard", f"shard-{shard_id}", spans, wall_ms
+    )
+    shard["attrs"] = {"shard_id": shard_id}
     for span in spans:
-        entry = {k: v for k, v in span.items() if k not in _WALL_FIELDS}
-        canonical.append(entry)
-    return canonical
+        span["wall_ms"] = round(span["wall_ms"], 3)
+    return [shard] + spans
 
 
 def span_children(spans: Iterable[Mapping]) -> dict[str | None, list[dict]]:
@@ -449,9 +215,6 @@ def export_chrome_trace(spans: Iterable[Mapping], path) -> dict:
     Load the file in Perfetto (https://ui.perfetto.dev) or
     ``chrome://tracing`` to browse the campaign timeline.
     """
-    import json
-    from pathlib import Path
-
     document = {
         "displayTimeUnit": "ms",
         "otherData": {"clock": "simulated", "generator": "repro.obs.spans"},

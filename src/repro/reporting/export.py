@@ -187,7 +187,7 @@ def export_spans_json(path: str | Path, spans: list[dict]) -> dict:
 
     The payload wraps the spans in a version-tagged envelope so loaders
     can reject foreign files, mirroring the shard wire format and the
-    flight-recorder dump format.
+    flight dump format.
     """
     payload = {"format": "ecn-udp-spans/1", "spans": spans}
     atomic_write_text(path, json.dumps(payload, indent=2))

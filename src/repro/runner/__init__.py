@@ -31,22 +31,12 @@ from typing import Mapping, Sequence
 
 from ..core.measurement import ProgressFn, trace_plan
 from ..core.traces import TraceSet, TracerouteCampaign
-from ..obs import (
-    FlightRecorder,
-    MetricsRegistry,
-    RunTelemetry,
-    ShardRecord,
-    assemble_study_events,
-    assemble_study_spans,
-    merge_snapshots,
-)
+from ..obs import EventLog, MetricsRegistry, RunTelemetry, ShardRecord
 from ..scenario.internet import SyntheticInternet
 from ..spec import StudySpec
 from .merge import (
     MergeError,
     WIRE_FORMAT,
-    collect_shard_events,
-    collect_shard_spans,
     decode_path,
     decode_trace,
     encode_path,
@@ -86,8 +76,6 @@ __all__ = [
     "ShardScheduler",
     "SharedWorkerPool",
     "WIRE_FORMAT",
-    "collect_shard_events",
-    "collect_shard_spans",
     "decode_path",
     "decode_trace",
     "encode_path",
@@ -112,9 +100,7 @@ def run_study_parallel(
     faults: Mapping[int, "FaultSpec"] | None = None,
     telemetry: RunTelemetry | None = None,
     observe: bool | None = None,
-    span_detail: str | None = None,
-    span_sink: list | None = None,
-    event_sink: list | None = None,
+    record: str | None = None,
     event_log=None,
     flight_dir: str | Path | None = None,
     profile_dir: str | Path | None = None,
@@ -156,28 +142,25 @@ def run_study_parallel(
     per-process world cache across studies with the same world key.
     ``workers`` is then informational only.
 
-    ``span_detail`` turns on per-shard span recording at the given
-    level; worker subtrees ship back in the wire results and the
-    assembled study span list (root first, deduplicated by shard) is
-    appended to ``span_sink``.  ``flight_dir`` arms crash flight
-    recorders on both sides of the process boundary: workers dump
-    ``flight-shard-<id>.json`` when a shard execution dies, and the
-    parent dumps ``flight-parent.json`` on any scheduler recovery path
-    (gang retry after a hang or pool loss, retry-budget exhaustion) or
-    a :class:`ProgressOverflowError`.  ``profile_dir`` captures one
-    cProfile stats file per shard execution.
-
-    ``event_sink`` turns on per-shard structured event buffering:
-    each worker runs under a fresh :class:`~repro.obs.EventLog`
-    (epoch starts, chaos installations — no wall stamps), buffers ship
-    back in the wire results, and the assembled study event list
-    (ordered by ``(shard, seq)``, deduplicated by shard) is appended
-    to the sink — byte-identical to a sequential run's log.
-    ``event_log`` is different: a live, wall-clock
-    :class:`~repro.obs.EventLog` (the serve layer's, or the study's
-    own) that the parent-side scheduler narrates shard lifecycle into
-    — dispatch, retries, gang recoveries, pool rebuilds.
+    ``event_log`` is the parent's :class:`~repro.obs.EventLog`: the
+    scheduler narrates shard lifecycle into it — dispatch, completions,
+    retries, gang recoveries, pool rebuilds.  ``record`` (a span detail
+    level) turns on per-shard recording: each worker records its
+    shard's events and spans (no wall stamps), the streams ship back in
+    the wire results, and ``event_log`` absorbs them (deduplicated by
+    shard) — its :meth:`~repro.obs.EventLog.events` and
+    :meth:`~repro.obs.EventLog.spans` views then equal a sequential
+    run's.  ``flight_dir`` arms crash flight dumps on both sides of the
+    process boundary: workers dump ``flight-shard-<id>.json`` when a
+    shard execution dies, and the parent dumps its log's tail to
+    ``flight-parent.json`` on any scheduler recovery path (gang retry
+    after a hang or pool loss, retry-budget exhaustion) or a
+    :class:`ProgressOverflowError`; without an ``event_log`` the
+    parent keeps a fresh one for the purpose.  ``profile_dir``
+    captures one cProfile stats file per shard execution.
     """
+    if record is not None and event_log is None:
+        raise ValueError("record= needs an event_log to absorb the shard records")
     if world is None:
         world = spec.build_world()
     spec = spec.with_fault_plan(world)
@@ -199,8 +182,7 @@ def run_study_parallel(
             shard=shard,
             fault=fault_map.get(shard.shard_id),
             observe=observe,
-            span_detail=span_detail,
-            events=event_sink is not None,
+            record=record,
             flight_dir=flight_path,
             profile_dir=profile_path,
         )
@@ -209,15 +191,16 @@ def run_study_parallel(
     aggregator = ProgressAggregator(
         progress, sum(shard.units(len(target_tuple)) for shard in shards)
     )
-    parent_flight = (
-        FlightRecorder(label="parent") if flight_path is not None else None
-    )
+    log = event_log
+    if log is None and flight_path is not None:
+        log = EventLog()
 
     def on_complete(job: ShardJob, result: dict) -> None:
         aggregator.shard_completed(job.shard, job.shard.units(len(target_tuple)))
-        if parent_flight:
-            parent_flight.record(
+        if log:
+            log.emit(
                 "shard-complete",
+                "debug",
                 shard=job.shard.shard_id,
                 attempts=job.attempt + 1,
             )
@@ -239,10 +222,9 @@ def run_study_parallel(
         retry=retry,
         shard_timeout=shard_timeout,
         metrics=runner_metrics,
-        flight=parent_flight,
+        log=log,
         flight_dir=flight_path,
         pool=pool,
-        events=event_log,
     )
     started = time.perf_counter()
     try:
@@ -250,9 +232,9 @@ def run_study_parallel(
     except ProgressOverflowError as exc:
         # Strict progress accounting tripped: the shard plan and the
         # completions disagree.  Leave the black box before aborting.
-        if parent_flight is not None and flight_path is not None:
-            parent_flight.record("progress-overflow", error=str(exc))
-            parent_flight.dump(flight_path, reason=f"progress overflow: {exc}")
+        if log and flight_path is not None:
+            log.emit("progress-overflow", "alert", error=str(exc))
+            log.dump(flight_path, f"progress overflow: {exc}")
         raise
     if telemetry is not None:
         telemetry.workers = workers
@@ -269,12 +251,12 @@ def run_study_parallel(
         telemetry.merge_metrics(
             by_shard[shard_id] for shard_id in sorted(by_shard)
         )
-    if span_sink is not None and span_detail is not None:
-        # Same dedup-by-shard discipline as metrics, same assembly
-        # path as the sequential recorder: bit-identical by design.
-        span_sink.extend(assemble_study_spans(collect_shard_spans(results)))
-    if event_sink is not None:
-        event_sink.extend(assemble_study_events(collect_shard_events(results)))
+    if record is not None:
+        # Same dedup-by-shard discipline as metrics; the views then run
+        # over the same per-shard streams a sequential log fills.
+        for result in results:
+            if "record" in result:
+                event_log.absorb(result["shard_id"], result["record"])
     traces = merge_traces(
         (r for r in results if r["kind"] == KIND_TRACES),
         server_addrs=list(target_tuple),

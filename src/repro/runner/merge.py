@@ -149,43 +149,6 @@ def merge_traces(
     return trace_set
 
 
-def collect_shard_spans(results: Iterable[dict]) -> dict[int, list[dict]]:
-    """Gather per-shard span subtrees from wire results, deduplicated.
-
-    Workers ship their span recorder's
-    :meth:`~repro.obs.SpanRecorder.shard_exports` under the ``spans``
-    key.  A shard observed twice (gang-recovery races) contributes one
-    subtree — either copy is canonically identical by the span
-    determinism contract.  Feed the result to
-    :func:`repro.obs.assemble_study_spans`.
-    """
-    by_shard: dict[int, list[dict]] = {}
-    for result in results:
-        _check_format(result)
-        for shard_id, spans in result.get("spans", {}).items():
-            by_shard.setdefault(int(shard_id), spans)
-    return by_shard
-
-
-def collect_shard_events(results: Iterable[dict]) -> dict[int, list[dict]]:
-    """Gather per-shard event buffers from wire results, deduplicated.
-
-    Workers ship their event log's export under the ``events`` key.
-    The same setdefault discipline as :func:`collect_shard_spans`: a
-    shard observed twice contributes one buffer — either copy is
-    identical by the event determinism contract (per-shard seqs, no
-    wall stamps).  Feed the result to
-    :func:`repro.obs.assemble_study_events`.
-    """
-    by_shard: dict[int, list[dict]] = {}
-    for result in results:
-        _check_format(result)
-        events = result.get("events")
-        if events:
-            by_shard.setdefault(int(result["shard_id"]), events)
-    return by_shard
-
-
 def merge_campaign(
     results: Iterable[dict],
     vantage_order: Sequence[str],

@@ -61,10 +61,9 @@ class ShardScheduler:
         retry: RetryPolicy | None = None,
         shard_timeout: float | None = None,
         metrics=None,
-        flight=None,
+        log=None,
         flight_dir=None,
         pool=None,
-        events=None,
     ) -> None:
         self.workers = workers
         self.retry = retry if retry is not None else RetryPolicy()
@@ -81,19 +80,15 @@ class ShardScheduler:
         #: Parent-side :mod:`repro.obs` registry for runner counters
         #: (``runner.shards_dispatched`` etc.); falsey when disabled.
         self.metrics = metrics
-        #: Parent-side :class:`~repro.obs.FlightRecorder` capturing
-        #: dispatch/retry/recovery decisions; dumped to ``flight_dir``
-        #: whenever a recovery path fires (gang retry, pool rebuild,
-        #: budget exhaustion), so even a run that ultimately succeeds
-        #: leaves a black box of every brush with failure.
-        self.flight = flight
-        self.flight_dir = flight_dir
-        #: Parent-side live :class:`~repro.obs.EventLog` the scheduler
+        #: Parent-side :class:`~repro.obs.EventLog` the scheduler
         #: narrates shard lifecycle into (dispatch, retries, gang
-        #: recoveries, pool rebuilds); falsey when disabled.  Distinct
-        #: from the workers' deterministic per-shard logs — these
-        #: events carry wall clocks and never join the merge contract.
-        self.events = events
+        #: recoveries, pool rebuilds); falsey when disabled.  Its tail
+        #: is dumped to ``flight_dir`` whenever a recovery path fires,
+        #: so even a run that ultimately succeeds leaves a black box of
+        #: every brush with failure.  These records never join a shard
+        #: stream, so they stay out of the merge contract.
+        self.log = log
+        self.flight_dir = flight_dir
 
     # ------------------------------------------------------------------
     # Entry point
@@ -108,14 +103,8 @@ class ShardScheduler:
             return []
         if self.metrics:
             self.metrics.incr("runner.shards_dispatched", len(jobs))
-        if self.flight:
-            self.flight.record(
-                "dispatch", shards=len(jobs), workers=self.workers
-            )
-        if self.events:
-            self.events.emit(
-                "shard-dispatch", "info", shards=len(jobs), workers=self.workers
-            )
+        if self.log:
+            self.log.emit("dispatch", "info", shards=len(jobs), workers=self.workers)
         if self.pool is not None:
             return self._run_pooled(jobs, self.pool.acquire, on_complete)
         if self.workers <= 0:
@@ -298,20 +287,14 @@ class ShardScheduler:
         Used when failure cannot be attributed to a single shard (dead
         pool, global hang): one shared backoff, then all back in.
         """
-        if self.flight:
-            self.flight.record(
-                "gang-recovery",
-                cause=repr(cause),
-                shards=[job.shard.shard_id for job in owed],
-            )
-            self._dump_flight(f"gang recovery: {cause}")
-        if self.events:
-            self.events.emit(
+        if self.log:
+            self.log.emit(
                 "gang-recovery",
                 "warning",
                 cause=repr(cause),
                 shards=[job.shard.shard_id for job in owed],
             )
+        self._dump_flight(f"gang recovery: {cause}")
         retries = [self._next_attempt(job, cause, sleep=False) for job in owed]
         if self.metrics:
             self.metrics.incr("runner.shards_recovered", len(retries))
@@ -325,10 +308,8 @@ class ShardScheduler:
     def _require_executor(self, executor_factory):
         if self.metrics:
             self.metrics.incr("runner.pool_rebuilds")
-        if self.flight:
-            self.flight.record("pool-rebuild")
-        if self.events:
-            self.events.emit("pool-rebuild", "warning")
+        if self.log:
+            self.log.emit("pool-rebuild", "warning")
         executor = executor_factory()
         if executor is None:
             self._dump_flight("worker pool died and could not be rebuilt")
@@ -339,8 +320,8 @@ class ShardScheduler:
 
     def _dump_flight(self, reason: str) -> None:
         """Dump the parent black box (no-op when not armed)."""
-        if self.flight is not None and self.flight_dir is not None:
-            self.flight.dump(self.flight_dir, reason=reason)
+        if self.log and self.flight_dir is not None:
+            self.log.dump(self.flight_dir, reason)
 
     # ------------------------------------------------------------------
     # Retry bookkeeping
@@ -350,32 +331,22 @@ class ShardScheduler:
     ) -> ShardJob:
         attempt = job.attempt + 1
         if attempt >= self.retry.max_attempts:
-            if self.flight:
-                self.flight.record(
-                    "budget-exhausted", shard=job.shard.shard_id, error=repr(exc)
-                )
-                self._dump_flight(
-                    f"shard {job.shard.shard_id} exhausted its retry budget"
-                )
-            if self.events:
-                self.events.emit(
+            if self.log:
+                self.log.emit(
                     "budget-exhausted",
                     "alert",
                     shard=job.shard.shard_id,
                     error=repr(exc),
                 )
+            self._dump_flight(f"shard {job.shard.shard_id} exhausted its retry budget")
             raise ShardExecutionError(
                 f"shard {job.shard.shard_id} ({job.shard.label()}) failed "
                 f"after {attempt} attempts: {exc}"
             ) from exc
         if self.metrics:
             self.metrics.incr("runner.shards_retried")
-        if self.flight:
-            self.flight.record(
-                "shard-retry", shard=job.shard.shard_id, attempt=attempt, error=repr(exc)
-            )
-        if self.events:
-            self.events.emit(
+        if self.log:
+            self.log.emit(
                 "shard-retry",
                 "warning",
                 shard=job.shard.shard_id,

@@ -69,7 +69,7 @@ def shard_context_map(
 ) -> dict[tuple[str, str, int], int]:
     """Map ``(kind, vantage, batch)`` execution contexts to shard ids.
 
-    This is how the span recorder attributes work to shards without
+    This is how the event log attributes work to shards without
     the measurement application knowing about sharding: the sequential
     study resolves every epoch through the full map, a worker through
     the entries of its own shard, and both mint identical span ids

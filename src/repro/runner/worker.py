@@ -10,11 +10,13 @@ against it; hermetic measurement epochs guarantee the execution order
 across shards cannot influence results.
 
 Observability rides along per job: ``observe`` installs a fresh
-metrics registry, ``span_detail`` a fresh span recorder (its subtree
-ships back in the wire result), ``profile_dir`` wraps the measurement
-in :mod:`cProfile`, and ``flight_dir`` arms the process-wide crash
-flight recorder — a bounded ring of span/fault/lifecycle events dumped
-to ``flight-shard-<id>.json`` when a shard execution dies.
+metrics registry, ``profile_dir`` wraps the measurement in
+:mod:`cProfile`, and ``record`` / ``flight_dir`` give the job its own
+:class:`~repro.obs.EventLog`.  With ``record`` the log records the
+shard's events and spans (its stream ships back in the wire result);
+with ``flight_dir`` the log's tail — lifecycle, fault and span records
+of exactly this job — is dumped to ``flight-shard-<id>.json`` when the
+shard execution dies.
 
 Fault injection (:class:`FaultSpec`) exists for the scheduler's
 retry-path tests: a job can be told to raise — or hard-kill its worker
@@ -31,13 +33,11 @@ from pathlib import Path
 
 from ..core.measurement import MeasurementApplication
 from ..obs.events import EventLog
-from ..obs.flight import FlightRecorder
 from ..obs.metrics import MetricsRegistry
-from ..obs.spans import SpanRecorder
 from ..scenario.internet import SyntheticInternet
 from ..spec import StudySpec
 from .merge import WIRE_FORMAT, encode_path, encode_trace
-from .shard import KIND_TRACES, Shard, shard_context_map
+from .shard import KIND_TRACES, Shard
 
 #: Fault kinds understood by :func:`execute_shard`.
 FAULT_RAISE = "raise"
@@ -78,13 +78,11 @@ class ShardJob:
     #: this shard and ships its snapshot (plus timing) in the result.
     observe: bool = False
     #: Span detail level (:data:`repro.obs.DETAIL_EPOCH` /
-    #: :data:`~repro.obs.DETAIL_PROBE`); ``None`` records no spans.
-    span_detail: str | None = None
-    #: When True the worker buffers structured events (epoch starts,
-    #: chaos installations) in a fresh per-shard EventLog and ships
-    #: them back under the wire result's ``events`` key.
-    events: bool = False
-    #: Directory for crash flight-recorder dumps; ``None`` disarms.
+    #: :data:`~repro.obs.DETAIL_PROBE`) the worker records the shard's
+    #: events and spans at, shipped back under the wire result's
+    #: ``record`` key; ``None`` records nothing.
+    record: str | None = None
+    #: Directory for crash flight dumps; ``None`` disarms.
     flight_dir: str | None = None
     #: Directory for per-shard cProfile dumps; ``None`` disables.
     profile_dir: str | None = None
@@ -106,11 +104,6 @@ WORLD_CACHE_SIZE = 4
 #: Lifetime cache hits/misses for this worker process (observability
 #: and the serve dedupe tests; not part of the shard wire format).
 _WORLD_CACHE_STATS = {"hits": 0, "misses": 0}
-
-#: Per-process flight recorder: the black box this worker dumps when a
-#: shard execution dies.  One ring per process (not per shard) so the
-#: tail can span a world rebuild or an earlier shard's spans.
-_FLIGHT: FlightRecorder | None = None
 
 
 def _world_for(spec: StudySpec) -> SyntheticInternet:
@@ -138,92 +131,73 @@ def world_cache_stats() -> dict:
     return dict(_WORLD_CACHE_STATS)
 
 
-def _flight_recorder() -> FlightRecorder:
-    global _FLIGHT
-    if _FLIGHT is None:
-        _FLIGHT = FlightRecorder(label="worker")
-    return _FLIGHT
-
-
-def _dump_flight(flight: FlightRecorder, job: ShardJob, reason: str) -> None:
-    """Dump the worker's ring as this shard's black box."""
-    flight.label = f"shard-{job.shard.shard_id}"
-    flight.dump(
-        job.flight_dir,
-        reason=reason,
-        shard_id=job.shard.shard_id,
-        shard_label=job.shard.label(),
-        attempt=job.attempt,
-    )
+def _dump_flight(log: EventLog, job: ShardJob, reason: str) -> None:
+    """Dump the job's log tail as this shard's black box (if armed)."""
+    if job.flight_dir is not None:
+        log.dump(
+            job.flight_dir,
+            reason,
+            label=f"shard-{job.shard.shard_id}",
+            shard_id=job.shard.shard_id,
+            shard_label=job.shard.label(),
+            attempt=job.attempt,
+        )
 
 
 def execute_shard(job: ShardJob) -> dict:
     """Run one shard to completion and return its wire-format result."""
-    flight = _flight_recorder() if job.flight_dir is not None else None
-    if flight:
-        flight.record(
+    shard = job.shard
+    log = None
+    if job.record is not None or job.flight_dir is not None:
+        # One log per job: a crash dump narrates exactly the shard that
+        # triggered it.  Its one-entry context map resolves the shard's
+        # epochs to the id the sequential study's full map gives them.
+        context = (shard.kind, shard.vantage_key, shard.batch)
+        log = EventLog(
+            stamp_wall=False, detail=job.record, context_map={context: shard.shard_id}
+        )
+        log.emit(
             "shard-start",
-            shard=job.shard.shard_id,
-            label=job.shard.label(),
+            "debug",
+            shard=shard.shard_id,
+            label=shard.label(),
             attempt=job.attempt,
         )
     try:
-        result = _execute_shard(job, flight)
+        return _execute_shard(job, log)
     except BaseException as exc:
-        if flight is not None:
-            flight.record(
-                "shard-crash", shard=job.shard.shard_id, error=repr(exc)
-            )
-            _dump_flight(flight, job, reason=f"{type(exc).__name__}: {exc}")
+        if log is not None:
+            log.emit("shard-crash", "alert", shard=shard.shard_id, error=repr(exc))
+            _dump_flight(log, job, reason=f"{type(exc).__name__}: {exc}")
         raise
-    if flight:
-        flight.record(
-            "shard-done",
-            shard=job.shard.shard_id,
-            elapsed=round(result.get("elapsed", 0.0), 3),
-        )
-    return result
 
 
-def _execute_shard(job: ShardJob, flight: FlightRecorder | None) -> dict:
+def _execute_shard(job: ShardJob, log: EventLog | None) -> dict:
     if job.fault is not None and job.attempt < job.fault.attempts:
-        if flight is not None:
-            # The injected crash fires before the measurement builds
-            # its per-shard event log, so narrate the injection into a
-            # fresh shard-scoped log first: the crash dump's event tail
-            # then describes the *triggering* shard, never whatever
-            # shard this worker process happened to run last.
-            crash_log = None
-            if job.events:
-                crash_log = EventLog(stamp_wall=False, shard=job.shard.shard_id)
-                crash_log.emit(
-                    "fault-injected",
-                    "warning",
-                    fault=job.fault.kind,
-                    attempt=job.attempt,
-                )
-            flight.attach_events(crash_log)
+        if log is not None:
+            if job.fault.kind == FAULT_EXIT:
+                log.emit("shard-killed", "alert", shard=job.shard.shard_id)
+            log.emit(
+                "fault-injected",
+                "warning",
+                shard=job.shard.shard_id,
+                fault=job.fault.kind,
+                attempt=job.attempt,
+            )
         if job.fault.kind == FAULT_EXIT:
             # Simulate a crashed/killed worker: bypass all exception
             # handling, including the executor's own bookkeeping.  The
-            # flight recorder flushes first — standing in for the
+            # flight dump is written first — standing in for the
             # persistent ring file a production recorder would keep,
             # which is exactly what survives a real SIGKILL.
-            if flight is not None:
-                flight.record("shard-killed", shard=job.shard.shard_id)
-                _dump_flight(flight, job, reason="injected hard kill (os._exit)")
+            if log is not None:
+                _dump_flight(log, job, reason="injected hard kill (os._exit)")
             os._exit(1)
         if job.fault.kind == FAULT_HANG:
             # Simulate a wedged worker.  The parent abandons the pool
             # when its hang budget expires; once the sleep ends this
             # raise lands in the abandoned executor and frees the
             # process, so tests don't leak sleeping workers past exit.
-            if flight is not None:
-                flight.record(
-                    "shard-hang",
-                    shard=job.shard.shard_id,
-                    hang_seconds=job.fault.hang_seconds,
-                )
             time.sleep(job.fault.hang_seconds)
         raise InjectedShardFault(
             f"injected failure for shard {job.shard.shard_id} "
@@ -246,31 +220,12 @@ def _execute_shard(job: ShardJob, flight: FlightRecorder | None) -> dict:
     registry = MetricsRegistry() if job.observe else None
     if registry is not None:
         world.network.set_observability(registry)
-    # Likewise a fresh span recorder and event log per shard: spans ship
-    # back in the result, events carry no wall stamps (they are part of
-    # the determinism contract), and both resolve epochs through the
-    # full context map, so sequential and sharded runs mint identical
-    # ids and (shard, seq) pairs.  A retried shard re-records from
-    # scratch.
-    context_map = None
-    if job.span_detail is not None or job.events:
-        context_map = shard_context_map(world.params.schedule)
-    spans = None
-    if job.span_detail is not None:
-        spans = SpanRecorder(
-            detail=job.span_detail, context_map=context_map, flight=flight
-        )
-        world.set_span_recorder(spans)
-    event_log = None
-    if job.events:
-        event_log = EventLog(stamp_wall=False, context_map=context_map)
-        world.set_event_log(event_log)
-    if flight is not None:
-        # (Re)attach per job — also detaches a previous shard's log
-        # when this job runs without events, so a crash dump never
-        # carries a stale tail.  Not detached in the finally below:
-        # the crash dump happens *after* that finally runs.
-        flight.attach_events(event_log)
+    # Likewise the job's log records this shard only: its records carry
+    # no wall stamps (they are part of the determinism contract), and a
+    # retried shard re-records from scratch.
+    recorder = log if job.record is not None else None
+    if recorder is not None:
+        world.set_log(recorder)
     profiler = None
     if job.profile_dir is not None:
         import cProfile
@@ -291,17 +246,13 @@ def _execute_shard(job: ShardJob, flight: FlightRecorder | None) -> dict:
             profiler.disable()
         if registry is not None:
             world.network.set_observability(None)
-        if spans is not None:
-            world.set_span_recorder(None)
-        if event_log is not None:
-            world.set_event_log(None)
+        if recorder is not None:
+            world.set_log(None)
     result["elapsed"] = time.perf_counter() - started
     if registry is not None:
         result["metrics"] = registry.snapshot()
-    if spans is not None:
-        result["spans"] = spans.shard_exports()
-    if event_log is not None:
-        result["events"] = event_log.export()
+    if recorder is not None:
+        result["record"] = recorder.stream(shard.shard_id)
     if profiler is not None:
         directory = Path(job.profile_dir)
         directory.mkdir(parents=True, exist_ok=True)

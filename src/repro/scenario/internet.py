@@ -163,12 +163,9 @@ class SyntheticInternet:
         #: Optional chaos layer (:mod:`repro.faults`); installed via
         #: :meth:`install_fault_plan`, driven from :meth:`begin_epoch`.
         self.fault_injector = None
-        #: Optional :class:`repro.obs.SpanRecorder`; installed via
-        #: :meth:`set_span_recorder`, truthiness-gated at call sites.
-        self.spans = None
-        #: Optional :class:`repro.obs.EventLog`; installed via
-        #: :meth:`set_event_log`, truthiness-gated at call sites.
-        self.events = None
+        #: Optional :class:`repro.obs.EventLog` recording the study;
+        #: installed via :meth:`set_log`, truthiness-gated at call sites.
+        self.log = None
 
         self._start_services()
         self._deploy_server_middleboxes()
@@ -732,25 +729,17 @@ class SyntheticInternet:
         # didn't change — see Network.begin_epoch).
         self.network.begin_epoch()
 
-    def set_span_recorder(self, recorder) -> None:
-        """Attach (or detach, with ``None``) a span recorder.
+    def set_log(self, log) -> None:
+        """Attach (or detach, with ``None``) the study's event log.
 
-        The recorder's simulated clock is bound to this world's event
-        engine so span ``sim_start``/``sim_end`` read the same clock
+        The log's simulated clock is bound to this world's event engine
+        so span and event sim times read the same clock
         :meth:`begin_epoch` resets — the source of their determinism.
         """
-        self.spans = recorder
-        if recorder is not None:
+        self.log = log
+        if log is not None:
             scheduler = self.network.scheduler
-            recorder.bind_clock(lambda: scheduler.now)
-
-    def set_event_log(self, events) -> None:
-        """Attach (or detach, with ``None``) a structured event log.
-
-        Emission sites (the fault injector, the measurement app) read
-        ``world.events`` truthiness-gated, exactly like ``world.spans``.
-        """
-        self.events = events
+            log.bind_clock(lambda: scheduler.now)
 
     def install_fault_plan(self, plan) -> None:
         """Attach (or detach, with ``None``) a :class:`~repro.faults.FaultPlan`.

@@ -36,14 +36,14 @@ from .core.measurement import MeasurementApplication
 from .core.traces import TraceSet, TracerouteCampaign
 from .ioutil import atomic_write_text
 from .obs import (
-    DETAIL_EPOCH,
     EventLog,
     MetricsRegistry,
     PathTracer,
     RunTelemetry,
-    SpanRecorder,
     canonical_events,
+    chrome_trace_events,
     export_chrome_trace,
+    parse_events_jsonl,
     render_events_jsonl,
 )
 from .reporting.export import (
@@ -57,7 +57,7 @@ from .reporting.export import (
 from .reporting.report import full_report
 from .scenario.internet import SyntheticInternet
 from .scenario.timeline import EpochDrift
-from .spec import DEFAULT_SCALE, DEFAULT_SEED, StudySpec
+from .spec import DEFAULT_SCALE, DEFAULT_SEED, StudySpec, ValidationError
 
 
 @dataclass
@@ -78,11 +78,11 @@ class Study:
     telemetry: RunTelemetry | None = None
     #: The packet tracer used during the run, if any.
     tracer: PathTracer | None = None
-    #: Assembled span list (study root first) when span recording was
-    #: on; canonically identical for any worker count.
+    #: The span list (study root first) when recording was on;
+    #: canonically identical for any worker count.
     spans: list | None = None
-    #: Structured event stream when event collection was on, ordered
-    #: by ``(shard, seq)``; byte-identical for any worker count.
+    #: The event stream when recording was on, ordered by
+    #: ``(shard, seq)``; byte-identical for any worker count.
     events: list | None = None
     _cache: dict = field(default_factory=dict, repr=False)
 
@@ -102,8 +102,7 @@ class Study:
         trace_filter: str | None = None,
         faults=None,
         chaos_seed: int = 0,
-        record_spans: bool | str = False,
-        collect_events: bool = False,
+        record: str | None = None,
         event_log=None,
         obs_dir: str | Path | None = None,
         profile: bool = False,
@@ -158,23 +157,21 @@ class Study:
         :class:`~repro.runner.SharedWorkerPool` rather than an owned
         per-study executor (requires ``workers > 0``).
 
-        ``collect_events=True`` turns on the structured event log
-        (:mod:`repro.obs.events`): epoch starts and chaos
-        installations land on :attr:`events`, ordered by
-        ``(shard, seq)`` and byte-identical for any ``workers`` value,
-        and :meth:`save` exports them as ``events.jsonl``.
-        ``event_log`` is the live, wall-clock counterpart: a caller's
-        :class:`~repro.obs.EventLog` (the study server's, typically)
-        that the sharded runner narrates shard lifecycle into —
-        dispatch, retries, gang recoveries.  It never joins the
-        determinism contract and is ignored by sequential runs, which
-        have no runner lifecycle to narrate.
-
-        ``record_spans`` turns on the hierarchical span timeline
-        (``True`` = epoch detail, or pass a
-        :mod:`~repro.obs.spans` detail level); the assembled span list
-        lands on :attr:`spans` and is canonically identical for any
-        ``workers`` value.  ``obs_dir`` arms crash flight recorders
+        ``record`` turns on the study's :class:`~repro.obs.EventLog`
+        at a span detail level — ``"epoch"`` (study, shard, trace and
+        sweep spans) or ``"probe"`` (plus per-server probes and their
+        protocol phases).  Its two views land on :attr:`events` (epoch
+        starts and chaos installations, ordered by ``(shard, seq)``)
+        and :attr:`spans` (the hierarchical timeline, root first); both
+        are identical for any ``workers`` value once wall clocks are
+        stripped, and :meth:`save` exports them as ``events.jsonl``,
+        ``spans.json`` and ``trace.json``.  ``event_log`` is a caller's
+        live :class:`~repro.obs.EventLog` (the study server's,
+        typically) that an unrecorded sharded run narrates shard
+        lifecycle into — dispatch, retries, gang recoveries; a recorded
+        run narrates into its own log instead.  Neither narration joins
+        the determinism contract, and sequential runs have no runner
+        lifecycle to narrate.  ``obs_dir`` arms crash flight dumps
         (sharded runs dump ``flight-*.json`` there on worker death or
         runner recovery) and receives cProfile dumps when ``profile``
         is on.
@@ -202,9 +199,6 @@ class Study:
             chaos_seed=chaos_seed,
             drift=drift,
         )
-        span_detail: str | None = None
-        if record_spans:
-            span_detail = DETAIL_EPOCH if record_spans is True else record_spans
         if profile and obs_dir is None:
             raise ValueError("profile=True needs obs_dir to write profiles into")
         if pool is not None and workers <= 0:
@@ -228,14 +222,25 @@ class Study:
         metrics_snapshot: dict | None = None
         telemetry: RunTelemetry | None = None
         tracer: PathTracer | None = None
-        span_list: list | None = None
-        event_list: list | None = None
+        log = None
+        if record is not None:
+            from .runner.shard import shard_context_map
+
+            # The full (kind, vantage, batch) -> shard map: a sequential
+            # run then mints the same span ids and (shard, seq) event
+            # pairs a worker fleet would, so the views compare byte for
+            # byte.  A sharded run's log absorbs the workers' streams.
+            log = EventLog(
+                stamp_wall=False,
+                detail=record,
+                context_map=shard_context_map(
+                    world.params.schedule, traceroutes=spec.traceroutes
+                ),
+            )
         if workers > 0:
             from .runner import run_study_parallel
 
             telemetry = RunTelemetry() if collect_metrics else None
-            span_sink: list = []
-            event_sink: list = []
             traces, campaign = run_study_parallel(
                 spec,
                 workers=workers,
@@ -243,18 +248,12 @@ class Study:
                 world=world,
                 progress=progress,
                 telemetry=telemetry,
-                span_detail=span_detail,
-                span_sink=span_sink if span_detail is not None else None,
-                event_sink=event_sink if collect_events else None,
-                event_log=event_log,
+                record=record,
+                event_log=log if log is not None else event_log,
                 flight_dir=obs_dir,
                 profile_dir=obs_dir if profile else None,
                 pool=pool,
             )
-            if span_detail is not None:
-                span_list = span_sink
-            if collect_events:
-                event_list = event_sink
             if telemetry is not None:
                 metrics_snapshot = telemetry.metrics
         else:
@@ -263,25 +262,8 @@ class Study:
                 tracer = PathTracer(match=trace_filter)
             if registry is not None or tracer is not None:
                 world.network.set_observability(registry, tracer)
-            context_map = None
-            if span_detail is not None or collect_events:
-                from .runner.shard import shard_context_map
-
-                # The sequential recorders resolve every epoch through
-                # the full (kind, vantage, batch) -> shard map, so they
-                # mint the same span ids and (shard, seq) event pairs a
-                # worker fleet would: merged streams compare byte for byte.
-                context_map = shard_context_map(
-                    world.params.schedule, traceroutes=spec.traceroutes
-                )
-            recorder = None
-            if span_detail is not None:
-                recorder = SpanRecorder(detail=span_detail, context_map=context_map)
-                world.set_span_recorder(recorder)
-            event_log = None
-            if collect_events:
-                event_log = EventLog(stamp_wall=False, context_map=context_map)
-                world.set_event_log(event_log)
+            if log is not None:
+                world.set_log(log)
             if spec.plan is not None:
                 # Installed after discovery, exactly as the parallel
                 # path does (workers install the plan; the parent's
@@ -310,18 +292,12 @@ class Study:
                     profiler.disable()
                 if registry is not None or tracer is not None:
                     world.network.set_observability(None, None)
-                if recorder is not None:
-                    world.set_span_recorder(None)
-                if event_log is not None:
-                    world.set_event_log(None)
+                if log is not None:
+                    world.set_log(None)
                 if spec.plan is not None:
                     # Leave the retained world pristine, matching the
                     # parent-side world of a sharded run.
                     world.install_fault_plan(None)
-            if recorder is not None:
-                span_list = recorder.export()
-            if event_log is not None:
-                event_list = event_log.export()
             if profiler is not None:
                 directory = Path(obs_dir)
                 directory.mkdir(parents=True, exist_ok=True)
@@ -343,8 +319,8 @@ class Study:
             metrics=metrics_snapshot,
             telemetry=telemetry,
             tracer=tracer,
-            spans=span_list,
-            events=event_list,
+            spans=log.spans() if log is not None else None,
+            events=log.events() if log is not None else None,
         )
 
     # ------------------------------------------------------------------
@@ -518,22 +494,47 @@ class Study:
 
         The manifest is validated as a :class:`~repro.spec.StudySpec`
         (its ``chaos`` audit record aside), so a corrupt one raises
-        :class:`~repro.spec.ValidationError`.  The world is rebuilt
-        fault-free: chaos is a property of the run, not the world.
+        :class:`~repro.spec.ValidationError` — as do a malformed
+        ``spans.json`` or ``events.jsonl``, which load back onto
+        :attr:`spans` and :attr:`events` so a re-save reproduces them.
+        The world is rebuilt fault-free: chaos is a property of the
+        run, not the world.
         """
         directory = Path(directory)
         manifest = json.loads((directory / "manifest.json").read_text())
         if isinstance(manifest, dict):
             manifest.pop("chaos", None)
         spec = StudySpec.from_json(manifest)
-        spans = None
-        spans_path = directory / "spans.json"
-        if spans_path.exists():
-            spans = json.loads(spans_path.read_text())["spans"]
+        spans = events = None
+        if (directory / "spans.json").exists():
+            spans = _load_spans(directory / "spans.json")
+        if (directory / "events.jsonl").exists():
+            try:
+                events = parse_events_jsonl((directory / "events.jsonl").read_text())
+                canonical_events(events)  # what save() writes must be orderable
+            except (ValueError, TypeError) as exc:
+                raise ValidationError(f"events.jsonl: {exc}") from None
         return cls(
             world=spec.build_world(),
             traces=TraceSet.load(directory / "traces.json"),
             campaign=TracerouteCampaign.load(directory / "traceroutes.json"),
             spec=spec,
             spans=spans,
+            events=events,
         )
+
+
+def _load_spans(path: Path) -> list:
+    """A saved span list; a document the trace view cannot render
+    raises :class:`~repro.spec.ValidationError`."""
+    try:
+        document = json.loads(path.read_text())
+        if not isinstance(document, dict) or document.get("format") != "ecn-udp-spans/1":
+            raise ValueError("not an ecn-udp-spans/1 document")
+        spans = document.get("spans")
+        if not isinstance(spans, list):
+            raise ValueError("no 'spans' list")
+        chrome_trace_events(spans)
+    except (ValueError, RecursionError, TypeError, KeyError, AttributeError) as exc:
+        raise ValidationError(f"spans.json: {exc!s}") from None
+    return spans

@@ -7,13 +7,16 @@ the canonical (wall-stripped, ``(shard, seq)``-ordered) form the
 equivalence suite and ``events.jsonl`` rely on.
 """
 
+import json
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs import (
     NULL_EVENTS,
     EventLog,
     NullEventLog,
-    assemble_study_events,
     canonical_events,
     parse_events_jsonl,
     render_events_jsonl,
@@ -164,16 +167,18 @@ class TestShardAttribution:
 
 class TestCanonicalForm:
     def test_merge_order_is_shard_then_seq(self):
-        by_shard = {
-            1: [{"seq": 0, "kind": "b"}],
-            0: [{"seq": 0, "kind": "a"}, {"seq": 1, "kind": "c"}],
-        }
-        merged = canonical_events(assemble_study_events(by_shard))
-        assert [(e["shard"], e["seq"], e["kind"]) for e in merged] == [
-            (0, 0, "a"),
-            (0, 1, "c"),
-            (1, 0, "b"),
-        ]
+        log = EventLog(context_map=TestShardAttribution.CONTEXT_MAP)
+        log.enter_context("trace", "vp-1", 0)
+        log.emit("b")
+        log.enter_context("trace", "vp-0", 0)
+        log.emit("a")
+        log.emit("c")
+        for view in (log.events(), canonical_events(log.export())):
+            assert [(e["shard"], e["seq"], e["kind"]) for e in view] == [
+                (0, 0, "a"),
+                (0, 1, "c"),
+                (1, 0, "b"),
+            ]
 
     def test_canonical_strips_wall_and_sorts_keys(self):
         log = EventLog()
@@ -193,6 +198,30 @@ class TestCanonicalForm:
             parse_events_jsonl('{"seq": 0}\nnot json\n')
         with pytest.raises(ValueError, match="not an object"):
             parse_events_jsonl("[1, 2]\n")
+
+    def test_over_deep_json_is_a_value_error(self):
+        with pytest.raises(ValueError, match="garbled event at line 1"):
+            parse_events_jsonl("[" * 100000)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        raw=st.binary(max_size=256)
+        | st.lists(
+            st.recursive(
+                st.none() | st.integers() | st.floats() | st.text(),
+                lambda children: st.lists(children)
+                | st.dictionaries(st.text(), children),
+                max_leaves=10,
+            ).map(json.dumps),
+            max_size=4,
+        ).map(lambda lines: "\n".join(lines).encode())
+    )
+    def test_arbitrary_bytes_parse_or_raise_value_error(self, raw):
+        try:
+            events = parse_events_jsonl(raw.decode("utf-8", "surrogateescape"))
+        except ValueError:
+            return
+        assert all(isinstance(event, dict) for event in events)
 
 
 class TestNullEventLog:

@@ -28,14 +28,14 @@ ARCHIVE_FILES = ("summary.json", "traces.json", "traceroutes.json", "traces.csv"
 @pytest.fixture(scope="module")
 def sequential():
     return Study.run(
-        scale=SCALE, seed=SEED, collect_metrics=True, collect_events=True
+        scale=SCALE, seed=SEED, collect_metrics=True, record="epoch"
     )
 
 
 @pytest.fixture(scope="module")
 def sharded():
     return Study.run(
-        scale=SCALE, seed=SEED, workers=4, collect_metrics=True, collect_events=True
+        scale=SCALE, seed=SEED, workers=4, collect_metrics=True, record="epoch"
     )
 
 
@@ -112,14 +112,14 @@ class TestChaosEquivalence:
     def chaos_sequential(self):
         return Study.run(
             scale=SCALE, seed=SEED, faults="default", chaos_seed=5,
-            collect_metrics=True, collect_events=True,
+            collect_metrics=True, record="epoch",
         )
 
     @pytest.fixture(scope="class")
     def chaos_sharded(self):
         return Study.run(
             scale=SCALE, seed=SEED, faults="default", chaos_seed=5, workers=4,
-            collect_metrics=True, collect_events=True,
+            collect_metrics=True, record="epoch",
         )
 
     def test_fault_events_emitted(self, chaos_sequential):

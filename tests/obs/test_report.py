@@ -118,6 +118,15 @@ class TestLoading:
         assert render_dashboard_markdown(artifacts)
         assert render_dashboard_html(artifacts)
 
+    @pytest.mark.parametrize(
+        "name",
+        ["events.jsonl", "spans.json", "flight-shard-0.json", "telemetry.json"],
+    )
+    def test_over_deep_json_degrades_instead_of_raising(self, study_dir, name):
+        (study_dir / name).write_text("[" * 100000)
+        artifacts = load_run_artifacts(study_dir)
+        assert render_dashboard_markdown(artifacts)
+
 
 class TestSections:
     def test_all_sections_present(self, study_dir):

@@ -1,6 +1,6 @@
 """The span determinism contract: sharded ≡ sequential, bit for bit.
 
-A span tree's canonical projection (:func:`repro.obs.canonical_spans`,
+A span tree's canonical projection (:func:`repro.obs.canonical_events`,
 which strips only wall-clock attribution) must be identical between
 ``workers=0`` and ``workers=N`` for the same
 ``(scale, seed, chaos_seed)`` — same ids, same hierarchy, same
@@ -14,7 +14,7 @@ import json
 
 import pytest
 
-from repro.obs import ROOT_SPAN_ID, canonical_spans, span_children
+from repro.obs import ROOT_SPAN_ID, canonical_events, span_children
 from repro.study import Study
 
 pytestmark = pytest.mark.slow
@@ -25,18 +25,18 @@ SEED = 11
 
 @pytest.fixture(scope="module")
 def sequential():
-    return Study.run(scale=SCALE, seed=SEED, record_spans="probe")
+    return Study.run(scale=SCALE, seed=SEED, record="probe")
 
 
 @pytest.fixture(scope="module")
 def sharded():
-    return Study.run(scale=SCALE, seed=SEED, workers=2, record_spans="probe")
+    return Study.run(scale=SCALE, seed=SEED, workers=2, record="probe")
 
 
 class TestCanonicalEquivalence:
     def test_span_trees_bit_identical_across_sharding(self, sequential, sharded):
-        seq = canonical_spans(sequential.spans)
-        par = canonical_spans(sharded.spans)
+        seq = canonical_events(sequential.spans)
+        par = canonical_events(sharded.spans)
         assert seq == par
         # Byte-level too: identical JSON serialisation.
         assert json.dumps(seq, sort_keys=True) == json.dumps(par, sort_keys=True)
@@ -44,7 +44,7 @@ class TestCanonicalEquivalence:
     def test_wall_clock_rides_outside_the_contract(self, sequential):
         assert all("wall_ms" in span for span in sequential.spans)
         assert all(
-            "wall_ms" not in span for span in canonical_spans(sequential.spans)
+            "wall_ms" not in span for span in canonical_events(sequential.spans)
         )
 
     def test_probe_detail_captures_phases(self, sequential):
@@ -65,17 +65,17 @@ class TestCanonicalEquivalence:
 class TestChaoticEquivalence:
     def test_chaotic_span_trees_identical_and_carry_fault_events(self):
         seq = Study.run(
-            scale=0.02, seed=SEED, record_spans=True, faults="default", chaos_seed=3
+            scale=0.02, seed=SEED, record="epoch", faults="default", chaos_seed=3
         )
         par = Study.run(
             scale=0.02,
             seed=SEED,
             workers=2,
-            record_spans=True,
+            record="epoch",
             faults="default",
             chaos_seed=3,
         )
-        assert canonical_spans(seq.spans) == canonical_spans(par.spans)
+        assert canonical_events(seq.spans) == canonical_events(par.spans)
         fault_events = [
             event
             for span in seq.spans
@@ -90,7 +90,7 @@ class TestInertness:
         study = Study.run(scale=0.02, seed=SEED)
         assert study.spans is None
         # And recording did not perturb the measurement itself.
-        small = Study.run(scale=0.02, seed=SEED, record_spans="probe")
+        small = Study.run(scale=0.02, seed=SEED, record="probe")
         assert small.traces.to_dict() == study.traces.to_dict()
         assert small.campaign.to_dict() == study.campaign.to_dict()
 

@@ -1,4 +1,4 @@
-"""Unit tests for the hierarchical span recorder and its exports."""
+"""Unit tests for the span timeline the event log records, and its views."""
 
 import json
 
@@ -7,16 +7,16 @@ import pytest
 from repro.obs import (
     DETAIL_EPOCH,
     DETAIL_PROBE,
-    NULL_SPANS,
+    NULL_EVENTS,
     ROOT_SPAN_ID,
-    SpanRecorder,
-    assemble_study_spans,
-    canonical_spans,
+    EventLog,
+    canonical_events,
     chrome_trace_events,
     export_chrome_trace,
     span_children,
     span_id,
 )
+from repro.obs.spans import SPAN_CLOSE, SPAN_OPEN, span_tree
 
 
 class FakeClock:
@@ -27,13 +27,10 @@ class FakeClock:
         return self.now
 
 
-def recorder(clock=None, detail=DETAIL_EPOCH, context_map=None, flight=None):
-    return SpanRecorder(
-        clock=clock or FakeClock(),
-        detail=detail,
-        context_map=context_map,
-        flight=flight,
-    )
+def recorder(clock=None, detail=DETAIL_EPOCH, context_map=None):
+    log = EventLog(stamp_wall=False, detail=detail, context_map=context_map)
+    log.bind_clock(clock or FakeClock())
+    return log
 
 
 class TestSpanIds:
@@ -51,16 +48,17 @@ class TestSpanIds:
         rec.enter_context("traces", "a")
         with rec.span("trace", "t2"):
             pass
-        ids = [s["id"] for s in rec.export()]
+        ids = [s["id"] for s in rec.spans()]
         # Each shard span is seq 0 of its shard; epochs continue from 1.
         assert ids == [ROOT_SPAN_ID, "s1.0", "s1.1", "s1.2", "s2.0", "s2.1"]
 
     def test_unknown_context_falls_back_to_shard_zero(self):
+        """A log without a context map files its spans under shard 0."""
         rec = recorder(context_map={})
         rec.enter_context("traces", "nowhere", batch=9)
         with rec.span("trace", "t"):
             pass
-        assert [s["id"] for s in rec.export()] == [ROOT_SPAN_ID, "s0.0", "s0.1"]
+        assert [s["id"] for s in rec.spans()] == [ROOT_SPAN_ID, "s0.0", "s0.1"]
 
     def test_context_switch_with_open_span_is_an_error(self):
         rec = recorder()
@@ -78,7 +76,7 @@ class TestRecording:
             with rec.span("probe", "inner"):
                 clock.now = 15.0
             clock.now = 20.0
-        spans = rec.export()
+        spans = rec.spans()
         outer = next(s for s in spans if s["name"] == "outer")
         inner = next(s for s in spans if s["name"] == "inner")
         assert (outer["sim_start"], outer["sim_end"]) == (10.0, 20.0)
@@ -88,39 +86,55 @@ class TestRecording:
     def test_events_attach_to_innermost_span(self):
         rec = recorder()
         with rec.span("trace", "t"):
-            rec.event("fault", kind="link_flap")
-        span = next(s for s in rec.export() if s["name"] == "t")
+            rec.emit("fault", "warning", fault="link_flap")
+        span = next(s for s in rec.spans() if s["name"] == "t")
         assert span["events"][0]["name"] == "fault"
         assert span["events"][0]["attrs"] == {"kind": "link_flap"}
+
+    def test_debug_events_stay_off_the_timeline(self):
+        rec = recorder()
+        with rec.span("trace", "t"):
+            rec.emit("epoch-start", "debug", epoch=0)
+        span = next(s for s in rec.spans() if s["name"] == "t")
+        assert "events" not in span
+        assert [e["kind"] for e in rec.events()] == ["epoch-start"]
 
     def test_orphan_events_flush_into_next_span(self):
         """Fault installation runs between epochs; its event must land
         in the epoch it impairs, not vanish."""
-        rec = recorder()
-        rec.event("fault", kind="bleach_on")
+        rec = recorder(context_map={("traces", "a", 0): 0})
+        rec.enter_context("traces", "a")
+        rec.emit("fault", "warning", fault="bleach_on")
         with rec.span("trace", "next-epoch"):
             pass
-        span = next(s for s in rec.export() if s["name"] == "next-epoch")
+        span = next(s for s in rec.spans() if s["name"] == "next-epoch")
         assert [e["name"] for e in span["events"]] == ["fault"]
 
     def test_annotate_merges_into_open_span(self):
         rec = recorder()
         with rec.span("probe", "p"):
             rec.annotate(udp_plain=True)
-        span = next(s for s in rec.export() if s["name"] == "p")
+        span = next(s for s in rec.spans() if s["name"] == "p")
         assert span["attrs"]["udp_plain"] is True
 
     def test_detail_levels_are_validated(self):
         with pytest.raises(ValueError, match="unknown span detail"):
-            SpanRecorder(detail="nanosecond")
+            EventLog(detail="nanosecond")
         assert recorder(detail=DETAIL_PROBE).detail == DETAIL_PROBE
 
     def test_null_recorder_is_falsey_and_inert(self):
-        assert not NULL_SPANS
-        NULL_SPANS.event("x")
-        NULL_SPANS.annotate(a=1)
-        with NULL_SPANS.span("trace", "t") as span:
+        assert not NULL_EVENTS
+        NULL_EVENTS.emit("x")
+        NULL_EVENTS.annotate(a=1)
+        with NULL_EVENTS.span("trace", "t") as span:
             assert span is None
+
+    def test_spans_are_open_and_close_records_in_the_stream(self):
+        rec = recorder()
+        with rec.span("trace", "t"):
+            rec.emit("fault", "warning", fault="link_flap")
+        kinds = [record["kind"] for record in rec.export()]
+        assert kinds == ["span-open", "fault", "span-close"]
 
 
 class TestAssembly:
@@ -132,7 +146,7 @@ class TestAssembly:
         clock.now = 30.0
         with rec.span("trace", "b"):
             clock.now = 42.0
-        shard = rec.export()[1]
+        shard = rec.spans()[1]
         assert shard["kind"] == "shard"
         assert (shard["sim_start"], shard["sim_end"]) == (5.0, 42.0)
 
@@ -140,32 +154,50 @@ class TestAssembly:
         rec = recorder(clock=FakeClock(7.0))
         with rec.span("trace", "t"):
             pass
-        root = rec.export()[0]
+        root = rec.spans()[0]
         assert root["id"] == ROOT_SPAN_ID
         assert root["parent"] is None
         assert root["kind"] == "study"
 
     def test_assemble_orders_shards_by_id(self):
-        exports = {
-            2: [{"id": "s2.0", "parent": ROOT_SPAN_ID, "kind": "shard",
-                 "name": "shard-2", "sim_start": 2.0, "sim_end": 3.0,
-                 "wall_ms": 1.0}],
-            0: [{"id": "s0.0", "parent": ROOT_SPAN_ID, "kind": "shard",
-                 "name": "shard-0", "sim_start": 0.0, "sim_end": 1.0,
-                 "wall_ms": 1.0}],
-        }
-        spans = assemble_study_spans(exports)
-        assert [s["id"] for s in spans] == [ROOT_SPAN_ID, "s0.0", "s2.0"]
+        def shard_stream(shard):
+            opened = {"kind": SPAN_OPEN, "id": span_id(shard, 1),
+                      "parent": span_id(shard, 0), "span": "trace",
+                      "name": "t", "shard": shard}
+            closed = {"kind": SPAN_CLOSE, "id": span_id(shard, 1),
+                      "shard": shard, "wall_ms": 1.0}
+            return [(0.0, opened), (1.0, closed)]
+
+        log = EventLog()
+        for shard in (2, 0):
+            log.absorb(shard, shard_stream(shard))
+        spans = log.spans()
+        assert [s["id"] for s in spans] == [ROOT_SPAN_ID, "s0.0", "s0.1", "s2.0", "s2.1"]
 
     def test_assemble_empty_exports(self):
-        spans = assemble_study_spans({})
+        spans = span_tree({})
         assert len(spans) == 1 and spans[0]["id"] == ROOT_SPAN_ID
+
+    def test_absorbed_streams_equal_the_recorded_ones(self):
+        """The parent's merge of worker streams and a sequential log
+        produce the same views: one assembly path."""
+        rec = recorder(context_map={("traces", "a", 0): 0, ("traces", "b", 0): 1})
+        for vantage in ("a", "b"):
+            rec.enter_context("traces", vantage)
+            rec.emit("fault", "warning", fault="link_flap")
+            with rec.span("trace", f"t-{vantage}"):
+                pass
+        merged = EventLog()
+        for shard in (1, 0, 1):  # completion order and a duplicate
+            merged.absorb(shard, rec.stream(shard))
+        assert merged.spans() == rec.spans()
+        assert merged.events() == rec.events()
 
     def test_canonical_strips_wall_clock_only(self):
         rec = recorder()
         with rec.span("trace", "t", vantage="v"):
             pass
-        canonical = canonical_spans(rec.export())
+        canonical = canonical_events(rec.spans())
         assert all("wall_ms" not in s for s in canonical)
         assert canonical[2]["attrs"] == {"vantage": "v"}
 
@@ -174,7 +206,7 @@ class TestAssembly:
         with rec.span("trace", "t"):
             with rec.span("probe", "p"):
                 pass
-        index = span_children(rec.export())
+        index = span_children(rec.spans())
         assert [s["name"] for s in index[None]] == ["study"]
         assert [s["name"] for s in index["s0.1"]] == ["p"]
 
@@ -184,9 +216,9 @@ class TestChromeTrace:
         clock = FakeClock(1.0)
         rec = recorder(clock=clock)
         with rec.span("trace", "t0", vantage="v"):
-            rec.event("fault", kind="link_flap")
+            rec.emit("fault", "warning", fault="link_flap")
             clock.now = 2.5
-        return rec.export()
+        return rec.spans()
 
     def test_events_follow_the_trace_event_schema(self):
         events = chrome_trace_events(self.trace_spans())

@@ -8,7 +8,7 @@ self-describing ``ecn-udp-flight/1`` document.
 
 import pytest
 
-from repro.obs import load_flight_dump
+from repro.obs import EventLog, load_flight_dump
 from repro.runner import (
     FAULT_EXIT,
     FAULT_RAISE,
@@ -84,21 +84,23 @@ def test_clean_run_leaves_no_dumps(tmp_path):
 
 
 def test_crash_dump_carries_the_shards_event_tail(tmp_path):
-    """With events on, a killed worker's dump includes its last events.
+    """With recording on, a killed worker's dump includes its last events.
 
-    The event ring is attached to the flight recorder per job, so the
-    dump written during crash handling carries the structured narration
-    of exactly the shard that triggered it — the satellite contract of
-    the live observability plane.
+    Each job records into its own log, so the dump written during crash
+    handling carries the structured narration of exactly the shard that
+    triggered it — the satellite contract of the live observability
+    plane.
     """
-    events: list = []
+    log = EventLog(stamp_wall=False)
     _run(
         tmp_path,
         faults={1: FaultSpec(kind=FAULT_EXIT, attempts=1)},
-        event_sink=events,
+        record="epoch",
+        event_log=log,
     )
+    events = log.events()
     document = load_flight_dump(tmp_path / "flight-shard-1.json")
-    tail = document.get("event_tail")
+    tail = document.get("events")
     assert tail, "the killed shard's dump carried no event tail"
     assert all(event["shard"] == 1 for event in tail)
     assert tail[-1]["kind"] == "fault-injected"

@@ -82,7 +82,7 @@ class TestStudyAndReport:
                 "0.02",
                 "--seed",
                 "3",
-                "--spans",
+                "--record",
                 "--out",
                 str(out_dir),
             ]

@@ -1,7 +1,10 @@
 """Tests for the Study façade."""
 
+import shutil
+
 import pytest
 
+from repro.spec import ValidationError
 from repro.study import Study
 
 
@@ -75,3 +78,55 @@ class TestPersistence:
         assert loaded.world.ground_truth.udp_ect_blocked == (
             small_study.world.ground_truth.udp_ect_blocked
         )
+
+
+class TestRecordedPersistence:
+    """``Study.load`` round-trips the recorded views, and is strict."""
+
+    @pytest.fixture(scope="class")
+    def recorded_dir(self, tmp_path_factory):
+        directory = tmp_path_factory.mktemp("recorded")
+        Study.run(
+            scale=0.002, seed=3, faults="default", chaos_seed=3, record="probe"
+        ).save(directory)
+        return directory
+
+    def test_load_then_save_reproduces_every_file(self, recorded_dir, tmp_path):
+        loaded = Study.load(recorded_dir)
+        assert loaded.events and loaded.spans
+        loaded.save(tmp_path)
+        names = sorted(
+            str(path.relative_to(recorded_dir))
+            for path in recorded_dir.rglob("*")
+            if path.is_file()
+        )
+        assert {"events.jsonl", "spans.json", "trace.json"} <= set(names)
+        for name in names:
+            assert (tmp_path / name).read_bytes() == (
+                recorded_dir / name
+            ).read_bytes(), name
+
+    @pytest.mark.parametrize(
+        "name,raw",
+        [
+            ("spans.json", b"{}"),
+            ("spans.json", b"[]"),
+            ("spans.json", b"[" * 100000),
+            ("spans.json", b'{"format": "ecn-udp-spans/1"}'),
+            ("spans.json", b'{"format": "ecn-udp-spans/1", "spans": [1]}'),
+            ("spans.json", b'{"format": "ecn-udp-spans/1", "spans": [{"kind": "trace"}]}'),
+            ("events.jsonl", b"not json\n"),
+            ("events.jsonl", b"[1]\n"),
+            ("events.jsonl", b"[" * 100000),
+            ("events.jsonl", b"\xff\xfe\n"),
+            ("events.jsonl", b'{"shard": "a", "seq": 0}\n{"shard": 1, "seq": 0}\n'),
+        ],
+    )
+    def test_malformed_views_raise_validation_error(
+        self, recorded_dir, tmp_path, name, raw
+    ):
+        directory = tmp_path / "study"
+        shutil.copytree(recorded_dir, directory)
+        (directory / name).write_bytes(raw)
+        with pytest.raises(ValidationError, match=name):
+            Study.load(directory)
