@@ -520,8 +520,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "--out also writes events.jsonl, spans.json "
                             "and trace.json (Perfetto / chrome://tracing)")
     study.add_argument("--profile", action="store_true",
-                       help="capture cProfile stats per shard (or one "
-                            "sequential profile) into --out")
+                       help="capture cProfile stats per shard "
+                            "(profile-shard-<id>.pstats) into --out")
     study.add_argument("--verbose", action="store_true")
     study.set_defaults(func=cmd_study)
 

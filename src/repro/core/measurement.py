@@ -116,7 +116,7 @@ class MeasurementApplication:
         # Per-family probe-duration histograms, in *sim-time*: each
         # probe drives the scheduler to completion, so the elapsed sim
         # clock is a pure function of the epoch — shard merges of these
-        # histograms are bit-identical to a sequential run.
+        # histograms are bit-identical for any worker count.
         clock = self.world.network.scheduler
 
         def observe(name: str, started: float) -> None:
@@ -226,32 +226,23 @@ class MeasurementApplication:
     # ------------------------------------------------------------------
     # The full study
     # ------------------------------------------------------------------
-    def run_planned(
-        self,
-        planned: Sequence[PlannedTrace],
-        progress: ProgressFn | None = None,
-        progress_total: int | None = None,
-    ) -> list[Trace]:
+    def run_planned(self, planned: Sequence[PlannedTrace]) -> list[Trace]:
         """Execute a slice of the trace schedule hermetically.
 
         Each planned trace runs in its own measurement epoch (see
         :meth:`~repro.scenario.internet.SyntheticInternet.begin_epoch`),
         keyed by its ``trace_id``, so the result does not depend on
         which — if any — other traces this world executed before.
-        This is the single execution path shared by the sequential
-        study and :mod:`repro.runner` shard workers; the determinism
-        contract between them lives here.
+        :mod:`repro.runner` runs every trace shard through it; the
+        determinism contract between shards lives here.
         """
-        total = progress_total if progress_total is not None else len(planned)
         traces: list[Trace] = []
         log = self.world.log
-        for index, entry in enumerate(planned):
-            if progress is not None:
-                progress(index, total, entry.vantage_key)
+        for entry in planned:
             if log:
                 # Attribute this epoch to the shard owning its
-                # (vantage, batch) slice before minting ids, so
-                # sequential and sharded runs agree on every id.  The
+                # (vantage, batch) slice before minting ids, so every
+                # execution of the shard mints the same ids.  The
                 # epoch-start event goes first, ahead of the fault
                 # events begin_epoch installs.
                 log.enter_context(CTX_TRACES, entry.vantage_key, entry.batch)
@@ -287,7 +278,7 @@ class MeasurementApplication:
                 )
         return traces
 
-    def run_study(self, progress: ProgressFn | None = None) -> TraceSet:
+    def run_study(self) -> TraceSet:
         """Execute the whole trace schedule, switching batches midway."""
         plan = trace_plan(self.world.params.schedule)
         trace_set = TraceSet(
@@ -297,8 +288,7 @@ class MeasurementApplication:
                 f"{len(plan)} traces x {len(self.targets)} servers"
             ),
         )
-        for trace in self.run_planned(plan, progress=progress):
-            trace_set.add(trace)
+        trace_set.extend(self.run_planned(plan))
         return trace_set
 
     # ------------------------------------------------------------------
@@ -310,7 +300,7 @@ class MeasurementApplication:
         Epoch indices 0..total_traces-1 belong to the trace schedule;
         traceroute sweeps follow, one per vantage in build order, so
         every epoch in a study has a unique, schedule-independent
-        index that sequential and sharded execution agree on.
+        index that every execution agrees on.
         """
         keys = list(self.world.vantage_hosts)
         return self.world.params.schedule.total_traces + keys.index(vantage_key)
@@ -320,14 +310,12 @@ class MeasurementApplication:
         vantage_key: str,
         targets: Sequence[int] | None = None,
         ecn: ECN = ECN.ECT_0,
-        progress: ProgressFn | None = None,
     ) -> list[PathTrace]:
         """One vantage's hermetic traceroute sweep over all targets.
 
-        Like :meth:`run_planned`, this is the shared execution path of
-        the sequential campaign and runner shard workers: the sweep
-        runs in its own measurement epoch and is a pure function of
-        ``(params, vantage, targets)``.
+        Like :meth:`run_planned`, this is what a traceroute shard runs:
+        the sweep runs in its own measurement epoch and is a pure
+        function of ``(params, vantage, targets)``.
         """
         host = self.world.vantage_hosts[vantage_key]
         dsts = list(targets) if targets is not None else list(self.targets)
@@ -352,9 +340,7 @@ class MeasurementApplication:
         )
         paths: list[PathTrace] = []
         with sweep_cm:
-            for step, dst in enumerate(dsts):
-                if progress is not None:
-                    progress(step, len(dsts), vantage_key)
+            for dst in dsts:
                 probe_cm = (
                     log.span("probe", f"traceroute-{dst}", server=dst)
                     if probe_spans
@@ -380,23 +366,12 @@ class MeasurementApplication:
         vantage_keys: Iterable[str] | None = None,
         targets: Sequence[int] | None = None,
         ecn: ECN = ECN.ECT_0,
-        progress: ProgressFn | None = None,
     ) -> TracerouteCampaign:
         """ECT(0) traceroutes from each vantage to each target."""
         keys = list(vantage_keys) if vantage_keys is not None else list(
             self.world.vantage_hosts
         )
-        dsts = list(targets) if targets is not None else list(self.targets)
         campaign = TracerouteCampaign()
-        total = len(keys) * len(dsts)
-        for index, key in enumerate(keys):
-
-            def sweep_progress(step: int, _sweep_total: int, label: str) -> None:
-                if progress is not None:
-                    progress(index * len(dsts) + step, total, label)
-
-            for path in self.run_traceroute_vantage(
-                key, dsts, ecn=ecn, progress=sweep_progress
-            ):
-                campaign.add(path)
+        for key in keys:
+            campaign.extend(self.run_traceroute_vantage(key, targets, ecn=ecn))
         return campaign

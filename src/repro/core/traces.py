@@ -19,6 +19,9 @@ from typing import Iterable, Iterator
 from ..ioutil import atomic_write_text
 from ..protocols.quic.validation import QUIC_STATES
 
+#: Marks a required field in :func:`_field`.
+_MISSING = object()
+
 
 @dataclass(slots=True)
 class QUICProbeOutcome:
@@ -186,20 +189,27 @@ class TraceSet:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TraceSet":
-        if data.get("format") != "ecn-udp-traceset/1":
-            raise ValueError(f"unknown trace-set format: {data.get('format')!r}")
+        """Inverse of :meth:`to_dict`; a malformed document raises
+        ``ValueError`` naming the bad field."""
+        if _field(data, "format", "", str) != "ecn-udp-traceset/1":
+            raise ValueError(f"unknown trace-set format: {data['format']!r}")
+        server_addrs = _field(data, "server_addrs", "", list)
+        if not all(type(addr) is int for addr in server_addrs):
+            raise ValueError("server_addrs: expected a list of integers")
         trace_set = cls(
-            server_addrs=list(data["server_addrs"]),
-            description=data.get("description", ""),
+            server_addrs=server_addrs,
+            description=_field(data, "description", "", str, default=""),
         )
-        for raw in data["traces"]:
+        for index, raw in enumerate(_field(data, "traces", "", list)):
+            where = f"traces[{index}]."
             trace = Trace(
-                trace_id=raw["trace_id"],
-                vantage_key=raw["vantage_key"],
-                batch=raw["batch"],
-                started_at=raw["started_at"],
+                trace_id=_field(raw, "trace_id", where, int),
+                vantage_key=_field(raw, "vantage_key", where, str),
+                batch=_field(raw, "batch", where, int),
+                started_at=_field(raw, "started_at", where, float, int),
             )
-            for row in raw["outcomes"]:
+            for position, row in enumerate(_field(raw, "outcomes", where, list)):
+                _check_row(row, f"{where}outcomes[{position}]")
                 trace.add(_outcome_from_row(row))
             trace_set.add(trace)
         return trace_set
@@ -213,6 +223,42 @@ class TraceSet:
     def load(cls, path: str | Path) -> "TraceSet":
         """Read a trace set written by :meth:`save`."""
         return cls.from_dict(json.loads(Path(path).read_text()))
+
+
+def _field(raw, key: str, where: str, *kinds: type, default=_MISSING):
+    """``raw[key]`` when its JSON type is one of ``kinds`` (a bool is
+    not an int); ``ValueError`` naming ``where + key`` otherwise."""
+    if type(raw) is not dict:
+        raise ValueError(f"{where or 'document'}: expected an object")
+    value = raw.get(key, default)
+    if value is _MISSING:
+        raise ValueError(f"{where}{key}: missing")
+    if type(value) not in kinds:
+        raise ValueError(f"{where}{key}: unexpected {type(value).__name__}")
+    return value
+
+
+#: Outcome-row columns: the base row, then what a QUIC measurement appends.
+_ROW_FIELDS = tuple(
+    "server_addr udp_plain udp_ect udp_plain_attempts udp_ect_attempts tcp_plain tcp_ecn "
+    "ecn_negotiated http_status quic.state quic.handshake_ok quic.handshake_attempts "
+    "quic.packets_sent quic.packets_acked quic.ect0_echoed quic.ect1_echoed quic.ce_echoed".split()
+)
+_BASE_ROW = _ROW_FIELDS.index("quic.state")
+
+
+def _check_row(row, where: str) -> None:
+    """``ValueError`` naming the column unless ``row`` is an outcome row
+    :func:`_outcome_from_row` decodes faithfully."""
+    if type(row) is not list or len(row) not in (_BASE_ROW, len(_ROW_FIELDS)):
+        raise ValueError(
+            f"{where}: expected {_BASE_ROW} or {len(_ROW_FIELDS)} integers"
+        )
+    for name, value in zip(_ROW_FIELDS, row):
+        if type(value) is not int:
+            raise ValueError(f"{where} {name}: unexpected {type(value).__name__}")
+    if len(row) > _BASE_ROW and not 0 <= row[_BASE_ROW] < len(QUIC_STATES):
+        raise ValueError(f"{where} quic.state: no state {row[_BASE_ROW]}")
 
 
 def _outcome_to_row(outcome: ProbeOutcome) -> list:
@@ -381,17 +427,25 @@ class TracerouteCampaign:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TracerouteCampaign":
-        if data.get("format") != "ecn-udp-traceroutes/1":
-            raise ValueError(f"unknown traceroute format: {data.get('format')!r}")
+        """Inverse of :meth:`to_dict`; a malformed document raises
+        ``ValueError`` naming the bad field."""
+        if _field(data, "format", "", str) != "ecn-udp-traceroutes/1":
+            raise ValueError(f"unknown traceroute format: {data['format']!r}")
         campaign = cls()
-        for raw in data["paths"]:
+        for index, raw in enumerate(_field(data, "paths", "", list)):
+            where = f"paths[{index}]."
             path = PathTrace(
-                vantage_key=raw["vantage_key"],
-                dst_addr=raw["dst_addr"],
-                sent_ecn=raw["sent_ecn"],
-                reached_destination=raw["reached_destination"],
+                vantage_key=_field(raw, "vantage_key", where, str),
+                dst_addr=_field(raw, "dst_addr", where, int),
+                sent_ecn=_field(raw, "sent_ecn", where, int),
+                reached_destination=_field(raw, "reached_destination", where, bool),
             )
-            for ttl, responder, sent, quoted in raw["hops"]:
+            for position, hop in enumerate(_field(raw, "hops", where, list)):
+                if type(hop) is not list or len(hop) != 4 or not all(
+                    type(value) is int for value in hop
+                ):
+                    raise ValueError(f"{where}hops[{position}]: expected 4 integers")
+                ttl, responder, sent, quoted = hop
                 path.hops.append(
                     HopObservation(
                         ttl=ttl,

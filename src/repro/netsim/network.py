@@ -106,17 +106,21 @@ class Network:
         for index, host in enumerate(topology.hosts.values()):
             host.attach(self, rng_seed=seed ^ (0x9E3779B1 * (index + 1) & 0xFFFFFFFF))
 
-    def set_observability(self, metrics=None, tracer=None) -> None:
-        """(Un)install the metrics registry and packet tracer.
+    def set_metrics(self, metrics) -> None:
+        """(Un)install the metrics registry; ``None`` restores the
+        zero-cost disabled state.
 
-        Passing ``None`` for either restores the zero-cost disabled
-        state; installation is instantaneous, so callers can scope
-        observation to exactly one campaign on a long-lived world (the
-        runner installs a fresh registry per shard this way).
+        Installation is instantaneous, so callers can scope observation
+        to exactly one shard on a long-lived world (the runner installs
+        a fresh registry per shard this way).  An installed packet
+        tracer is left alone.
         """
         self.metrics = metrics
-        self.tracer = tracer
         self.scheduler.metrics = metrics
+
+    def set_tracer(self, tracer) -> None:
+        """(Un)install the packet tracer; ``None`` disables tracing."""
+        self.tracer = tracer
         if tracer is not None:
             tracer.clock = lambda: self.scheduler.now
 

@@ -11,13 +11,13 @@ close records (:meth:`EventLog.span`) ride in the same stream.
 are views of it.
 
 * **Deterministic where it must be.**  A log built with a
-  ``context_map`` (:func:`repro.runner.shard.shard_context_map`)
-  resolves :meth:`~EventLog.enter_context` to shard ids and appends
-  what is recorded there to that shard's **stream**, minting per-shard
-  event ``seq`` numbers and ``s<shard>.<n>`` span ids.  A sequential
-  study interleaving many shards' epochs and a worker running one
-  shard fill identical streams, so the views are byte-identical for
-  any ``workers`` value.  Rate limiting is a per-``(shard, kind)`` cap,
+  ``context_map`` (a shard execution's log maps its ``(kind, vantage,
+  batch)`` to its shard id) resolves :meth:`~EventLog.enter_context`
+  to shard ids and appends what is recorded there to that shard's
+  **stream**, minting per-shard event ``seq`` numbers and
+  ``s<shard>.<n>`` span ids.  A study's log absorbs one stream per
+  shard, whichever process ran it, so the views are byte-identical
+  for any ``workers`` value.  Rate limiting is a per-``(shard, kind)`` cap,
   a pure function of the emission sequence; wall-clock stamps live in
   the ``wall`` / ``wall_ms`` fields :func:`canonical_events` strips.
 * **Cheap when off.**  :data:`NULL_EVENTS` is falsey; every recording
@@ -169,9 +169,8 @@ class EventLog:
 
         Requires every span of the previous context to be closed
         (epochs never interleave).  A no-op without a ``context_map``
-        (parent/serve/campaign logs have no shard structure): the
-        sequential study calls this at every epoch boundary, a worker's
-        map only contains its own shard, and both resolve the same id.
+        (parent/serve/campaign logs have no shard structure); a shard
+        execution's map holds its own shard only.
         """
         if self._stack:
             raise RuntimeError(
@@ -430,8 +429,8 @@ def canonical_events(events: Iterable[Mapping]) -> list[dict]:
     """The determinism-checked form: wall-clock stripped, key-sorted.
 
     This is what equivalence tests compare and what ``events.jsonl``
-    archives, so a sharded study's export is byte-identical to the
-    sequential one.  Span lists (which carry no ``seq``) keep their
+    archives, so a study's export is byte-identical for any worker
+    count.  Span lists (which carry no ``seq``) keep their
     order, so the same projection compares span trees.
     """
     canonical = []

@@ -13,9 +13,9 @@ Every span carries two clocks: **simulated time** (``sim_start`` /
 identical for any ``workers`` value — and **wall-clock time**
 (``wall_ms``), a fact about one run that
 :func:`~repro.obs.canonical_events` strips before trees are compared.
-Span ids are ``s<shard>.<n>`` in both execution modes, because the
-sequential study and a shard worker walk a shard's epochs in the same
-order (``tests/obs/test_span_equivalence.py``).
+Span ids are ``s<shard>.<n>`` for any ``workers`` value, because every
+execution of a shard walks its epochs in the same order
+(``tests/obs/test_span_equivalence.py``).
 
 :func:`export_chrome_trace` writes the list in Chrome Trace Event
 Format, loadable in Perfetto or ``chrome://tracing``: shards map to
@@ -86,9 +86,8 @@ def _shard_spans(shard_id: int, stream: Iterable) -> list[dict]:
     kind (``fault=link_flap``: ``kind`` is the envelope's); on the
     timeline it becomes the point event's ``kind`` attribute.
 
-    The shard span (``s<shard>.0``) is synthesized from its children:
-    a sequential run executes one shard's epochs interleaved with other
-    shards', so recording order cannot define its interval.
+    The shard span (``s<shard>.0``) is synthesized from its children's
+    interval: the stream carries no record of its own.
     """
     spans: list[dict] = []
     stack: list[dict] = []

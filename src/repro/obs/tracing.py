@@ -89,7 +89,7 @@ class PathTracer:
         self.events: list[PathEvent] = []
         self.dropped = 0
         #: Timestamp source for call sites that don't pass ``time``
-        #: (installed by ``Network.set_observability``).
+        #: (installed by ``Network.set_tracer``).
         self.clock: Callable[[], float] | None = None
 
     def __bool__(self) -> bool:

@@ -1,26 +1,26 @@
 """repro.runner — sharded parallel campaign execution.
 
-The sequential study walks its trace schedule one epoch at a time in a
-single process.  This package partitions the same schedule into
-independent **shards** — one per ``(vantage, batch)`` slice of the
-trace plan, plus one per-vantage traceroute sweep — and executes them
-across a pool of worker processes.  Each worker deterministically
+Every study runs through this package.  It partitions the trace
+schedule into independent **shards** — one per ``(vantage, batch)``
+slice of the trace plan, plus one per-vantage traceroute sweep — and
+executes them across a pool of worker processes, or in-process on the
+caller's world when ``workers=0``.  Each worker deterministically
 rebuilds the synthetic Internet from the study spec and runs its
 shards inside hermetic measurement epochs, so the merged study is
-**bit-identical** to a sequential run regardless of worker count,
-shard ordering, or mid-campaign retries.
+**bit-identical** for any worker count, shard ordering, or
+mid-campaign retries.
 
 Layout:
 
 - :mod:`~repro.runner.shard` — partition a schedule into shards
-- :mod:`~repro.runner.worker` — execute one shard in a worker process
+- :mod:`~repro.runner.worker` — execute one shard (worker or inline)
 - :mod:`~repro.runner.scheduler` — dispatch, retries, pool recovery
 - :mod:`~repro.runner.merge` — wire codec + deterministic reassembly
 - :mod:`~repro.runner.progress` — fold shard completions into the
-  sequential ``ProgressFn`` channel
+  ``ProgressFn`` channel
 
 The high-level entry point is :func:`run_study_parallel`, which
-``Study.run(workers=N)`` and ``ecnudp study --workers N`` call.
+``Study.run`` and ``ecnudp study`` call for every ``workers`` value.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from .merge import (
 from .pool import SharedWorkerPool
 from .progress import ProgressAggregator, ProgressOverflowError
 from .scheduler import RetryPolicy, ShardExecutionError, ShardScheduler
-from .shard import KIND_TRACEROUTES, KIND_TRACES, Shard, plan_shards, shard_context_map
+from .shard import KIND_TRACEROUTES, KIND_TRACES, Shard, plan_shards
 from .worker import (
     FAULT_EXIT,
     FAULT_HANG,
@@ -85,7 +85,6 @@ __all__ = [
     "merge_traces",
     "plan_shards",
     "run_study_parallel",
-    "shard_context_map",
 ]
 
 
@@ -106,13 +105,15 @@ def run_study_parallel(
     profile_dir: str | Path | None = None,
     pool: SharedWorkerPool | None = None,
 ) -> tuple[TraceSet, TracerouteCampaign]:
-    """Execute a full study as parallel shards and merge the results.
+    """Execute a full study as shards and merge the results.
 
     The parent builds (or receives) the world and the probe-target
     list — discovery runs exactly once, in the parent — then ships
-    only ``(spec, targets, shard)`` to each worker.  Returns
-    ``(TraceSet, TracerouteCampaign)`` bit-identical to what the
-    sequential ``MeasurementApplication`` path produces.
+    only ``(spec, targets, shard)`` to each worker.  ``workers=0``
+    runs the same jobs in this process on ``world`` itself, with the
+    spec's fault plan installed for the run and removed afterwards.
+    Returns ``(TraceSet, TracerouteCampaign)``, bit-identical for any
+    ``workers`` value.
 
     ``spec`` (:class:`~repro.spec.StudySpec`) decides what runs.  A
     chaos-profile name in it is expanded into its
@@ -121,7 +122,7 @@ def run_study_parallel(
     worker's world-cache key (:meth:`~repro.spec.StudySpec.world_key`),
     so each worker installs the identical plan and rebuilds the
     identical (possibly drifted) world — the merged study stays
-    bit-identical to a sequential run.
+    bit-identical to an inline run.
 
     Passing a :class:`~repro.obs.RunTelemetry` turns observation on:
     every shard runs under a fresh worker-side metrics registry, and
@@ -149,14 +150,15 @@ def run_study_parallel(
     shard's events and spans (no wall stamps), the streams ship back in
     the wire results, and ``event_log`` absorbs them (deduplicated by
     shard) — its :meth:`~repro.obs.EventLog.events` and
-    :meth:`~repro.obs.EventLog.spans` views then equal a sequential
-    run's.  ``flight_dir`` arms crash flight dumps on both sides of the
-    process boundary: workers dump ``flight-shard-<id>.json`` when a
-    shard execution dies, and the parent dumps its log's tail to
-    ``flight-parent.json`` on any scheduler recovery path (gang retry
-    after a hang or pool loss, retry-budget exhaustion) or a
-    :class:`ProgressOverflowError`; without an ``event_log`` the
-    parent keeps a fresh one for the purpose.  ``profile_dir``
+    :meth:`~repro.obs.EventLog.spans` views are the same for any
+    ``workers`` value.  ``flight_dir`` arms crash flight dumps on both
+    sides of the process boundary: workers dump
+    ``flight-shard-<id>.json`` when a shard execution dies, and the
+    parent dumps its log's tail to ``flight-parent.json`` on any
+    scheduler recovery path (gang retry after a hang or pool loss,
+    retry-budget exhaustion) or a :class:`ProgressOverflowError`;
+    without an ``event_log`` the parent keeps a fresh one for the
+    purpose.  ``profile_dir``
     captures one cProfile stats file per shard execution.
     """
     if record is not None and event_log is None:
@@ -228,7 +230,7 @@ def run_study_parallel(
     )
     started = time.perf_counter()
     try:
-        results = scheduler.run(jobs, on_complete=on_complete)
+        results = scheduler.run(jobs, on_complete=on_complete, world=world)
     except ProgressOverflowError as exc:
         # Strict progress accounting tripped: the shard plan and the
         # completions disagree.  Leave the black box before aborting.
@@ -237,7 +239,8 @@ def run_study_parallel(
             log.dump(flight_path, f"progress overflow: {exc}")
         raise
     if telemetry is not None:
-        telemetry.workers = workers
+        # Inline execution is one process.
+        telemetry.workers = max(workers, 1)
         telemetry.wall_seconds = time.perf_counter() - started
         telemetry.runner = runner_metrics.snapshot()["counters"]
         if spec.plan is not None:
@@ -252,8 +255,8 @@ def run_study_parallel(
             by_shard[shard_id] for shard_id in sorted(by_shard)
         )
     if record is not None:
-        # Same dedup-by-shard discipline as metrics; the views then run
-        # over the same per-shard streams a sequential log fills.
+        # Same dedup-by-shard discipline as metrics: the views run over
+        # one stream per shard whatever executed it.
         for result in results:
             if "record" in result:
                 event_log.absorb(result["shard_id"], result["record"])

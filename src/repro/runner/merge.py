@@ -6,11 +6,12 @@ objects, so worker and parent never disagree about class identity).
 The decoders rebuild full-fidelity :class:`Trace` / :class:`PathTrace`
 objects — including the hop fields (`rtt`, `quoted_tos`,
 `quoted_ident`) that the archival JSON format drops — and the merge
-functions reassemble them in exactly the order the sequential path
-produces: traces ascending by ``trace_id`` (the schedule's plan
-order), traceroutes by vantage build order.  Because every epoch is a
-pure function of ``(params, epoch index)``, the merged study is
-bit-identical to a sequential run; ``tests/runner/test_equivalence.py``
+functions reassemble them in exactly the order
+``MeasurementApplication.run_study`` / ``run_traceroutes`` produce:
+traces ascending by ``trace_id`` (the schedule's plan order),
+traceroutes by vantage build order.  Because every epoch is a pure
+function of ``(params, epoch index)``, the merged study is
+bit-identical for any worker count; ``tests/runner/test_equivalence.py``
 enforces that contract.
 """
 
@@ -130,13 +131,13 @@ def merge_traces(
     server_addrs: Sequence[int],
     description: str,
 ) -> TraceSet:
-    """Reassemble trace-shard results into the sequential TraceSet.
+    """Reassemble trace-shard results into the study's TraceSet.
 
-    The sequential study appends traces in plan order, which is
-    ascending ``trace_id`` by construction, so a sort restores it no
-    matter how shards raced.  Duplicate ids (a shard retried after a
-    partial failure whose first result nevertheless arrived) collapse
-    to a single copy — both are bit-identical by the epoch contract.
+    The trace plan is ascending ``trace_id`` by construction, so a
+    sort restores it no matter how shards raced.  Duplicate ids (a
+    shard retried after a partial failure whose first result
+    nevertheless arrived) collapse to a single copy — both are
+    bit-identical by the epoch contract.
     """
     by_id: dict[int, Trace] = {}
     for result in results:

@@ -1,13 +1,13 @@
 """Progress aggregation across shards.
 
-The sequential study reports progress through a ``ProgressFn``
+``MeasurementApplication`` reports progress through a ``ProgressFn``
 callback, one call per trace.  Shards complete out of order and in
-parallel, so the aggregator folds per-shard completions back into
-that same channel: each completion advances a monotone unit counter
+parallel, so the aggregator folds per-shard completions into that
+same channel: each completion advances a monotone unit counter
 (traces for trace shards, per-target probes for traceroute sweeps)
-and reports the index of the last finished unit, keeping existing
-consumers — the CLI's ``trace N/M`` line in particular — working
-unchanged under the parallel runner.
+and reports the index of the last finished unit, keeping consumers —
+the CLI's ``trace N/M`` line in particular — working for any worker
+count.
 """
 
 from __future__ import annotations

@@ -10,11 +10,11 @@ Because every shard is a pure function of ``(params, shard)``, a retry
 cannot produce a different result, so recovery never threatens the
 determinism contract — it only threatens wall-clock time.
 
-When ``workers <= 0``, or the platform cannot provide process pools at
-all (no ``multiprocessing`` semaphores in a sandbox, for instance),
-the scheduler degrades to in-process execution of the same jobs with
-the same retry policy, preserving behaviour exactly — just without
-the parallelism.
+When ``workers <= 0`` (a sequential study), or the platform cannot
+provide process pools at all (no ``multiprocessing`` semaphores in a
+sandbox, for instance), the scheduler runs the same jobs in-process
+with the same retry policy, on the caller's world when it has one —
+the results are the same, just without the parallelism.
 """
 
 from __future__ import annotations
@@ -97,8 +97,13 @@ class ShardScheduler:
         self,
         jobs: Sequence[ShardJob],
         on_complete: CompletionFn | None = None,
+        world=None,
     ) -> list[dict]:
-        """Execute every job; returns results in completion order."""
+        """Execute every job; returns results in completion order.
+
+        ``world`` is the caller's world: in-process execution measures
+        on it instead of building its own (pool workers never see it).
+        """
         if not jobs:
             return []
         if self.metrics:
@@ -106,34 +111,43 @@ class ShardScheduler:
         if self.log:
             self.log.emit("dispatch", "info", shards=len(jobs), workers=self.workers)
         if self.pool is not None:
-            return self._run_pooled(jobs, self.pool.acquire, on_complete)
+            return self._run_pooled(jobs, self.pool.acquire, on_complete, world)
         if self.workers <= 0:
-            return self._run_inline(jobs, on_complete)
+            return self._run_inline(jobs, on_complete, world)
         executor_factory = self._executor_factory(len(jobs))
         if executor_factory is None:
-            return self._run_inline(jobs, on_complete)
-        return self._run_pooled(jobs, executor_factory, on_complete)
+            return self._run_inline(jobs, on_complete, world)
+        return self._run_pooled(jobs, executor_factory, on_complete, world)
 
     # ------------------------------------------------------------------
-    # Degraded path: same jobs, same retry policy, one process
+    # Inline path: same jobs, same retry policy, one process
     # ------------------------------------------------------------------
     def _run_inline(
         self,
         jobs: Sequence[ShardJob],
         on_complete: CompletionFn | None,
+        world,
     ) -> list[dict]:
+        if world is not None:
+            # The jobs share one spec.  Its plan is installed for the
+            # run only, so a retained world stays pristine.
+            world.install_fault_plan(jobs[0].spec.plan)
         results = []
-        for job in jobs:
-            while True:
-                try:
-                    result = execute_shard(job)
-                except Exception as exc:  # noqa: BLE001 - retry boundary
-                    job = self._next_attempt(job, exc)
-                    continue
-                break
-            results.append(result)
-            if on_complete is not None:
-                on_complete(job, result)
+        try:
+            for job in jobs:
+                while True:
+                    try:
+                        result = execute_shard(job, world)
+                    except Exception as exc:  # noqa: BLE001 - retry boundary
+                        job = self._next_attempt(job, exc)
+                        continue
+                    break
+                results.append(result)
+                if on_complete is not None:
+                    on_complete(job, result)
+        finally:
+            if world is not None:
+                world.install_fault_plan(None)
         return results
 
     # ------------------------------------------------------------------
@@ -170,13 +184,14 @@ class ShardScheduler:
         jobs: Sequence[ShardJob],
         executor_factory,
         on_complete: CompletionFn | None,
+        world,
     ) -> list[dict]:
         from concurrent.futures import FIRST_COMPLETED, CancelledError, wait
         from concurrent.futures.process import BrokenProcessPool
 
         executor = executor_factory()
         if executor is None:
-            return self._run_inline(jobs, on_complete)
+            return self._run_inline(jobs, on_complete, world)
         results: list[dict] = []
         pending: dict = {}
         executor = self._submit_batch(

@@ -63,25 +63,6 @@ class Shard:
         return f"{self.vantage_key} (traceroutes)"
 
 
-def shard_context_map(
-    schedule: TraceScheduleParams,
-    traceroutes: bool = True,
-) -> dict[tuple[str, str, int], int]:
-    """Map ``(kind, vantage, batch)`` execution contexts to shard ids.
-
-    This is how the event log attributes work to shards without
-    the measurement application knowing about sharding: the sequential
-    study resolves every epoch through the full map, a worker through
-    the entries of its own shard, and both mint identical span ids
-    because the map is a pure function of the schedule.  Traceroute
-    contexts use batch 0 (sweeps have no batch).
-    """
-    return {
-        (shard.kind, shard.vantage_key, shard.batch): shard.shard_id
-        for shard in plan_shards(schedule, traceroutes=traceroutes)
-    }
-
-
 def plan_shards(
     schedule: TraceScheduleParams,
     traceroutes: bool = True,

@@ -1,4 +1,4 @@
-"""Shard execution inside a worker process.
+"""Shard execution, in a worker process or inline.
 
 A worker receives a :class:`ShardJob` — everything needed to rebuild
 the study context from scratch: the :class:`~repro.spec.StudySpec`
@@ -7,7 +7,9 @@ synthetic Internet, the probe target list (discovery runs once, in the
 parent), and the shard to execute.  Worlds are cached per process, so
 a worker pays the build cost once and then runs any number of shards
 against it; hermetic measurement epochs guarantee the execution order
-across shards cannot influence results.
+across shards cannot influence results.  Inline execution (a
+sequential study) passes the caller's world instead, so no second
+world is built.
 
 Observability rides along per job: ``observe`` installs a fresh
 metrics registry, ``profile_dir`` wraps the measurement in
@@ -144,14 +146,19 @@ def _dump_flight(log: EventLog, job: ShardJob, reason: str) -> None:
         )
 
 
-def execute_shard(job: ShardJob) -> dict:
-    """Run one shard to completion and return its wire-format result."""
+def execute_shard(job: ShardJob, world: SyntheticInternet | None = None) -> dict:
+    """Run one shard to completion and return its wire-format result.
+
+    ``world`` is the world to measure on, its fault plan installed —
+    the caller's, on the inline path; ``None`` (a pool worker) takes
+    this process's cached world for the job's spec.
+    """
     shard = job.shard
     log = None
     if job.record is not None or job.flight_dir is not None:
         # One log per job: a crash dump narrates exactly the shard that
-        # triggered it.  Its one-entry context map resolves the shard's
-        # epochs to the id the sequential study's full map gives them.
+        # triggered it.  Its one-entry context map attributes the
+        # shard's epochs, and so its span ids and event seqs, to it.
         context = (shard.kind, shard.vantage_key, shard.batch)
         log = EventLog(
             stamp_wall=False, detail=job.record, context_map={context: shard.shard_id}
@@ -164,7 +171,7 @@ def execute_shard(job: ShardJob) -> dict:
             attempt=job.attempt,
         )
     try:
-        return _execute_shard(job, log)
+        return _execute_shard(job, log, world)
     except BaseException as exc:
         if log is not None:
             log.emit("shard-crash", "alert", shard=shard.shard_id, error=repr(exc))
@@ -172,7 +179,9 @@ def execute_shard(job: ShardJob) -> dict:
         raise
 
 
-def _execute_shard(job: ShardJob, log: EventLog | None) -> dict:
+def _execute_shard(
+    job: ShardJob, log: EventLog | None, world: SyntheticInternet | None
+) -> dict:
     if job.fault is not None and job.attempt < job.fault.attempts:
         if log is not None:
             if job.fault.kind == FAULT_EXIT:
@@ -203,7 +212,8 @@ def _execute_shard(job: ShardJob, log: EventLog | None) -> dict:
             f"injected failure for shard {job.shard.shard_id} "
             f"(attempt {job.attempt})"
         )
-    world = _world_for(job.spec)
+    if world is None:
+        world = _world_for(job.spec)
     app = MeasurementApplication(
         world, targets=list(job.targets), **job.spec.probe_families()
     )
@@ -214,12 +224,12 @@ def _execute_shard(job: ShardJob, log: EventLog | None) -> dict:
         "kind": shard.kind,
     }
     # A fresh registry per shard, installed only around the measurement
-    # itself, makes per-shard snapshots partition the sequential run's
-    # counters exactly: summing them reproduces the sequential totals
-    # bit for bit.  Cached worlds outlive shards, so always uninstall.
+    # itself, makes per-shard snapshots partition the study's counters
+    # exactly: summing them reproduces a whole-study count bit for bit.
+    # Worlds outlive shards, so always uninstall.
     registry = MetricsRegistry() if job.observe else None
     if registry is not None:
-        world.network.set_observability(registry)
+        world.network.set_metrics(registry)
     # Likewise the job's log records this shard only: its records carry
     # no wall stamps (they are part of the determinism contract), and a
     # retried shard re-records from scratch.
@@ -245,7 +255,7 @@ def _execute_shard(job: ShardJob, log: EventLog | None) -> dict:
         if profiler is not None:
             profiler.disable()
         if registry is not None:
-            world.network.set_observability(None)
+            world.network.set_metrics(None)
         if recorder is not None:
             world.set_log(None)
     result["elapsed"] = time.perf_counter() - started

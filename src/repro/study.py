@@ -17,7 +17,6 @@ manifest, exactly as the ``ecnudp report`` command does).
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -32,12 +31,10 @@ from .core.analysis.tcp_ecn import TCPECNSummary, analyze_tcp_ecn
 from .core.analysis.uncertainty import HeadlineIntervals, headline_intervals
 from .core.analysis.validation import InferenceQuality, validate_study
 from .core.discovery import PoolDiscovery
-from .core.measurement import MeasurementApplication
 from .core.traces import TraceSet, TracerouteCampaign
 from .ioutil import atomic_write_text
 from .obs import (
     EventLog,
-    MetricsRegistry,
     PathTracer,
     RunTelemetry,
     canonical_events,
@@ -121,19 +118,21 @@ class Study:
         ``Study.run(**vars(spec), ...)``.  Every other argument changes
         how the study runs, never what it archives.
 
-        ``workers=0`` (the default) runs the campaign sequentially in
-        this process; ``workers=N`` shards it across ``N`` worker
-        processes via :mod:`repro.runner`.  Both paths produce
-        bit-identical results — hermetic measurement epochs make every
-        trace a pure function of ``(params, trace id)``.
+        Every study runs as shards through
+        :func:`repro.runner.run_study_parallel`: ``workers=0`` (the
+        default) runs them one after another in this process, on this
+        study's world; ``workers=N`` spreads them across ``N`` worker
+        processes.  The results are bit-identical — hermetic
+        measurement epochs make every trace a pure function of
+        ``(params, trace id)``.  Progress is reported per shard.
 
         ``collect_metrics=True`` turns the :mod:`repro.obs` layer on
         for the measurement phase (never discovery, which runs once in
-        the parent either way — so sequential counters equal the sum
-        of shard counters).  ``trace_filter`` installs a
-        :class:`~repro.obs.PathTracer` for matching packets; tracing
-        records per-packet event streams that have no wire encoding,
-        so it requires ``workers=0``.
+        the parent either way): each shard counts into a fresh
+        registry, and :attr:`metrics` is their merge.
+        ``trace_filter`` installs a :class:`~repro.obs.PathTracer` for
+        matching packets; tracing records per-packet event streams
+        that have no wire encoding, so it requires ``workers=0``.
 
         ``faults`` turns on the chaos layer (:mod:`repro.faults`): pass
         a chaos-profile name (``"light"`` / ``"default"`` / ``"heavy"``
@@ -141,13 +140,13 @@ class Study:
         :class:`~repro.faults.FaultPlan`.  A named profile is expanded
         into a plan with :func:`~repro.faults.generate_fault_plan`
         seeded by ``chaos_seed``; either way the plan is a pure value,
-        so sequential and sharded chaotic runs stay bit-identical.
+        so chaotic runs stay bit-identical for any ``workers`` value.
 
         ``world`` reuses an existing synthetic Internet instead of
         building one — it must be a fault-free world built from the
-        spec's parameters (:meth:`~repro.spec.StudySpec.build_world`).
-        Hermetic measurement epochs make worlds reusable across
-        studies: a rerun against a cached
+        spec's parameters (:meth:`~repro.spec.StudySpec.build_world`),
+        and it is left fault-free.  Hermetic measurement epochs make
+        worlds reusable across studies: a rerun against a cached
         world is bit-identical to one against a fresh build, **provided
         discovery is not rerun** (DNS pool rotation is stateful, so a
         second discovery sees a different rotation).  Callers reusing a
@@ -167,14 +166,13 @@ class Study:
         stripped, and :meth:`save` exports them as ``events.jsonl``,
         ``spans.json`` and ``trace.json``.  ``event_log`` is a caller's
         live :class:`~repro.obs.EventLog` (the study server's,
-        typically) that an unrecorded sharded run narrates shard
-        lifecycle into — dispatch, retries, gang recoveries; a recorded
-        run narrates into its own log instead.  Neither narration joins
-        the determinism contract, and sequential runs have no runner
-        lifecycle to narrate.  ``obs_dir`` arms crash flight dumps
-        (sharded runs dump ``flight-*.json`` there on worker death or
-        runner recovery) and receives cProfile dumps when ``profile``
-        is on.
+        typically) that an unrecorded run narrates shard lifecycle
+        into — dispatch, retries, gang recoveries; a recorded run
+        narrates into its own log instead.  Neither narration joins
+        the determinism contract.  ``obs_dir`` arms crash flight dumps
+        (``flight-*.json`` on a shard crash or runner recovery) and
+        receives one ``profile-shard-<id>.pstats`` profile dump per
+        shard when ``profile`` is on.
 
         ``quic=True`` adds the fourth probe family: a QUIC-like
         connection per server performing RFC 9000 §13.4 ECN count
@@ -187,9 +185,11 @@ class Study:
         parameters (:mod:`repro.scenario.timeline`) — what one epoch
         of a campaign (:mod:`repro.campaign`) runs.  The drift is
         recorded in the archive manifest and rides into shard workers,
-        so sharded and sequential drifted runs stay bit-identical and
-        :meth:`load` rebuilds the same drifted world.
+        so drifted runs stay bit-identical for any ``workers`` value
+        and :meth:`load` rebuilds the same drifted world.
         """
+        from .runner import run_study_parallel
+
         spec = StudySpec(
             scale=scale,
             seed=seed,
@@ -203,6 +203,12 @@ class Study:
             raise ValueError("profile=True needs obs_dir to write profiles into")
         if pool is not None and workers <= 0:
             raise ValueError("pool= requires workers > 0 (sharded execution)")
+        if trace_filter is not None and workers > 0:
+            raise ValueError(
+                "packet tracing is sequential-only: trace_filter requires "
+                "workers=0 (per-packet event streams are not shipped back "
+                "from shard workers)"
+            )
         if world is None:
             world = spec.build_world()
         spec = spec.with_fault_plan(world)
@@ -213,34 +219,15 @@ class Study:
                 world.pool.zone_names(),
             ).run()
             targets = report.addresses
-        if trace_filter is not None and workers > 0:
-            raise ValueError(
-                "packet tracing is sequential-only: trace_filter requires "
-                "workers=0 (per-packet event streams are not shipped back "
-                "from shard workers)"
-            )
-        metrics_snapshot: dict | None = None
-        telemetry: RunTelemetry | None = None
-        tracer: PathTracer | None = None
-        log = None
+        telemetry = RunTelemetry() if collect_metrics else None
         if record is not None:
-            from .runner.shard import shard_context_map
-
-            # The full (kind, vantage, batch) -> shard map: a sequential
-            # run then mints the same span ids and (shard, seq) event
-            # pairs a worker fleet would, so the views compare byte for
-            # byte.  A sharded run's log absorbs the workers' streams.
-            log = EventLog(
-                stamp_wall=False,
-                detail=record,
-                context_map=shard_context_map(
-                    world.params.schedule, traceroutes=spec.traceroutes
-                ),
-            )
-        if workers > 0:
-            from .runner import run_study_parallel
-
-            telemetry = RunTelemetry() if collect_metrics else None
+            event_log = EventLog(stamp_wall=False, detail=record)
+        tracer = None
+        if trace_filter is not None:
+            # The inline shards run on this world, so the tracer sees them.
+            tracer = PathTracer(match=trace_filter)
+            world.network.set_tracer(tracer)
+        try:
             traces, campaign = run_study_parallel(
                 spec,
                 workers=workers,
@@ -249,78 +236,24 @@ class Study:
                 progress=progress,
                 telemetry=telemetry,
                 record=record,
-                event_log=log if log is not None else event_log,
+                event_log=event_log,
                 flight_dir=obs_dir,
                 profile_dir=obs_dir if profile else None,
                 pool=pool,
             )
-            if telemetry is not None:
-                metrics_snapshot = telemetry.metrics
-        else:
-            registry = MetricsRegistry() if collect_metrics else None
-            if trace_filter is not None:
-                tracer = PathTracer(match=trace_filter)
-            if registry is not None or tracer is not None:
-                world.network.set_observability(registry, tracer)
-            if log is not None:
-                world.set_log(log)
-            if spec.plan is not None:
-                # Installed after discovery, exactly as the parallel
-                # path does (workers install the plan; the parent's
-                # discovery never sees it).
-                world.install_fault_plan(spec.plan)
-            profiler = None
-            if profile:
-                import cProfile
-
-                profiler = cProfile.Profile()
-            started = time.perf_counter()
-            if profiler is not None:
-                profiler.enable()
-            try:
-                app = MeasurementApplication(
-                    world, targets=targets, **spec.probe_families()
-                )
-                traces = app.run_study(progress=progress)
-                campaign = (
-                    app.run_traceroutes(progress=progress)
-                    if spec.traceroutes
-                    else TracerouteCampaign()
-                )
-            finally:
-                if profiler is not None:
-                    profiler.disable()
-                if registry is not None or tracer is not None:
-                    world.network.set_observability(None, None)
-                if log is not None:
-                    world.set_log(None)
-                if spec.plan is not None:
-                    # Leave the retained world pristine, matching the
-                    # parent-side world of a sharded run.
-                    world.install_fault_plan(None)
-            if profiler is not None:
-                directory = Path(obs_dir)
-                directory.mkdir(parents=True, exist_ok=True)
-                profiler.dump_stats(directory / "profile-sequential.pstats")
-            if registry is not None:
-                metrics_snapshot = registry.snapshot()
-                telemetry = RunTelemetry(
-                    workers=0,
-                    wall_seconds=time.perf_counter() - started,
-                    metrics=metrics_snapshot,
-                )
-                if spec.plan is not None:
-                    telemetry.chaos = spec.plan.summary()
+        finally:
+            if tracer is not None:
+                world.network.set_tracer(None)
         return cls(
             world=world,
             traces=traces,
             campaign=campaign,
             spec=spec,
-            metrics=metrics_snapshot,
+            metrics=telemetry.metrics if telemetry is not None else None,
             telemetry=telemetry,
             tracer=tracer,
-            spans=log.spans() if log is not None else None,
-            events=log.events() if log is not None else None,
+            spans=event_log.spans() if record is not None else None,
+            events=event_log.events() if record is not None else None,
         )
 
     # ------------------------------------------------------------------
@@ -495,13 +428,16 @@ class Study:
         The manifest is validated as a :class:`~repro.spec.StudySpec`
         (its ``chaos`` audit record aside), so a corrupt one raises
         :class:`~repro.spec.ValidationError` — as do a malformed
+        ``traces.json`` or ``traceroutes.json``, and a malformed
         ``spans.json`` or ``events.jsonl``, which load back onto
         :attr:`spans` and :attr:`events` so a re-save reproduces them.
         The world is rebuilt fault-free: chaos is a property of the
         run, not the world.
         """
         directory = Path(directory)
-        manifest = json.loads((directory / "manifest.json").read_text())
+        manifest = _load_file(
+            lambda path: json.loads(path.read_text()), directory / "manifest.json"
+        )
         if isinstance(manifest, dict):
             manifest.pop("chaos", None)
         spec = StudySpec.from_json(manifest)
@@ -514,14 +450,25 @@ class Study:
                 canonical_events(events)  # what save() writes must be orderable
             except (ValueError, TypeError) as exc:
                 raise ValidationError(f"events.jsonl: {exc}") from None
+        traces = _load_file(TraceSet.load, directory / "traces.json")
+        campaign = _load_file(TracerouteCampaign.load, directory / "traceroutes.json")
         return cls(
             world=spec.build_world(),
-            traces=TraceSet.load(directory / "traces.json"),
-            campaign=TracerouteCampaign.load(directory / "traceroutes.json"),
+            traces=traces,
+            campaign=campaign,
             spec=spec,
             spans=spans,
             events=events,
         )
+
+
+def _load_file(load, path: Path):
+    """``load(path)``; a malformed file raises
+    :class:`~repro.spec.ValidationError`."""
+    try:
+        return load(path)
+    except (ValueError, RecursionError) as exc:
+        raise ValidationError(f"{path.name}: {exc}") from None
 
 
 def _load_spans(path: Path) -> list:

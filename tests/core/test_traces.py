@@ -189,3 +189,85 @@ class TestPathTraces:
         campaign.add(self._path())
         assert len(campaign.by_vantage("v")) == 1
         assert campaign.by_vantage("other") == []
+
+
+class TestStrictLoaders:
+    """Malformed archives raise ``ValueError`` naming the field; none
+    loads as something it is not, none crashes with another error."""
+
+    @staticmethod
+    def traceset(row):
+        return {
+            "format": "ecn-udp-traceset/1",
+            "server_addrs": [7],
+            "traces": [
+                {
+                    "trace_id": 0,
+                    "vantage_key": "ugla-wired",
+                    "batch": 1,
+                    "started_at": 0.0,
+                    "outcomes": [row],
+                }
+            ],
+        }
+
+    BASE = [7, 1, 1, 1, 1, 1, 1, 1, 200]
+    QUIC = [0, 1, 1, 13, 13, 13, 0, 0]
+
+    def test_well_formed_rows_load(self):
+        for row in (self.BASE, self.BASE + self.QUIC):
+            loaded = TraceSet.from_dict(self.traceset(row))
+            assert _outcome_to_row(loaded.traces[0].outcome_for(7)) == row
+
+    @pytest.mark.parametrize(
+        "row,field",
+        [
+            # A negative index used to load as the last state.
+            ([7, 1, 1, 1, 1, 1, 1, 1, 200, -1, 1, 1, 13, 13, 13, 0, 0], "quic.state"),
+            ([7, 1, 1, 1, 1, 1, 1, 1, 200, 99, 1, 1, 13, 13, 13, 0, 0], "quic.state"),
+            # A 10-element row used to raise IndexError.
+            ([7, 1, 1, 1, 1, 1, 1, 1, 200, 0], r"outcomes\[0\]: expected 9 or 17"),
+            # A string HTTP status used to raise TypeError.
+            ([7, 1, 1, 1, 1, 1, 1, 1, "200"], "http_status"),
+            ([7, True, 1, 1, 1, 1, 1, 1, 200], "udp_plain"),
+            ({"server_addr": 7}, r"outcomes\[0\]"),
+        ],
+    )
+    def test_bad_outcome_row(self, row, field):
+        with pytest.raises(ValueError, match=field):
+            TraceSet.from_dict(self.traceset(row))
+
+    @pytest.mark.parametrize("loader", [TraceSet, TracerouteCampaign])
+    @pytest.mark.parametrize("document", [[], "traces", 3, None])
+    def test_non_object_document(self, loader, document):
+        # A non-object document used to raise AttributeError.
+        with pytest.raises(ValueError, match="document: expected an object"):
+            loader.from_dict(document)
+
+    def test_bad_trace_field(self):
+        document = self.traceset(self.BASE)
+        document["traces"][0]["trace_id"] = "0"
+        with pytest.raises(ValueError, match=r"traces\[0\]\.trace_id"):
+            TraceSet.from_dict(document)
+        del document["traces"][0]["trace_id"]
+        with pytest.raises(ValueError, match=r"traces\[0\]\.trace_id: missing"):
+            TraceSet.from_dict(document)
+
+    @pytest.mark.parametrize(
+        "hops", [[[1, 2, 3]], [[1, 2, 3, "4"]], [None], "hops"]
+    )
+    def test_bad_traceroute_hops(self, hops):
+        document = {
+            "format": "ecn-udp-traceroutes/1",
+            "paths": [
+                {
+                    "vantage_key": "ugla-wired",
+                    "dst_addr": 7,
+                    "sent_ecn": 2,
+                    "reached_destination": True,
+                    "hops": hops,
+                }
+            ],
+        }
+        with pytest.raises(ValueError, match=r"paths\[0\]\.hops"):
+            TracerouteCampaign.from_dict(document)

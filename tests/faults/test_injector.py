@@ -228,14 +228,14 @@ class TestLifecycle:
 
         link_id = _some_link_id(fresh_world)
         registry = MetricsRegistry()
-        fresh_world.network.set_observability(registry)
+        fresh_world.network.set_metrics(registry)
         try:
             fresh_world.install_fault_plan(
                 _plan(FaultEvent(kind=LINK_FLAP, epoch=0, target=link_id))
             )
             fresh_world.begin_epoch(0)
         finally:
-            fresh_world.network.set_observability(None)
+            fresh_world.network.set_metrics(None)
             fresh_world.install_fault_plan(None)
         counters = registry.snapshot()["counters"]
         assert counters.get("faults.link_flap") == 1

@@ -118,7 +118,7 @@ class TestInNetwork:
     def test_bleacher_hop_observed_at_right_position(self, mode):
         net, client, server = build_chain(mode=mode, bleach_at=2)
         tracer = PathTracer(match="udp and ect0 or udp and not-ect")
-        net.set_observability(tracer=tracer)
+        net.set_tracer(tracer)
         server.udp_bind(123, lambda d, p, t: None)
         client.udp_bind(None).send(server.addr, 123, b"x", ecn=ECN.ECT_0)
         net.scheduler.run()
@@ -147,7 +147,7 @@ class TestInNetwork:
     def test_filter_excludes_other_traffic(self, mode):
         net, client, server = build_chain(mode=mode)
         tracer = PathTracer(match="tcp")
-        net.set_observability(tracer=tracer)
+        net.set_tracer(tracer)
         server.udp_bind(123, lambda d, p, t: None)
         client.udp_bind(None).send(server.addr, 123, b"x", ecn=ECN.ECT_0)
         net.scheduler.run()

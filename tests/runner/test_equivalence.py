@@ -55,8 +55,8 @@ def test_sharded_run_bit_identical(
 
 
 def test_workers0_matches_default_run(sequential_studies):
-    # workers=0 must be the plain sequential path, not a one-worker
-    # pool: same world, same traces, no behaviour change.
+    # workers=0 runs the shards inline on the study's own world, not
+    # on a one-worker pool: same world, same traces.
     seed = SEEDS[0]
     sequential = sequential_studies[seed]
     explicit = Study.run(scale=SCALE, seed=seed, workers=0)

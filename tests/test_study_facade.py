@@ -1,9 +1,16 @@
 """Tests for the Study façade."""
 
+import copy
+import json
+import pstats
 import shutil
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.netsim.ipv4 import PROTO_UDP
+from repro.runner import plan_shards
 from repro.spec import ValidationError
 from repro.study import Study
 
@@ -33,6 +40,27 @@ class TestRun:
         assert set(study.traces.server_addrs) == {
             s.addr for s in study.world.servers
         }
+
+    def test_packet_tracer_records_with_metrics_on(self):
+        # Each shard installs and removes its own metrics registry; the
+        # study-wide tracer must survive both.
+        study = Study.run(
+            scale=0.002, seed=5, workers=0, trace_filter="udp", collect_metrics=True
+        )
+        assert len(study.tracer) > 0
+        assert {event.protocol for event in study.tracer.events} == {PROTO_UDP}
+        assert study.metrics["counters"]
+        assert study.world.network.tracer is None
+
+    def test_profile_writes_one_stats_file_per_shard(self, tmp_path):
+        study = Study.run(scale=0.002, seed=5, workers=0, profile=True, obs_dir=tmp_path)
+        shards = plan_shards(study.world.params.schedule)
+        files = sorted(tmp_path.glob("*.pstats"))
+        assert {path.name for path in files} == {
+            f"profile-shard-{shard.shard_id}.pstats" for shard in shards
+        }
+        for path in files:
+            assert pstats.Stats(str(path)).total_calls > 0
 
 
 class TestAnalyses:
@@ -120,6 +148,13 @@ class TestRecordedPersistence:
             ("events.jsonl", b"[" * 100000),
             ("events.jsonl", b"\xff\xfe\n"),
             ("events.jsonl", b'{"shard": "a", "seq": 0}\n{"shard": 1, "seq": 0}\n'),
+            ("manifest.json", b"not json"),
+            ("manifest.json", b"[" * 100000),
+            ("traces.json", b"[]"),
+            ("traces.json", b"not json"),
+            ("traces.json", b"[" * 100000),
+            ("traceroutes.json", b"[]"),
+            ("traceroutes.json", b'{"format": "ecn-udp-traceroutes/1"}'),
         ],
     )
     def test_malformed_views_raise_validation_error(
@@ -130,3 +165,92 @@ class TestRecordedPersistence:
         (directory / name).write_bytes(raw)
         with pytest.raises(ValidationError, match=name):
             Study.load(directory)
+
+    @pytest.mark.parametrize(
+        "name,field,mutate",
+        [
+            ("traces.json", "quic.state", lambda row: row[:9] + [-1, 1, 1, 5, 5, 5, 0, 0]),
+            ("traces.json", "expected 9 or 17", lambda row: row[:9] + [0]),
+            ("traces.json", "http_status", lambda row: row[:8] + ["200"]),
+        ],
+    )
+    def test_malformed_outcome_row_raises_validation_error(
+        self, recorded_dir, tmp_path, name, field, mutate
+    ):
+        directory = tmp_path / "study"
+        shutil.copytree(recorded_dir, directory)
+        document = json.loads((directory / name).read_text())
+        outcomes = document["traces"][0]["outcomes"]
+        outcomes[0] = mutate(outcomes[0])
+        (directory / name).write_text(json.dumps(document))
+        with pytest.raises(ValidationError, match=f"{name}: .*{field}"):
+            Study.load(directory)
+
+    def test_malformed_hop_raises_validation_error(self, recorded_dir, tmp_path):
+        directory = tmp_path / "study"
+        shutil.copytree(recorded_dir, directory)
+        document = json.loads((directory / "traceroutes.json").read_text())
+        document["paths"][0]["hops"][0] = [1, 2, 3]
+        (directory / "traceroutes.json").write_text(json.dumps(document))
+        with pytest.raises(ValidationError, match=r"traceroutes.json: paths\[0\]\.hops"):
+            Study.load(directory)
+
+
+def _containers(values):
+    return st.lists(values, max_size=3) | st.dictionaries(st.text(max_size=3), values, max_size=3)
+
+
+#: Any JSON value, small: what a mutation writes into an archive.
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 300)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=3),
+    _containers,
+    max_leaves=5,
+)
+
+
+def _mutated(data, document):
+    """``document`` with one value, reached by a random walk, replaced
+    by a random JSON value or deleted."""
+    document = copy.deepcopy(document)
+    parent, key, node = None, None, document
+    while isinstance(node, (dict, list)) and node and data.draw(st.integers(0, 4)):
+        keys = list(node) if isinstance(node, dict) else range(len(node))
+        key = data.draw(st.sampled_from(keys))
+        parent, node = node, node[key]
+    if parent is None:
+        return data.draw(JSON_VALUES)
+    if data.draw(st.booleans()):
+        del parent[key]
+    else:
+        parent[key] = data.draw(JSON_VALUES)
+    return document
+
+
+class TestLoadProperty:
+    """Every mutated dataset either loads or raises ValidationError."""
+
+    @pytest.fixture(scope="class")
+    def archive(self, tmp_path_factory):
+        directory = tmp_path_factory.mktemp("mutated")
+        Study.run(scale=0.002, seed=3, quic=True).save(directory)
+        return directory
+
+    @pytest.mark.parametrize("name", ["traces.json", "traceroutes.json"])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_mutated_dataset_loads_or_raises_validation_error(
+        self, archive, name, data
+    ):
+        path = archive / name
+        original = path.read_text()
+        path.write_text(json.dumps(_mutated(data, json.loads(original))))
+        try:
+            Study.load(archive)
+        except ValidationError:
+            pass
+        finally:
+            path.write_text(original)
