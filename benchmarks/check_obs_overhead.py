@@ -4,8 +4,8 @@ The :mod:`repro.obs` layer promises that disabled instrumentation
 costs one falsey-predicate per call site.  A build cannot time itself
 against a hypothetical uninstrumented twin, so this check pins the
 contract from the other side: it times the same small sequential study
-with observability **disabled** and **enabled**, three runs each, and
-compares best-of-three wall clocks.
+with observability **disabled** and **enabled**, and compares best-of
+wall clocks.
 
 If the disabled runs are more than ``--budget`` (default 5 %) slower
 than the enabled ones, the gating is broken or inverted — a disabled
@@ -18,6 +18,11 @@ event log — one context switch, one span and a handful of events per
 measurement epoch — so it must cost at most ``--record-budget``
 (default 5 %) over a run with recording off.  Spans and events are one
 record stream behind one switch, so a single gate covers both.
+
+The three configurations are timed in ``--runs`` rounds (default 3).
+Every round runs each configuration once, and the order rotates from
+round to round, so drift of a shared machine spreads over all three
+instead of landing on whichever configuration runs last.
 
 Usage::
 
@@ -56,24 +61,25 @@ def write_step_summary(title: str, headers: list[str], rows: list[list[str]]) ->
         handle.write("\n".join(lines) + "\n")
 
 
-def best_of(
-    runs: int,
-    scale: float,
-    seed: int,
-    collect_metrics: bool,
-    record: str | None = None,
-) -> float:
-    timings = []
-    for _ in range(runs):
-        started = time.perf_counter()
-        Study.run(
-            scale=scale,
-            seed=seed,
-            collect_metrics=collect_metrics,
-            record=record,
-        )
-        timings.append(time.perf_counter() - started)
-    return min(timings)
+#: The timed configurations, as ``Study.run`` keyword arguments.
+CONFIGS = {
+    "disabled": dict(collect_metrics=False),
+    "enabled": dict(collect_metrics=True),
+    "recording": dict(collect_metrics=False, record="epoch"),
+}
+
+
+def best_of_rotated(runs: int, scale: float, seed: int) -> dict[str, float]:
+    """Best wall clock per configuration over ``runs`` rotated rounds."""
+    names = list(CONFIGS)
+    best = dict.fromkeys(names, float("inf"))
+    for round_index in range(runs):
+        shift = round_index % len(names)
+        for name in names[shift:] + names[:shift]:
+            started = time.perf_counter()
+            Study.run(scale=scale, seed=seed, **CONFIGS[name])
+            best[name] = min(best[name], time.perf_counter() - started)
+    return best
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -95,8 +101,10 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    disabled = best_of(args.runs, args.scale, args.seed, collect_metrics=False)
-    enabled = best_of(args.runs, args.scale, args.seed, collect_metrics=True)
+    best = best_of_rotated(args.runs, args.scale, args.seed)
+    disabled, enabled, recording = (
+        best["disabled"], best["enabled"], best["recording"]
+    )
     overhead = disabled / enabled - 1.0
     print(
         f"scale={args.scale} runs={args.runs}: "
@@ -116,9 +124,6 @@ def main(argv: list[str] | None = None) -> int:
         )
         failed = True
 
-    recording = best_of(
-        args.runs, args.scale, args.seed, collect_metrics=False, record="epoch"
-    )
     record_overhead = recording / disabled - 1.0
     print(
         f"recording (epoch detail) best {recording:.2f}s; "
@@ -134,7 +139,8 @@ def main(argv: list[str] | None = None) -> int:
         failed = True
 
     write_step_summary(
-        f"Observability overhead (scale={args.scale}, best of {args.runs})",
+        f"Observability overhead (scale={args.scale}, "
+        f"best of {args.runs} rotated rounds)",
         ["configuration", "best (s)", "overhead vs reference", "budget", "verdict"],
         [
             [

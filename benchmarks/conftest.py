@@ -22,6 +22,7 @@ import pytest
 from repro.core.measurement import MeasurementApplication
 from repro.scenario.internet import SyntheticInternet
 from repro.scenario.parameters import scaled_params
+from repro.study import Study
 
 BENCH_SCALE = float(os.environ.get("ECNUDP_BENCH_SCALE", "0.06"))
 BENCH_SEED = 20150401
@@ -39,12 +40,20 @@ def bench_app(bench_world) -> MeasurementApplication:
 
 
 @pytest.fixture(scope="session")
-def bench_study(bench_world, bench_app):
-    """The full trace schedule, run once and shared."""
-    return bench_app.run_study()
+def bench_run(bench_world) -> Study:
+    """The full trace schedule and traceroute campaign, run once."""
+    return Study.run(
+        scale=BENCH_SCALE, seed=BENCH_SEED, world=bench_world, discover=False
+    )
 
 
 @pytest.fixture(scope="session")
-def bench_campaign(bench_world, bench_app):
-    """The full traceroute campaign, run once and shared."""
-    return bench_app.run_traceroutes()
+def bench_study(bench_run):
+    """The full trace schedule, shared."""
+    return bench_run.traces
+
+
+@pytest.fixture(scope="session")
+def bench_campaign(bench_run):
+    """The full traceroute campaign, shared."""
+    return bench_run.campaign

@@ -8,10 +8,7 @@ number happens to absorb it:
 * ``test_engine_events_per_second`` — schedule/cancel/dispatch churn
   through :class:`~repro.netsim.engine.EventScheduler`, the
   retransmission-timer pattern that dominates engine time in the TCP
-  experiment.  Also times the same stream through
-  :class:`~repro.netsim.engine.CalendarQueue` (informational) so the
-  backend decision recorded in DESIGN.md §12 stays continuously
-  re-validated.
+  experiment.
 * ``test_packets_forwarded_per_second`` — UDP datagrams across a
   six-router chain in FAST mode: router TTL decrement, link sampler,
   and delivery, with no TCP or study machinery on top.
@@ -20,7 +17,7 @@ Both print an absolute rate; the gate compares calibration-normalised
 units via ``check_regression.py``.
 """
 
-from repro.netsim.engine import CalendarQueue, Event, EventScheduler
+from repro.netsim.engine import EventScheduler
 from repro.netsim.host import Host
 from repro.netsim.ipv4 import parse_addr
 from repro.netsim.link import link_pair
@@ -50,37 +47,11 @@ def _event_churn() -> int:
     return fired
 
 
-def _calendar_churn() -> int:
-    """The same stream through the CalendarQueue evaluation backend."""
-    queue = CalendarQueue()
-    fired = 0
-    for index in range(EVENTS):
-        event = Event(0.001 * (index % 97), index, None, ())
-        queue.push(event)
-        if index % 3 == 0:
-            event.cancelled = True
-    while len(queue):
-        if not queue.pop().cancelled:
-            fired += 1
-    return fired
-
-
 def test_engine_events_per_second(benchmark):
     fired = benchmark(_event_churn)
     assert fired == EVENTS - (EVENTS + 2) // 3
     rate = EVENTS / benchmark.stats["mean"]
     print(f"\nengine: {rate:,.0f} scheduled events/s (heap backend)")
-    # Informational head-to-head for the DESIGN.md §12 backend choice;
-    # not gated (the calendar queue is not the production backend).
-    import time
-
-    t0 = time.perf_counter()
-    _calendar_churn()
-    calendar_s = time.perf_counter() - t0
-    print(
-        f"engine: {EVENTS / calendar_s:,.0f} events/s (calendar backend, "
-        f"x{calendar_s / benchmark.stats['mean']:.1f} vs heap)"
-    )
 
 
 def _build_chain():

@@ -16,8 +16,8 @@ def test_figure4_single_vantage_campaign(benchmark, bench_world, bench_app):
     targets = [s.addr for s in bench_world.servers]
 
     campaign = benchmark.pedantic(
-        bench_app.run_traceroutes,
-        kwargs={"vantage_keys": ["ec2-virginia"], "targets": targets},
+        bench_app.run_traceroute_vantage,
+        args=("ec2-virginia", targets),
         rounds=1,
         iterations=1,
     )

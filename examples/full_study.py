@@ -15,61 +15,24 @@ minutes; numbers recorded in EXPERIMENTS.md).
 import sys
 import time
 
-from repro import MeasurementApplication, PoolDiscovery, SyntheticInternet
-from repro.core.analysis import (
-    DifferentialAnalysis,
-    analyze_campaign,
-    analyze_correlation,
-    analyze_geography,
-    analyze_reachability,
-    analyze_tcp_ecn,
-)
-from repro.reporting.report import full_report
-from repro.scenario.parameters import default_params, scaled_params
+from repro import Study
 
 
 def main() -> None:
     scale = float(sys.argv[1]) if len(sys.argv) > 1 else 0.1
     seed = int(sys.argv[2]) if len(sys.argv) > 2 else 20150401
-    params = default_params(seed) if scale >= 1.0 else scaled_params(scale, seed)
 
     started = time.time()
-    world = SyntheticInternet(params)
-    print(f"[{time.time() - started:6.1f}s] built {world!r}")
-
-    discovery = PoolDiscovery(
-        world.vantage_hosts["ugla-wired"], world.dns_addr, world.pool.zone_names()
-    )
-    report = discovery.run()
+    study = Study.run(scale=scale, seed=seed)
+    hops = sum(len(p.hops) for p in study.campaign)
     print(
-        f"[{time.time() - started:6.1f}s] discovered {len(report)} servers "
-        f"in {report.sweeps} DNS sweeps"
+        f"[{time.time() - started:6.1f}s] {study.world!r}: "
+        f"{len(study.traces)} traces over "
+        f"{len(study.traces.server_addrs)} discovered servers, "
+        f"{len(study.campaign)} traceroutes ({hops} hop observations)"
     )
-
-    app = MeasurementApplication(world, targets=report.addresses)
-    traces = app.run_study()
-    print(f"[{time.time() - started:6.1f}s] collected {len(traces)} traces")
-
-    campaign = app.run_traceroutes()
-    hops = sum(len(p.hops) for p in campaign)
-    print(
-        f"[{time.time() - started:6.1f}s] ran {len(campaign)} traceroutes "
-        f"({hops} hop observations)"
-    )
-
     print()
-    print(
-        full_report(
-            analyze_geography(traces.server_addrs, world.geo),
-            analyze_reachability(traces),
-            DifferentialAnalysis(traces, "plain-only"),
-            DifferentialAnalysis(traces, "ect-only"),
-            analyze_tcp_ecn(traces),
-            campaign,
-            analyze_campaign(campaign, world.noisy_as_map),
-            analyze_correlation(traces),
-        )
-    )
+    print(study.report())
 
 
 if __name__ == "__main__":

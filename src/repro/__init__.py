@@ -15,11 +15,10 @@ The package is organised bottom-up:
 
 Quick start::
 
-    from repro import SyntheticInternet, MeasurementApplication, scaled_params
+    from repro import Study
 
-    world = SyntheticInternet(scaled_params(0.1, seed=7))
-    app = MeasurementApplication(world)
-    traces = app.run_study()
+    study = Study.run(scale=0.1, seed=7)
+    print(study.reachability.avg_pct_ect_given_plain)  # paper: 98.97
 
 See README.md for the full tour, DESIGN.md for the system inventory,
 and EXPERIMENTS.md for paper-versus-reproduced numbers.

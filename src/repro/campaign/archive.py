@@ -109,9 +109,6 @@ class CampaignSpec:
     def timeline_obj(self) -> Timeline:
         return timeline_by_name(self.timeline)
 
-    def year_for_epoch(self, epoch: int) -> float:
-        return self.start_year + epoch * self.cadence_years
-
     def drift_for_epoch(self, epoch: int) -> EpochDrift:
         """The drift epoch ``N`` runs under — pure in ``(spec, N)``."""
         return self.timeline_obj.drift_for_epoch(

@@ -49,10 +49,6 @@ class ReachabilitySummary:
         return _mean([t.udp_plain for t in self.per_trace])
 
     @property
-    def avg_udp_ect(self) -> float:
-        return _mean([t.udp_ect for t in self.per_trace])
-
-    @property
     def avg_pct_ect_given_plain(self) -> float:
         """Paper headline: 98.97 %."""
         return _mean(

@@ -8,13 +8,19 @@ points in two batches (April/May: author homes and the Glasgow
 wireless; July/August: everywhere), with pool churn in between.  A
 separate campaign runs ECT(0) traceroutes from every vantage to every
 server (§4.2).
+
+:class:`MeasurementApplication` runs the two shard bodies —
+:meth:`~MeasurementApplication.run_planned` for a slice of the trace
+plan and :meth:`~MeasurementApplication.run_traceroute_vantage` for one
+vantage's sweep; :mod:`repro.runner` plans, executes and merges them
+into a study (:meth:`repro.study.Study.run`).
 """
 
 from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from ..netsim.ecn import ECN
 from ..obs.events import CTX_TRACEROUTES, CTX_TRACES, DETAIL_PROBE
@@ -29,8 +35,6 @@ from .traces import (
     ProbeOutcome,
     QUICProbeOutcome,
     Trace,
-    TraceSet,
-    TracerouteCampaign,
 )
 
 #: Progress callback: (current step, total steps, label).
@@ -278,19 +282,6 @@ class MeasurementApplication:
                 )
         return traces
 
-    def run_study(self) -> TraceSet:
-        """Execute the whole trace schedule, switching batches midway."""
-        plan = trace_plan(self.world.params.schedule)
-        trace_set = TraceSet(
-            server_addrs=list(self.targets),
-            description=(
-                "ECN/UDP reachability study: "
-                f"{len(plan)} traces x {len(self.targets)} servers"
-            ),
-        )
-        trace_set.extend(self.run_planned(plan))
-        return trace_set
-
     # ------------------------------------------------------------------
     # Traceroute campaign (§4.2)
     # ------------------------------------------------------------------
@@ -360,18 +351,3 @@ class MeasurementApplication:
                     )
                 )
         return paths
-
-    def run_traceroutes(
-        self,
-        vantage_keys: Iterable[str] | None = None,
-        targets: Sequence[int] | None = None,
-        ecn: ECN = ECN.ECT_0,
-    ) -> TracerouteCampaign:
-        """ECT(0) traceroutes from each vantage to each target."""
-        keys = list(vantage_keys) if vantage_keys is not None else list(
-            self.world.vantage_hosts
-        )
-        campaign = TracerouteCampaign()
-        for key in keys:
-            campaign.extend(self.run_traceroute_vantage(key, targets, ecn=ecn))
-        return campaign

@@ -12,7 +12,6 @@ never a prefix.
 
 from __future__ import annotations
 
-import json
 import os
 import tempfile
 from collections.abc import Iterator
@@ -57,8 +56,3 @@ def atomic_write_text(path: str | Path, text: str) -> None:
     """Write ``text`` to ``path`` atomically (temp file + rename)."""
     with atomic_open(path) as handle:
         handle.write(text)
-
-
-def atomic_write_json(path: str | Path, payload, indent: int | None = None) -> None:
-    """Serialise ``payload`` and write it atomically."""
-    atomic_write_text(path, json.dumps(payload, indent=indent))

@@ -9,16 +9,11 @@ often than they fire.  When dead entries come to dominate (more than
 half the heap, above a small floor) the scheduler compacts in place,
 so a workload that schedules-and-cancels in a loop stays O(live)
 rather than O(ever-scheduled).
-
-A calendar-queue backend (:class:`CalendarQueue`) is provided for
-benchmarking; see its docstring for why the binary heap remains the
-production backend.
 """
 
 from __future__ import annotations
 
 import heapq
-from bisect import insort
 from typing import Any, Callable
 
 from .clock import SimClock
@@ -53,11 +48,6 @@ class Event:
             if scheduler is not None:
                 scheduler._note_cancelled(self)
 
-    def __lt__(self, other: "Event") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
         return f"Event(t={self.time:.6f}, seq={self.seq}, {state})"
@@ -74,9 +64,8 @@ class EventScheduler:
     def __init__(self, clock: SimClock | None = None) -> None:
         self.clock = clock if clock is not None else SimClock()
         #: Heap of ``(time, seq, event)`` entries: ordering compares
-        #: plain tuples in C instead of calling ``Event.__lt__`` per
-        #: sift step, which is measurable at hundreds of thousands of
-        #: pushes per study.  Tie-break by ``seq`` is unchanged.
+        #: plain tuples in C, and the unique ``seq`` breaks time ties
+        #: by insertion order, so events themselves are never compared.
         self._heap: list[tuple[float, int, Event]] = []
         self._seq = 0
         self._dispatched = 0
@@ -282,78 +271,3 @@ class EventScheduler:
             )
         self._heap.clear()
         self.clock.reset_to(when)
-
-
-class CalendarQueue:
-    """Calendar-queue priority queue, kept for benchmark evaluation.
-
-    A calendar queue buckets events by time modulo a "year" so that
-    push and pop-min are O(1) amortised when event times are spread
-    evenly — the textbook alternative to a binary heap for discrete
-    event simulation.  This implementation preserves the scheduler's
-    determinism contract: within a bucket, entries are kept ordered by
-    ``(time, seq)``, so ties break by insertion order exactly as the
-    heap does.
-
-    **Evaluation outcome** (see ``benchmarks/test_engine_microbench.py``):
-    on this workload the binary heap wins — ~20 % faster on the
-    schedule/cancel/drain churn benchmark, and the gap widens on the
-    real study profile where the pending population is small (tens to
-    hundreds) and bimodal: a dense cluster of in-flight packet hops
-    plus sparse retransmission timers.  ``heapq``'s C-implemented
-    push/pop beats pure-Python bucket bookkeeping at these sizes; a
-    calendar queue only pays off with thousands of uniformly spread
-    pending events, which the sharded runner's per-epoch structure
-    never produces.  The heap therefore remains
-    :class:`EventScheduler`'s backend; this class is exercised by the
-    microbenchmark and equivalence tests so the comparison stays
-    honest as the hot path evolves.
-    """
-
-    __slots__ = ("_buckets", "_width", "_last_time", "_len")
-
-    def __init__(self, bucket_width: float = 0.01, num_buckets: int = 64) -> None:
-        self._buckets: list[list[Event]] = [[] for _ in range(num_buckets)]
-        self._width = bucket_width
-        self._last_time = 0.0
-        self._len = 0
-
-    def __len__(self) -> int:
-        return self._len
-
-    def push(self, event: Event) -> None:
-        index = int(event.time / self._width) % len(self._buckets)
-        insort(self._buckets[index], event)
-        self._len += 1
-
-    def pop(self) -> Event:
-        """Remove and return the earliest event (ties by ``seq``)."""
-        if not self._len:
-            raise IndexError("pop from empty CalendarQueue")
-        buckets = self._buckets
-        num = len(buckets)
-        width = self._width
-        year = width * num
-        # Scan one "year" of buckets starting from the current time's
-        # bucket; any event due within that bucket's current-year slice
-        # is the minimum.  Fall back to a full min scan (far-future
-        # events beyond the current year) if the sweep finds nothing.
-        start = int(self._last_time / width)
-        for offset in range(num):
-            index = (start + offset) % num
-            bucket = buckets[index]
-            if bucket and bucket[0].time < (start + offset + 1) * width:
-                event = bucket.pop(0)
-                self._last_time = event.time
-                self._len -= 1
-                return event
-        best_index = -1
-        best = None
-        for index, bucket in enumerate(buckets):
-            if bucket and (best is None or bucket[0] < best):
-                best = bucket[0]
-                best_index = index
-        event = buckets[best_index].pop(0)
-        self._last_time = event.time
-        self._len -= 1
-        return event

@@ -66,6 +66,9 @@ class TCPStackProtocol(Protocol):
     def deliver(self, packet: IPv4Packet, now: float) -> None:  # pragma: no cover
         ...
 
+    def reset_ephemeral_state(self) -> None:  # pragma: no cover
+        ...
+
 
 class Host:
     """A simulated end host."""
@@ -118,9 +121,8 @@ class Host:
             self.access.loss.reset()
         if self.access.upstream_aqm is not None:
             self.access.upstream_aqm.reset()
-        reset_tcp = getattr(self.tcp, "reset_ephemeral_state", None)
-        if reset_tcp is not None:
-            reset_tcp()
+        if self.tcp is not None:
+            self.tcp.reset_ephemeral_state()
 
     @property
     def now(self) -> float:

@@ -145,13 +145,6 @@ class Network:
         self._hop_cache[key] = result
         return result
 
-    def invalidate_routes(self) -> None:
-        """Drop cached routes/hops after a topology change."""
-        self.routing.invalidate()
-        self._hop_cache.clear()
-        self._route_cache.clear()
-        self._icmp_return_cache.clear()
-
     def set_excluded_routers(self, excluded: frozenset[str]) -> None:
         """Blackhole a set of routers: paths reroute around them.
 

@@ -27,9 +27,7 @@ from .events import (
     DEFAULT_EVENT_CAPACITY,
     EVENTS_FORMAT,
     LEVELS,
-    NULL_EVENTS,
     EventLog,
-    NullEventLog,
     canonical_events,
     level_rank,
     load_flight_dump,
@@ -38,10 +36,8 @@ from .events import (
 )
 from .metrics import (
     DURATION_BOUNDS,
-    NULL_METRICS,
     RTT_BOUNDS,
     MetricsRegistry,
-    NullRegistry,
     empty_snapshot,
     histogram_sum,
     merge_snapshots,
@@ -94,10 +90,6 @@ __all__ = [
     "LEVELS",
     "METRIC_PREFIX",
     "MetricsRegistry",
-    "NULL_EVENTS",
-    "NULL_METRICS",
-    "NullEventLog",
-    "NullRegistry",
     "PROM_CONTENT_TYPE",
     "PathEvent",
     "PathTracer",

@@ -20,7 +20,7 @@ are views of it.
   for any ``workers`` value.  Rate limiting is a per-``(shard, kind)`` cap,
   a pure function of the emission sequence; wall-clock stamps live in
   the ``wall`` / ``wall_ms`` fields :func:`canonical_events` strips.
-* **Cheap when off.**  :data:`NULL_EVENTS` is falsey; every recording
+* **Cheap when off.**  A disabled log is ``None``; every recording
   site is truthiness-gated (``if log: log.emit(...)``).
 * **Bounded where it is live.**  Every record also lands in a ring:
   old records fall off the front while the stream position keeps
@@ -400,26 +400,6 @@ class EventLog:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"EventLog({len(self._ring)} records, next_seq={self._pos})"
-
-
-class NullEventLog(EventLog):
-    """Disabled event log: falsey, records nothing, reads empty."""
-
-    __slots__ = ()
-
-    def __bool__(self) -> bool:
-        return False
-
-    def emit(self, kind: str, level: str = "info", /, **fields) -> None:
-        return None
-
-    @contextmanager
-    def span(self, kind: str, name: str, **attrs):
-        yield
-
-
-#: Shared disabled-event-log sentinel.
-NULL_EVENTS = NullEventLog()
 
 
 # ----------------------------------------------------------------------

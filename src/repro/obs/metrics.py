@@ -6,8 +6,8 @@ dispatch) are instrumented with *truthiness-gated* call sites::
     if metrics:
         metrics.incr("router.forwarded")
 
-so a disabled registry — ``None`` or the :data:`NULL_METRICS` sentinel,
-both falsey — costs exactly one predicate per call site.  A real
+so a disabled registry — ``None`` — costs exactly one predicate per
+call site.  A real
 :class:`MetricsRegistry` is always truthy.
 
 Determinism is the design constraint that shapes everything else:
@@ -145,11 +145,6 @@ class MetricsRegistry:
             hist = self._histograms[name] = _Histogram(tuple(bounds))
         hist.observe(value)
 
-    def histogram(self, name: str) -> dict | None:
-        """Snapshot of histogram ``name`` (None if never observed)."""
-        hist = self._histograms.get(name)
-        return hist.to_dict() if hist is not None else None
-
     # ------------------------------------------------------------------
     # Snapshots
     # ------------------------------------------------------------------
@@ -182,53 +177,6 @@ class MetricsRegistry:
             f"MetricsRegistry({len(self._counters)} counters, "
             f"{len(self._gauges)} gauges, {len(self._histograms)} histograms)"
         )
-
-
-class NullRegistry:
-    """The disabled registry: falsey, and every operation is a no-op.
-
-    Exists so code can hold "a registry" unconditionally and still let
-    truthiness-gated call sites skip all work.  :data:`NULL_METRICS` is
-    the shared instance; there is no reason to construct more.
-    """
-
-    __slots__ = ()
-
-    def __bool__(self) -> bool:
-        return False
-
-    def incr(self, name: str, amount: int = 1) -> None:
-        pass
-
-    def counter(self, name: str) -> int:
-        return 0
-
-    def gauge_max(self, name: str, value: float) -> None:
-        pass
-
-    def gauge(self, name: str, default: float | None = None) -> float | None:
-        return default
-
-    def observe(
-        self, name: str, value: float, bounds: Sequence[float] = RTT_BOUNDS
-    ) -> None:
-        pass
-
-    def histogram(self, name: str) -> dict | None:
-        return None
-
-    def snapshot(self) -> dict:
-        return {"counters": {}, "gauges": {}}
-
-    def clear(self) -> None:
-        pass
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "NullRegistry()"
-
-
-#: Shared disabled-registry sentinel.
-NULL_METRICS = NullRegistry()
 
 
 def empty_snapshot() -> dict:

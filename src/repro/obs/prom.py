@@ -22,7 +22,7 @@ sharded study equals the sequential one's.
 from __future__ import annotations
 
 import re
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .metrics import _SUM_SCALE
 
@@ -267,8 +267,3 @@ def render_histogram_rows(snapshot: Mapping) -> list[list[str]]:
             ]
         )
     return rows
-
-
-def iter_histogram_names(snapshot: Mapping) -> Iterable[str]:
-    """The histogram names present in a snapshot, sorted."""
-    return sorted(snapshot.get("histograms", {}))

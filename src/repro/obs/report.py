@@ -54,46 +54,85 @@ class RunArtifacts:
     alerts: list[dict] = field(default_factory=list)
 
 
+def _read(path: Path) -> str:
+    """The file's text; a missing or undecodable file reads as empty."""
+    try:
+        return path.read_text()
+    except (OSError, ValueError):
+        return ""
+
+
 def _load_json(path: Path):
     try:
-        return json.loads(path.read_text())
-    except (OSError, ValueError, RecursionError):
+        return json.loads(_read(path))
+    except (ValueError, RecursionError):
         return None
 
 
 def _load_jsonl(path: Path) -> list[dict]:
     """Best-effort JSONL load — the dashboard degrades, never raises."""
     try:
-        return parse_events_jsonl(path.read_text())
-    except (OSError, ValueError):
+        return parse_events_jsonl(_read(path))
+    except ValueError:
         return []
 
 
+def _object(value) -> dict | None:
+    return value if isinstance(value, dict) else None
+
+
+def _objects(value) -> list[dict]:
+    """The object entries of a list; anything else reads as empty."""
+    if not isinstance(value, list):
+        return []
+    return [entry for entry in value if isinstance(entry, dict)]
+
+
+def _with_histograms(document: dict | None, key: str) -> dict | None:
+    """``document``, unless its ``key`` is not an object of objects."""
+    histograms = (document or {}).get(key, {})
+    if not isinstance(histograms, dict) or not all(
+        isinstance(entry, dict) for entry in histograms.values()
+    ):
+        return None
+    return document
+
+
 def load_run_artifacts(study_dir: str | Path) -> RunArtifacts:
-    """Gather whatever observability artefacts the directory holds."""
+    """Gather whatever observability artefacts the directory holds.
+
+    An unreadable document, and one of the wrong shape, reads as
+    absent; list entries that are not objects are skipped.
+    """
     directory = Path(study_dir)
     artifacts = RunArtifacts(study_dir=directory)
-    artifacts.manifest = _load_json(directory / "manifest.json") or {}
-    artifacts.summary = _load_json(directory / "summary.json")
-    artifacts.metrics = _load_json(directory / "metrics.json")
-    artifacts.telemetry = _load_json(directory / "telemetry.json")
-    spans_doc = _load_json(directory / "spans.json")
-    if isinstance(spans_doc, dict) and isinstance(spans_doc.get("spans"), list):
-        artifacts.spans = spans_doc["spans"]
+    artifacts.manifest = _object(_load_json(directory / "manifest.json")) or {}
+    artifacts.summary = _object(_load_json(directory / "summary.json"))
+    artifacts.metrics = _with_histograms(
+        _object(_load_json(directory / "metrics.json")), "histograms"
+    )
+    telemetry = _with_histograms(
+        _object(_load_json(directory / "telemetry.json")), "wall_histograms"
+    )
+    if telemetry is not None:
+        telemetry["shards"] = _objects(telemetry.get("shards"))
+    artifacts.telemetry = telemetry
+    spans_doc = _object(_load_json(directory / "spans.json")) or {}
+    if isinstance(spans_doc.get("spans"), list):
+        artifacts.spans = _objects(spans_doc["spans"])
     for path in sorted(directory.glob("flight-*.json")):
         dump = _load_json(path)
         if isinstance(dump, dict):
             dump.setdefault("file", path.name)
             artifacts.flights.append(dump)
     artifacts.events = _load_jsonl(directory / "events.jsonl")
-    campaign_doc = _load_json(directory / "campaign.json")
-    if isinstance(campaign_doc, dict) and str(
-        campaign_doc.get("format", "")
-    ).startswith("ecn-udp-campaign/"):
+    campaign_doc = _object(_load_json(directory / "campaign.json")) or {}
+    if str(campaign_doc.get("format", "")).startswith(
+        "ecn-udp-campaign/"
+    ) and isinstance(campaign_doc.get("spec", {}), dict):
         artifacts.campaign = campaign_doc
-        trend_doc = _load_json(directory / "trend.json")
-        if isinstance(trend_doc, dict) and isinstance(trend_doc.get("points"), list):
-            artifacts.trend_points = trend_doc["points"]
+        trend_doc = _object(_load_json(directory / "trend.json")) or {}
+        artifacts.trend_points = _objects(trend_doc.get("points"))
         artifacts.alerts = _load_jsonl(directory / "alerts.jsonl")
     return artifacts
 
@@ -119,9 +158,7 @@ def _header_rows(artifacts: RunArtifacts) -> list[tuple[str, str]]:
         rows.append(("wall seconds", _fmt(telemetry.get("wall_seconds", 0.0), 3)))
         rows.append(("shards", str(len(telemetry.get("shards", [])))))
         rows.append(("retries", str(telemetry.get("total_retries", 0))))
-    chaos = artifacts.manifest.get("chaos") or (
-        telemetry.get("chaos") if telemetry else None
-    )
+    chaos = _object(artifacts.manifest.get("chaos"))
     if chaos:
         rows.append(
             (
@@ -216,9 +253,9 @@ def _chaos_rows(artifacts: RunArtifacts) -> list[list[str]]:
 
 def _survival_rows(summary: dict) -> list[list[str]]:
     """§4 headline numbers: where ECT-marked traffic survives."""
-    s41 = summary.get("section_4_1", {})
-    s42 = summary.get("section_4_2", {})
-    s43 = summary.get("section_4_3", {})
+    s41 = _object(summary.get("section_4_1")) or {}
+    s42 = _object(summary.get("section_4_2")) or {}
+    s43 = _object(summary.get("section_4_3")) or {}
     rows = [
         [
             "UDP servers reachable plain (avg)",
@@ -312,11 +349,7 @@ def _campaign_sections(artifacts: RunArtifacts) -> list[Section]:
     campaign = artifacts.campaign or {}
     spec = campaign.get("spec", {})
     checkpoints = artifacts.study_dir / "checkpoints.jsonl"
-    completed = (
-        sum(1 for line in checkpoints.read_text().splitlines() if line.strip())
-        if checkpoints.is_file()
-        else 0
-    )
+    completed = sum(1 for line in _read(checkpoints).splitlines() if line.strip())
     field_rows = [
         ["campaign", str(artifacts.study_dir)],
         ["timeline", str(spec.get("timeline", "?"))],
@@ -417,11 +450,7 @@ def dashboard_sections(artifacts: RunArtifacts) -> list[Section]:
         )
     )
     chaos_rows = _chaos_rows(artifacts)
-    chaotic = bool(
-        artifacts.manifest.get("chaos")
-        or (artifacts.telemetry or {}).get("chaos")
-    )
-    if chaos_rows or chaotic:
+    if chaos_rows or artifacts.manifest.get("chaos"):
         sections.append(
             (
                 "Chaos timeline",

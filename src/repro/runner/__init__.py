@@ -45,7 +45,7 @@ from .merge import (
     merge_traces,
 )
 from .pool import SharedWorkerPool
-from .progress import ProgressAggregator, ProgressOverflowError
+from .progress import ProgressAggregator
 from .scheduler import RetryPolicy, ShardExecutionError, ShardScheduler
 from .shard import KIND_TRACEROUTES, KIND_TRACES, Shard, plan_shards
 from .worker import (
@@ -68,7 +68,6 @@ __all__ = [
     "KIND_TRACES",
     "MergeError",
     "ProgressAggregator",
-    "ProgressOverflowError",
     "RetryPolicy",
     "Shard",
     "ShardExecutionError",
@@ -156,10 +155,9 @@ def run_study_parallel(
     ``flight-shard-<id>.json`` when a shard execution dies, and the
     parent dumps its log's tail to ``flight-parent.json`` on any
     scheduler recovery path (gang retry after a hang or pool loss,
-    retry-budget exhaustion) or a :class:`ProgressOverflowError`;
-    without an ``event_log`` the parent keeps a fresh one for the
-    purpose.  ``profile_dir``
-    captures one cProfile stats file per shard execution.
+    retry-budget exhaustion); without an ``event_log`` the parent
+    keeps a fresh one for the purpose.  ``profile_dir`` captures one
+    cProfile stats file per shard execution.
     """
     if record is not None and event_log is None:
         raise ValueError("record= needs an event_log to absorb the shard records")
@@ -229,15 +227,7 @@ def run_study_parallel(
         pool=pool,
     )
     started = time.perf_counter()
-    try:
-        results = scheduler.run(jobs, on_complete=on_complete, world=world)
-    except ProgressOverflowError as exc:
-        # Strict progress accounting tripped: the shard plan and the
-        # completions disagree.  Leave the black box before aborting.
-        if log and flight_path is not None:
-            log.emit("progress-overflow", "alert", error=str(exc))
-            log.dump(flight_path, f"progress overflow: {exc}")
-        raise
+    results = scheduler.run(jobs, on_complete=on_complete, world=world)
     if telemetry is not None:
         # Inline execution is one process.
         telemetry.workers = max(workers, 1)

@@ -6,13 +6,12 @@ objects, so worker and parent never disagree about class identity).
 The decoders rebuild full-fidelity :class:`Trace` / :class:`PathTrace`
 objects — including the hop fields (`rtt`, `quoted_tos`,
 `quoted_ident`) that the archival JSON format drops — and the merge
-functions reassemble them in exactly the order
-``MeasurementApplication.run_study`` / ``run_traceroutes`` produce:
-traces ascending by ``trace_id`` (the schedule's plan order),
-traceroutes by vantage build order.  Because every epoch is a pure
-function of ``(params, epoch index)``, the merged study is
-bit-identical for any worker count; ``tests/runner/test_equivalence.py``
-enforces that contract.
+functions reassemble them in the study's canonical order: traces
+ascending by ``trace_id`` (the schedule's plan order), traceroutes by
+vantage build order.  Because every epoch is a pure function of
+``(params, epoch index)``, the merged study is bit-identical for any
+worker count; ``tests/runner/test_equivalence.py`` enforces that
+contract.
 """
 
 from __future__ import annotations

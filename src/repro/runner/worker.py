@@ -103,16 +103,11 @@ _WORLD_CACHE: dict[tuple, SyntheticInternet] = {}
 #: world keys at once should pay rebuilds, not RAM.
 WORLD_CACHE_SIZE = 4
 
-#: Lifetime cache hits/misses for this worker process (observability
-#: and the serve dedupe tests; not part of the shard wire format).
-_WORLD_CACHE_STATS = {"hits": 0, "misses": 0}
-
 
 def _world_for(spec: StudySpec) -> SyntheticInternet:
     key = spec.world_key()
     world = _WORLD_CACHE.get(key)
     if world is None:
-        _WORLD_CACHE_STATS["misses"] += 1
         # Evict least-recently-used worlds so long-lived pools don't
         # accumulate topologies beyond the budget.
         while len(_WORLD_CACHE) >= WORLD_CACHE_SIZE:
@@ -122,15 +117,9 @@ def _world_for(spec: StudySpec) -> SyntheticInternet:
             world.install_fault_plan(spec.plan)
         _WORLD_CACHE[key] = world
     else:
-        _WORLD_CACHE_STATS["hits"] += 1
         # Move-to-end marks the key most recently used.
         _WORLD_CACHE[key] = _WORLD_CACHE.pop(key)
     return world
-
-
-def world_cache_stats() -> dict:
-    """This process's world-cache hit/miss counters (a copy)."""
-    return dict(_WORLD_CACHE_STATS)
 
 
 def _dump_flight(log: EventLog, job: ShardJob, reason: str) -> None:

@@ -321,9 +321,6 @@ class StudyQueue:
     def running_count(self) -> int:
         return len(self._running)
 
-    def is_queued(self, run_id: str) -> bool:
-        return run_id in self._queued
-
     # ------------------------------------------------------------------
     # Persistence
     # ------------------------------------------------------------------

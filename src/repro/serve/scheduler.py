@@ -429,8 +429,8 @@ class StudyScheduler:
             # run concurrently.
             with entry.lock:
                 study = Study.run(workers=0, **common)
-        # No run_id: _run_one registers the completed archive through
-        # the server's index instance (the root's single writer).
+        # _run_one registers the completed archive through the
+        # server's index instance (the root's single writer).
         study.save(run_dir)
         return None
 

@@ -342,20 +342,13 @@ class Study:
             quic=quic if quic.total else None,
         )
 
-    def save(self, directory: str | Path, run_id: str | None = None) -> Path:
+    def save(self, directory: str | Path) -> Path:
         """Archive the study (manifest + datasets + summary + CSVs).
 
         Every artefact is written atomically (temp file +
         ``os.replace``), so a concurrent reader — the study server
         streams archives while sibling studies are still saving — can
         never observe a partially written file.
-
-        ``run_id`` additionally registers the archive in the results
-        tree's top-level ``index.json`` (the directory's parent is
-        taken as the tree root).  The archive's own contents are
-        byte-identical with or without a run id: run metadata lives in
-        the index, not the manifest, which keeps served artefacts
-        bit-identical to a direct ``Study.run().save()``.
         """
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
@@ -367,11 +360,11 @@ class Study:
             # `ecnudp report` re-derive the identical world.  Absent
             # for undrifted runs, keeping legacy archives byte-stable.
             manifest["drift"] = spec.drift.to_dict()
-        if self.telemetry is not None and self.telemetry.chaos is not None:
+        if spec.plan is not None:
             # Record that the archived data came from a chaotic run —
             # load() rebuilds a pristine world, so ground-truth
             # comparisons against these traces need this caveat.
-            manifest["chaos"] = self.telemetry.chaos
+            manifest["chaos"] = spec.plan.summary()
         atomic_write_text(directory / "manifest.json", json.dumps(manifest))
         self.traces.save(directory / "traces.json")
         self.campaign.save(directory / "traceroutes.json")
@@ -413,33 +406,34 @@ class Study:
             self.tcp_ecn.pct_negotiated,
         )
         atomic_write_text(directory / "report.txt", self.report() + "\n")
-        if run_id is not None:
-            from .serve.index import StudyIndex
-
-            StudyIndex(directory.parent).register(
-                run_id, directory, scale=spec.scale, seed=spec.seed
-            )
         return directory
 
     @classmethod
     def load(cls, directory: str | Path) -> "Study":
         """Re-hydrate a saved study (world rebuilt from the manifest).
 
-        The manifest is validated as a :class:`~repro.spec.StudySpec`
-        (its ``chaos`` audit record aside), so a corrupt one raises
-        :class:`~repro.spec.ValidationError` — as do a malformed
-        ``traces.json`` or ``traceroutes.json``, and a malformed
-        ``spans.json`` or ``events.jsonl``, which load back onto
-        :attr:`spans` and :attr:`events` so a re-save reproduces them.
-        The world is rebuilt fault-free: chaos is a property of the
-        run, not the world.
+        The manifest is validated as a :class:`~repro.spec.StudySpec`,
+        so a corrupt one raises :class:`~repro.spec.ValidationError` —
+        as do a malformed ``traces.json`` or ``traceroutes.json``, and a
+        malformed ``spans.json`` or ``events.jsonl``, which load back
+        onto :attr:`spans` and :attr:`events` so a re-save reproduces
+        them.  The world is rebuilt fault-free: chaos is a property of
+        the run, not the world.  A named chaos profile's plan is a pure
+        function of ``(world, profile, seed)``, so the manifest's
+        ``chaos`` audit record rebuilds it onto :attr:`spec`; a
+        hand-built plan's record is dropped.
         """
         directory = Path(directory)
         manifest = _load_file(
             lambda path: json.loads(path.read_text()), directory / "manifest.json"
         )
         if isinstance(manifest, dict):
-            manifest.pop("chaos", None)
+            from .faults.profiles import PROFILES
+
+            chaos = manifest.pop("chaos", None)
+            profile = chaos.get("profile") if isinstance(chaos, dict) else None
+            if isinstance(profile, str) and profile in PROFILES:
+                manifest.update(chaos=profile, chaos_seed=chaos.get("chaos_seed", 0))
         spec = StudySpec.from_json(manifest)
         spans = events = None
         if (directory / "spans.json").exists():
@@ -452,11 +446,12 @@ class Study:
                 raise ValidationError(f"events.jsonl: {exc}") from None
         traces = _load_file(TraceSet.load, directory / "traces.json")
         campaign = _load_file(TracerouteCampaign.load, directory / "traceroutes.json")
+        world = spec.build_world()
         return cls(
-            world=spec.build_world(),
+            world=world,
             traces=traces,
             campaign=campaign,
-            spec=spec,
+            spec=spec.with_fault_plan(world),
             spans=spans,
             events=events,
         )

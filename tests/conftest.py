@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.measurement import MeasurementApplication
 from repro.netsim.host import Host
 from repro.netsim.ipv4 import parse_addr
 from repro.netsim.link import link_pair
@@ -18,6 +17,7 @@ from repro.netsim.router import Router
 from repro.netsim.topology import Topology
 from repro.scenario.internet import SyntheticInternet
 from repro.scenario.parameters import scaled_params
+from repro.study import Study
 
 #: Scale/seed for the shared world: small enough for fast tests, large
 #: enough that every middlebox class and vantage has population.
@@ -98,11 +98,10 @@ def fresh_world() -> SyntheticInternet:
 def study_results():
     """A complete measured study (traces + traceroutes), run once.
 
-    Returns ``(world, trace_set, campaign)``.  Analysis tests share
-    this; they only read.
+    It runs the production path — shard plan, shard wire codec and
+    merge — against every server, without discovery.  Returns
+    ``(world, trace_set, campaign)``.  Analysis tests share this; they
+    only read.
     """
-    world = SyntheticInternet(scaled_params(SHARED_SCALE, seed=SHARED_SEED))
-    app = MeasurementApplication(world)
-    trace_set = app.run_study()
-    campaign = app.run_traceroutes()
-    return world, trace_set, campaign
+    study = Study.run(scale=SHARED_SCALE, seed=SHARED_SEED, discover=False)
+    return study.world, study.traces, study.campaign

@@ -207,35 +207,3 @@ class TestHeapCompaction:
             sched.schedule(1.0, lambda: None).cancel()
         assert len(sched._heap) <= 128
         assert sched.pending == 0
-
-
-class TestCalendarQueue:
-    """The benchmark-only backend must match the heap's ordering."""
-
-    def test_matches_heap_order_on_mixed_stream(self):
-        import heapq
-        import random
-
-        from repro.netsim.engine import CalendarQueue, Event
-
-        rng = random.Random(20150401)
-        events = [
-            Event(rng.random() * 10.0, seq, lambda: None, ())
-            for seq in range(2000)
-        ]
-        calendar = CalendarQueue()
-        heap = []
-        for event in events:
-            calendar.push(event)
-            heapq.heappush(heap, event)
-        popped = [calendar.pop() for _ in range(len(events))]
-        expected = [heapq.heappop(heap) for _ in range(len(events))]
-        assert popped == expected
-
-    def test_ties_break_by_seq(self):
-        from repro.netsim.engine import CalendarQueue, Event
-
-        calendar = CalendarQueue()
-        for seq in (3, 1, 2, 0):
-            calendar.push(Event(5.0, seq, lambda: None, ()))
-        assert [calendar.pop().seq for _ in range(4)] == [0, 1, 2, 3]

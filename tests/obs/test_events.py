@@ -14,9 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.obs import (
-    NULL_EVENTS,
     EventLog,
-    NullEventLog,
     canonical_events,
     parse_events_jsonl,
     render_events_jsonl,
@@ -25,6 +23,9 @@ from repro.obs.events import LEVELS, level_rank
 
 
 class TestEmission:
+    def test_real_log_is_truthy_even_when_empty(self):
+        assert EventLog()
+
     def test_event_envelope_and_context(self):
         log = EventLog(run_id="r1", tenant="alice")
         event = log.emit("serve-submit", "info", priority=2)
@@ -222,20 +223,3 @@ class TestCanonicalForm:
         except ValueError:
             return
         assert all(isinstance(event, dict) for event in events)
-
-
-class TestNullEventLog:
-    def test_falsey_and_inert(self):
-        assert not NULL_EVENTS
-        assert isinstance(NULL_EVENTS, NullEventLog)
-        assert NULL_EVENTS.emit("x", "alert", a=1) is None
-        NULL_EVENTS.bind(run_id="r")
-        NULL_EVENTS.enter_context("trace", "vp-0", 0)
-        assert NULL_EVENTS.export() == []
-        assert NULL_EVENTS.since(0) == []
-        assert NULL_EVENTS.tail(5) == []
-        assert NULL_EVENTS.next_seq == 0
-        assert NULL_EVENTS.dropped() == {}
-
-    def test_real_log_is_truthy_even_when_empty(self):
-        assert EventLog()

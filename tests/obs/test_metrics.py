@@ -5,9 +5,7 @@ import json
 import pytest
 
 from repro.obs import (
-    NULL_METRICS,
     MetricsRegistry,
-    NullRegistry,
     empty_snapshot,
     merge_snapshots,
     proto_name,
@@ -61,19 +59,10 @@ class TestRegistry:
         assert registry.snapshot() == empty_snapshot()
 
     def test_truthiness_gate(self):
-        # The whole call-site contract: real registry truthy, disabled
-        # forms falsey, so `if metrics:` is the only predicate paid.
+        # The whole call-site contract: a real registry is truthy and a
+        # disabled one is None, so `if metrics:` is the only predicate paid.
         assert MetricsRegistry()
-        assert not NullRegistry()
-        assert not NULL_METRICS
         assert not None
-
-    def test_null_registry_is_inert(self):
-        NULL_METRICS.incr("a", 5)
-        NULL_METRICS.gauge_max("g", 9)
-        assert NULL_METRICS.counter("a") == 0
-        assert NULL_METRICS.gauge("g") is None
-        assert NULL_METRICS.snapshot() == empty_snapshot()
 
 
 class TestMerge:

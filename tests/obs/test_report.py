@@ -127,6 +127,33 @@ class TestLoading:
         artifacts = load_run_artifacts(study_dir)
         assert render_dashboard_markdown(artifacts)
 
+    @pytest.mark.parametrize(
+        "name,raw,campaign",
+        [
+            ("checkpoints.jsonl", b"\xff\xfe", True),
+            ("campaign.json", b'{"format": "ecn-udp-campaign/1", "spec": [1]}', False),
+            ("trend.json", b'{"points": [1]}', True),
+            ("telemetry.json", b"[1]", False),
+            ("manifest.json", b"[1]", False),
+            ("summary.json", b"[1]", False),
+            ("spans.json", b'{"spans": [1]}', False),
+            ("telemetry.json", b'{"shards": [1]}', False),
+            ("metrics.json", b'{"histograms": [1]}', False),
+        ],
+    )
+    def test_wrong_shapes_degrade_instead_of_raising(
+        self, study_dir, name, raw, campaign
+    ):
+        """A readable document of the wrong shape reads as absent."""
+        if campaign:
+            (study_dir / "campaign.json").write_text(
+                json.dumps({"format": "ecn-udp-campaign/1", "spec": {"seed": 11}})
+            )
+        (study_dir / name).write_bytes(raw)
+        artifacts = load_run_artifacts(study_dir)
+        assert render_dashboard_markdown(artifacts)
+        assert render_dashboard_html(artifacts)
+
 
 class TestSections:
     def test_all_sections_present(self, study_dir):

@@ -7,7 +7,6 @@ import pytest
 from repro.obs import (
     DETAIL_EPOCH,
     DETAIL_PROBE,
-    NULL_EVENTS,
     ROOT_SPAN_ID,
     EventLog,
     canonical_events,
@@ -121,13 +120,6 @@ class TestRecording:
         with pytest.raises(ValueError, match="unknown span detail"):
             EventLog(detail="nanosecond")
         assert recorder(detail=DETAIL_PROBE).detail == DETAIL_PROBE
-
-    def test_null_recorder_is_falsey_and_inert(self):
-        assert not NULL_EVENTS
-        NULL_EVENTS.emit("x")
-        NULL_EVENTS.annotate(a=1)
-        with NULL_EVENTS.span("trace", "t") as span:
-            assert span is None
 
     def test_spans_are_open_and_close_records_in_the_stream(self):
         rec = recorder()

@@ -2,9 +2,7 @@
 
 import logging
 
-import pytest
-
-from repro.runner import ProgressAggregator, ProgressOverflowError
+from repro.runner import ProgressAggregator
 from repro.runner.shard import KIND_TRACES, Shard
 
 
@@ -13,68 +11,36 @@ def shard(shard_id=0):
                  trace_ids=(0, 1))
 
 
+def recording(total_units):
+    calls = []
+    aggregator = ProgressAggregator(
+        lambda done, total, label: calls.append((done, total)), total_units
+    )
+    return aggregator, calls
+
+
 class TestAggregation:
     def test_folds_completions_into_progress_stream(self):
-        calls = []
-        aggregator = ProgressAggregator(
-            lambda done, total, label: calls.append((done, total)), total_units=10
-        )
+        aggregator, calls = recording(10)
         aggregator.shard_completed(shard(0), 4)
         aggregator.shard_completed(shard(1), 6)
-        assert aggregator.done_units == 10
         assert calls == [(3, 10), (9, 10)]
-
-
-class TestDispatchAnnouncements:
-    def test_started_reports_first_pending_unit(self):
-        calls = []
-        aggregator = ProgressAggregator(
-            lambda done, total, label: calls.append((done, total)), total_units=10
-        )
-        aggregator.shard_started(shard(0))
-        aggregator.shard_completed(shard(0), 4)
-        aggregator.shard_started(shard(1))
-        assert calls == [(0, 10), (3, 10), (4, 10)]
-
-    def test_started_after_completion_clamps_to_last_index(self):
-        """Regression: a dispatch announcement after the final unit
-        completed used to report index ``total``, which consumers
-        render as ``total + 1``/``total``."""
-        calls = []
-        aggregator = ProgressAggregator(
-            lambda done, total, label: calls.append((done, total)), total_units=4
-        )
-        aggregator.shard_completed(shard(0), 4)
-        aggregator.shard_started(shard(1))
-        assert calls[-1] == (3, 4)
-
-    def test_started_with_zero_total_reports_index_zero(self):
-        calls = []
-        aggregator = ProgressAggregator(
-            lambda done, total, label: calls.append((done, total)), total_units=0
-        )
-        aggregator.shard_started(shard(0))
-        assert calls == [(0, 0)]
 
 
 class TestOverflow:
     def test_overflow_logs_warning_and_clamps(self, caplog):
         """Regression: overflow used to be silently clamped away."""
-        aggregator = ProgressAggregator(None, total_units=5)
+        aggregator, calls = recording(5)
         aggregator.shard_completed(shard(0), 4)
         with caplog.at_level(logging.WARNING, logger="repro.runner"):
             aggregator.shard_completed(shard(1), 4)
-        assert aggregator.done_units == 5
+        assert calls[-1] == (4, 5)
         assert any("progress overflow" in rec.message for rec in caplog.records)
 
-    def test_strict_mode_raises(self):
-        aggregator = ProgressAggregator(None, total_units=5, strict=True)
-        aggregator.shard_completed(shard(0), 4)
-        with pytest.raises(ProgressOverflowError, match="exceeds total 5"):
-            aggregator.shard_completed(shard(1), 4)
-
     def test_exact_total_is_not_an_overflow(self, caplog):
-        aggregator = ProgressAggregator(None, total_units=8, strict=True)
-        aggregator.shard_completed(shard(0), 4)
-        aggregator.shard_completed(shard(1), 4)
-        assert aggregator.done_units == 8
+        aggregator, calls = recording(8)
+        with caplog.at_level(logging.WARNING, logger="repro.runner"):
+            aggregator.shard_completed(shard(0), 4)
+            aggregator.shard_completed(shard(1), 4)
+        assert calls[-1] == (7, 8)
+        assert not caplog.records

@@ -11,6 +11,7 @@ import pytest
 
 from repro.core.measurement import MeasurementApplication
 from repro.core.analysis import analyze_campaign
+from repro.core.traces import TracerouteCampaign
 from repro.netsim.network import EVENT
 from repro.scenario.internet import SyntheticInternet
 from repro.scenario.parameters import scaled_params
@@ -45,9 +46,10 @@ class TestEventModeMeasurement:
     def test_traceroutes_in_event_mode(self, event_world):
         world = event_world
         app = MeasurementApplication(world)
-        campaign = app.run_traceroutes(
-            vantage_keys=["ugla-wired"],
-            targets=[s.addr for s in world.servers[:15]],
+        campaign = TracerouteCampaign(
+            app.run_traceroute_vantage(
+                "ugla-wired", targets=[s.addr for s in world.servers[:15]]
+            )
         )
         analysis = analyze_campaign(campaign, world.as_map)
         assert analysis.hops_measured > 40

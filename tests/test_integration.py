@@ -16,9 +16,9 @@ from repro.core.analysis import (
     analyze_tcp_ecn,
 )
 from repro.core.discovery import PoolDiscovery
-from repro.core.measurement import MeasurementApplication
 from repro.scenario.internet import SyntheticInternet
 from repro.scenario.parameters import scaled_params
+from repro.study import Study
 
 pytestmark = pytest.mark.slow
 
@@ -31,10 +31,8 @@ def pipeline():
         world.vantage_hosts["ugla-wired"], world.dns_addr, world.pool.zone_names()
     )
     report = discovery.run()
-    app = MeasurementApplication(world, targets=report.addresses)
-    traces = app.run_study()
-    campaign = app.run_traceroutes()
-    return world, report, traces, campaign
+    study = Study.run(scale=0.02, seed=77, world=world, targets=report.addresses)
+    return world, report, study.traces, study.campaign
 
 
 class TestPipeline:

@@ -18,6 +18,13 @@ from repro.study import Study
 
 CAMPAIGN_DRIFT = CampaignSpec(StudySpec(scale=0.002, seed=3), cadence_years=3.5)
 
+CHAOS_MANIFEST = (
+    '{"scale": 0.002, "seed": 3, "chaos": {"profile": "default", '
+    '"chaos_seed": 7, "events": 24, "epochs_touched": 21, "by_kind": '
+    '{"bleach_on": 5, "delay_spike": 5, "link_flap": 8, '
+    '"router_blackhole": 6}}}'
+)
+
 MANIFESTS = {
     "plain": (
         dict(scale=0.002, seed=3),
@@ -28,10 +35,15 @@ MANIFESTS = {
             scale=0.002, seed=3, faults="default", chaos_seed=7, quic=True,
             traceroutes=False, collect_metrics=True,
         ),
-        '{"scale": 0.002, "seed": 3, "chaos": {"profile": "default", '
-        '"chaos_seed": 7, "events": 24, "epochs_touched": 21, "by_kind": '
-        '{"bleach_on": 5, "delay_spike": 5, "link_flap": 8, '
-        '"router_blackhole": 6}}}',
+        CHAOS_MANIFEST,
+    ),
+    # A chaotic run records its plan whether or not metrics were on.
+    "chaos-quic-no-traceroutes-no-metrics": (
+        dict(
+            scale=0.002, seed=3, faults="default", chaos_seed=7, quic=True,
+            traceroutes=False,
+        ),
+        CHAOS_MANIFEST,
     ),
     "drifted": (
         dict(scale=0.002, seed=3, drift=CAMPAIGN_DRIFT.drift_for_epoch(1)),
