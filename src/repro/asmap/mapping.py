@@ -27,27 +27,17 @@ class ASMap:
 
     def __init__(self) -> None:
         self._trie = PrefixTrie()
-        self._prefix_count = 0
         self._asns: set[int] = set()
 
     def register(self, prefix: Prefix, asn: int) -> None:
         """Record that ``asn`` originates ``prefix``."""
         self._trie.insert(prefix, asn)
-        self._prefix_count += 1
         self._asns.add(asn)
 
     def lookup(self, addr: int) -> int:
         """ASN originating the covering prefix, or :data:`UNKNOWN_ASN`."""
         result = self._trie.lookup_default(addr)
         return UNKNOWN_ASN if result is None else result
-
-    @property
-    def prefix_count(self) -> int:
-        return self._prefix_count
-
-    @property
-    def asn_count(self) -> int:
-        return len(self._asns)
 
 
 @dataclass

@@ -36,7 +36,6 @@ from .reachability import (
     analyze_reachability,
     trace_reachability,
 )
-from .regional import RegionalReachability, analyze_regional
 from .uncertainty import HeadlineIntervals, headline_intervals
 from .validation import (
     InferenceQuality,
@@ -75,7 +74,6 @@ __all__ = [
     "QUICECNSummary",
     "QUICStateRow",
     "ReachabilitySummary",
-    "RegionalReachability",
     "STRIP",
     "ServerDifferential",
     "TCPECNSummary",
@@ -86,7 +84,6 @@ __all__ = [
     "analyze_geography",
     "analyze_quic_ecn",
     "analyze_reachability",
-    "analyze_regional",
     "analyze_tcp_ecn",
     "classify_path",
     "ecn_deployment_series",

@@ -31,13 +31,6 @@ class CorrelationRow:
     #: paper's "majority can be reached using ECN with TCP".
     avg_negotiate_tcp_ecn: float
 
-    @property
-    def fraction_also_failing_tcp(self) -> float:
-        """Share of ECT-UDP-unreachable servers also refusing TCP ECN."""
-        if self.avg_udp_ect_unreachable == 0:
-            return 0.0
-        return self.avg_fail_tcp_ecn / self.avg_udp_ect_unreachable
-
 
 @dataclass
 class CorrelationTable:

@@ -75,10 +75,6 @@ class PathAnalysis:
         return sum(1 for hop in self.hops if hop.status == STRIP)
 
     @property
-    def downstream_events(self) -> int:
-        return sum(1 for hop in self.hops if hop.status == DOWNSTREAM)
-
-    @property
     def pct_hops_passing(self) -> float:
         """The abstract's '~98 % of network hops pass ECT(0)'."""
         if not self.hops:

@@ -32,13 +32,6 @@ class RegionalReachability:
     #: Of the plain-reachable, the share also ECT-reachable (pooled).
     pct_ect_given_plain: float | None
 
-    @property
-    def ect_deficit_pct(self) -> float:
-        """Percentage-point reachability cost of the ECT(0) mark."""
-        if self.pct_ect_given_plain is None:
-            return 0.0
-        return 100.0 - self.pct_ect_given_plain
-
 
 def analyze_regional(
     trace_set: TraceSet, database: GeoDatabase
@@ -48,7 +41,7 @@ def analyze_regional(
     Regions with no servers are omitted; rows come back in Table 1
     order.
     """
-    region_of = {addr: database.region_of(addr) for addr in trace_set.server_addrs}
+    region_of = {addr: database.lookup(addr).region for addr in trace_set.server_addrs}
     members: dict[Region, int] = {}
     for region in region_of.values():
         members[region] = members.get(region, 0) + 1

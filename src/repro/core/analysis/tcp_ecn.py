@@ -28,11 +28,6 @@ class TraceTCPReachability:
     ecn_negotiated: int
 
     @property
-    def unwilling(self) -> int:
-        """Reachable via TCP but did not return an ECN-setup SYN-ACK."""
-        return self.tcp_reachable - self.ecn_negotiated
-
-    @property
     def pct_negotiated(self) -> float | None:
         if self.tcp_reachable == 0:
             return None

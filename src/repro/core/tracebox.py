@@ -50,11 +50,6 @@ class TraceboxResult:
     def changes_for(self, field_name: str) -> list[FieldChange]:
         return [c for c in self.changes if c.field == field_name]
 
-    def first_change_ttl(self, field_name: str) -> int | None:
-        """TTL where a field was first observed rewritten."""
-        changed = self.changes_for(field_name)
-        return min((c.ttl for c in changed), default=None)
-
     def classify_tos_interference(self) -> str:
         """Distinguish the two §4 hypotheses about TOS handling.
 

@@ -89,9 +89,6 @@ class Trace:
     def add(self, outcome: ProbeOutcome) -> None:
         self.outcomes[outcome.server_addr] = outcome
 
-    def outcome_for(self, server_addr: int) -> ProbeOutcome | None:
-        return self.outcomes.get(server_addr)
-
     # ------------------------------------------------------------------
     # Per-trace aggregates (the quantities plotted per bar in Figs 2/5)
     # ------------------------------------------------------------------
@@ -161,9 +158,6 @@ class TraceSet:
             if trace.vantage_key not in seen:
                 seen.append(trace.vantage_key)
         return seen
-
-    def by_batch(self, batch: int) -> list[Trace]:
-        return [t for t in self.traces if t.batch == batch]
 
     # ------------------------------------------------------------------
     # Serialisation

@@ -50,7 +50,6 @@ from .events import (
     FaultEvent,
     FaultPlan,
     generate_fault_plan,
-    merge_plans,
 )
 from .injector import FaultInjector
 from .profiles import PROFILES, ChaosProfile, resolve_profile
@@ -79,6 +78,5 @@ __all__ = [
     "SuppressedPolicy",
     "WindowedPolicy",
     "generate_fault_plan",
-    "merge_plans",
     "resolve_profile",
 ]

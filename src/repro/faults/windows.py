@@ -47,7 +47,7 @@ class FaultWindow:
 
 @dataclass
 class LinkFault:
-    """Per-link impairment consulted by :meth:`Link.transit`.
+    """Per-link impairment consulted by :meth:`Link._transit`.
 
     ``extra_delay`` is added to the propagation delay and
     ``loss_probability`` is sampled (before AQM — a flapping physical

@@ -8,7 +8,6 @@ from .regions import (
     PAPER_TOTAL_SERVERS,
     Region,
     countries_in_region,
-    country_by_code,
 )
 
 __all__ = [
@@ -21,5 +20,4 @@ __all__ = [
     "Region",
     "UNKNOWN_RECORD",
     "countries_in_region",
-    "country_by_code",
 ]

@@ -91,10 +91,6 @@ class GeoDatabase:
         record = self._trie.lookup_default(addr)
         return record if record is not None else UNKNOWN_RECORD
 
-    def region_of(self, addr: int) -> Region:
-        """Shortcut: just the region classification."""
-        return self.lookup(addr).region
-
     def __len__(self) -> int:
         return self._size
 

@@ -116,12 +116,3 @@ COUNTRIES: tuple[Country, ...] = (
 def countries_in_region(region: Region) -> tuple[Country, ...]:
     """All configured countries belonging to ``region``."""
     return tuple(c for c in COUNTRIES if c.region == region)
-
-
-def country_by_code(code: str) -> Country | None:
-    """Look up a country by its ISO code."""
-    wanted = code.lower()
-    for country in COUNTRIES:
-        if country.code == wanted:
-            return country
-    return None

@@ -8,11 +8,10 @@ scales to thousands of hosts (see DESIGN.md §2).
 """
 
 from .clock import DEFAULT_EPOCH_ORIGIN, NTP_UNIX_EPOCH_DELTA, SimClock
-from .ecn import ECN, dscp_from_tos, ecn_from_tos, replace_ecn, tos_byte
+from .ecn import ECN, dscp_from_tos, ecn_from_tos, tos_byte
 from .engine import Event, EventScheduler
 from .errors import (
     AddressError,
-    ChecksumError,
     CodecError,
     NetSimError,
     RoutingError,
@@ -27,7 +26,6 @@ from .icmp import (
     ICMPMessage,
     TYPE_DEST_UNREACHABLE,
     TYPE_TIME_EXCEEDED,
-    admin_prohibited,
     port_unreachable,
     time_exceeded,
 )
@@ -41,28 +39,25 @@ from .ipv4 import (
     format_addr,
     parse_addr,
 )
-from .link import Link, LinkOutcome, link_pair
+from .link import Link, link_pair
 from .middlebox import (
     ECTBleacher,
     ECTDropper,
     Middlebox,
     NotECTDropper,
     TOSBleacher,
-    any_ect_firewall,
-    udp_ect_firewall,
 )
 from .network import EVENT, FAST, Network, NetworkCounters
 from .queues import (
     AQMDecision,
     BernoulliLoss,
-    GilbertElliottLoss,
     NoCongestion,
     NoLoss,
     REDQueue,
     StaticCongestion,
     TimedOutageLoss,
 )
-from .router import HOP_DROP, HOP_FORWARD, HOP_TTL_EXPIRED, HopResult, Router
+from .router import Router
 from .routing import PrefixTrie, RoutingTable
 from .sockets import UDPSocket
 from .topology import Topology
@@ -74,7 +69,6 @@ __all__ = [
     "BernoulliLoss",
     "CODE_PORT_UNREACHABLE",
     "CODE_TTL_EXCEEDED",
-    "ChecksumError",
     "CodecError",
     "DEFAULT_EPOCH_ORIGIN",
     "DEFAULT_TTL",
@@ -85,16 +79,10 @@ __all__ = [
     "Event",
     "EventScheduler",
     "FAST",
-    "GilbertElliottLoss",
-    "HOP_DROP",
-    "HOP_FORWARD",
-    "HOP_TTL_EXPIRED",
-    "HopResult",
     "Host",
     "ICMPMessage",
     "IPv4Packet",
     "Link",
-    "LinkOutcome",
     "Middlebox",
     "NTP_UNIX_EPOCH_DELTA",
     "NetSimError",
@@ -124,16 +112,12 @@ __all__ = [
     "TopologyError",
     "UDPDatagram",
     "UDPSocket",
-    "admin_prohibited",
-    "any_ect_firewall",
     "dscp_from_tos",
     "ecn_from_tos",
     "format_addr",
     "link_pair",
     "parse_addr",
     "port_unreachable",
-    "replace_ecn",
     "time_exceeded",
     "tos_byte",
-    "udp_ect_firewall",
 ]

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from .clock import SimClock
 from .errors import SimulationError
 from .ipv4 import IPv4Packet
-from .link import Link, LinkOutcome
+from .link import Link
 from .queues import AQMDecision, REDQueue
 from .ecn import ECN
 
@@ -74,15 +74,6 @@ class BufferedLink(Link):
     # ------------------------------------------------------------------
     # Transit
     # ------------------------------------------------------------------
-    def transit(
-        self,
-        packet: IPv4Packet,
-        rng: random.Random,
-        metrics=None,
-        tracer=None,
-    ) -> LinkOutcome:
-        delivered, delay, reason = self._transit(packet, rng, metrics, tracer)
-        return LinkOutcome(delivered, packet, delay, reason)
 
     def _transit(
         self,

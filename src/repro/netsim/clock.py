@@ -84,11 +84,5 @@ class SimClock:
         """
         self._now = float(when)
 
-    def advance_by(self, delta: float) -> None:
-        """Move the clock forward by ``delta`` seconds (``delta >= 0``)."""
-        if delta < 0:
-            raise SimulationError(f"negative clock delta: {delta!r}")
-        self._now += delta
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SimClock(now={self._now:.6f}, origin={self._origin:.0f})"

@@ -79,12 +79,3 @@ def tos_byte(dscp: int = 0, ecn: ECN = ECN.NOT_ECT) -> int:
     if not 0 <= int(ecn) <= 0b11:
         raise ValueError(f"ECN codepoint out of range: {ecn!r}")
     return (dscp << 2) | int(ecn)
-
-
-def replace_ecn(tos: int, ecn: ECN) -> int:
-    """Return ``tos`` with its ECN bits replaced (DSCP preserved).
-
-    This is what a standards-conforming AQM does when marking CE, and
-    what an ECN-bleaching middlebox does when clearing ECT.
-    """
-    return (tos & DSCP_MASK) | int(ecn)

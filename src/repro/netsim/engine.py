@@ -144,15 +144,6 @@ class EventScheduler:
             self.metrics.gauge_max("engine.heap_peak", len(self._heap))
         return event
 
-    def schedule_at(
-        self,
-        when: float,
-        callback: Callable[..., None],
-        *args: Any,
-    ) -> Event:
-        """Schedule ``callback(*args)`` at absolute simulation time ``when``."""
-        return self.schedule(when - self.clock.now, callback, *args)
-
     def _pop_runnable(self) -> Event | None:
         while self._heap:
             event = heapq.heappop(self._heap)[2]

@@ -18,10 +18,6 @@ class CodecError(NetSimError):
     """
 
 
-class ChecksumError(CodecError):
-    """A decoded header failed checksum verification."""
-
-
 class AddressError(NetSimError):
     """An IPv4 address or prefix string could not be parsed."""
 

@@ -2,9 +2,10 @@
 
 A host owns one address, attaches to one access router, and demuxes
 arriving packets to UDP sockets, a TCP stack (attached by
-:mod:`repro.tcp`), and ICMP handlers.  Packet taps provide the
-tcpdump-equivalent observation point used by the measurement
-application; they see both directions, before any demux decision.
+:mod:`repro.tcp`), and ICMP handlers.  A packet tap (:meth:`Host.add_tap`)
+sees every frame in both directions, before any demux decision: the
+raw wire seam tests read.  The program's own record of the same
+packets is :class:`repro.obs.tracing.PathTracer`.
 """
 
 from __future__ import annotations

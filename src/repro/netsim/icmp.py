@@ -29,7 +29,6 @@ TYPE_TIME_EXCEEDED = 11
 CODE_TTL_EXCEEDED = 0
 CODE_PORT_UNREACHABLE = 3
 CODE_HOST_UNREACHABLE = 1
-CODE_ADMIN_PROHIBITED = 13
 
 #: RFC 792 routers quote the IP header + 8 bytes of payload.
 CLASSIC_QUOTE_PAYLOAD = 8
@@ -129,14 +128,5 @@ def port_unreachable(original: IPv4Packet, quote_payload: int = CLASSIC_QUOTE_PA
     return ICMPMessage(
         icmp_type=TYPE_DEST_UNREACHABLE,
         code=CODE_PORT_UNREACHABLE,
-        body=quote_datagram(original, quote_payload),
-    )
-
-
-def admin_prohibited(original: IPv4Packet, quote_payload: int = CLASSIC_QUOTE_PAYLOAD) -> ICMPMessage:
-    """Construct an administratively-prohibited error (firewall reject)."""
-    return ICMPMessage(
-        icmp_type=TYPE_DEST_UNREACHABLE,
-        code=CODE_ADMIN_PROHIBITED,
         body=quote_datagram(original, quote_payload),
     )

@@ -66,21 +66,6 @@ class Prefix:
                 f"host bits set in prefix {format_addr(self.network)}/{self.length}"
             )
 
-    @classmethod
-    def parse(cls, text: str) -> "Prefix":
-        """Parse ``"a.b.c.d/len"`` notation."""
-        try:
-            net_text, len_text = text.split("/")
-        except ValueError as exc:
-            raise AddressError(f"not a prefix: {text!r}") from exc
-        try:
-            length = int(len_text)
-        except ValueError as exc:
-            raise AddressError(
-                f"bad prefix length {len_text!r} in {text!r}"
-            ) from exc
-        return cls(parse_addr(net_text), length)
-
     @property
     def mask(self) -> int:
         """Network mask as a 32-bit integer."""

@@ -27,16 +27,6 @@ from .queues import (
 
 
 @dataclass
-class LinkOutcome:
-    """Result of offering one packet to a link."""
-
-    delivered: bool
-    packet: IPv4Packet
-    delay: float
-    reason: str = ""
-
-
-@dataclass
 class Link:
     """A unidirectional link from ``src`` router to ``dst`` router.
 
@@ -59,29 +49,6 @@ class Link:
     #: operation, so an unfaulted link pays one attribute check.
     fault: object | None = field(default=None, compare=False, repr=False)
 
-    def transit(
-        self,
-        packet: IPv4Packet,
-        rng: random.Random,
-        metrics=None,
-        tracer=None,
-    ) -> LinkOutcome:
-        """Sample the fate of ``packet`` crossing this link.
-
-        Order of operations matches a real egress interface: the AQM
-        inspects the packet as it is enqueued (possibly dropping or
-        CE-marking it), then the wire may lose it.  A CE mark rewrites
-        only the ECN bits, preserving DSCP (RFC 3168) — **in place**:
-        link transit operates on simulator-owned packets (see
-        :class:`~repro.netsim.ipv4.IPv4Packet`), so ``outcome.packet``
-        is the same object that was passed in.
-
-        ``metrics`` / ``tracer`` are the :mod:`repro.obs` hooks; falsey
-        when disabled (one predicate each), and never sampling ``rng``.
-        """
-        delivered, delay, reason = self._transit(packet, rng, metrics, tracer)
-        return LinkOutcome(delivered, packet, delay, reason)
-
     def _transit(
         self,
         packet: IPv4Packet,
@@ -95,8 +62,15 @@ class Link:
         queue, no or Bernoulli loss), so those samplers are inlined —
         drawing from ``rng`` in exactly the order and count the model
         objects themselves would — and the per-hop cost is a handful of
-        attribute reads instead of three method calls plus a
-        :class:`LinkOutcome`.
+        attribute reads instead of three method calls.
+
+        Order matches a real egress interface: the AQM inspects the
+        packet as it is enqueued (possibly dropping or CE-marking it),
+        then the wire may lose it.  A CE mark rewrites only the ECN
+        bits, preserving DSCP (RFC 3168), in place on the
+        simulator-owned packet.  ``metrics`` / ``tracer`` are the
+        :mod:`repro.obs` hooks, falsey when disabled, and never draw
+        from ``rng``.
         """
         delay = self.delay
         jitter = self.jitter

@@ -33,10 +33,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable
 
 from .ecn import ECN
-from .ipv4 import IPv4Packet, Prefix, PROTO_TCP, PROTO_UDP
+from .ipv4 import IPv4Packet, Prefix
 
 #: Verdict constants returned by :meth:`Middlebox.process`.
 FORWARD = "forward"
@@ -171,36 +170,3 @@ class TOSBleacher(Middlebox):
             return Verdict(FORWARD, packet)
         cleaned = packet.replace(tos=0)
         return Verdict(FORWARD, cleaned, reason="TOS byte zeroed")
-
-
-def udp_ect_firewall(
-    dst_addrs: Iterable[int],
-    name: str = "udp-ect-firewall",
-    probability: float = 1.0,
-) -> ECTDropper:
-    """A destination-scoped firewall dropping ECT-marked **UDP** only.
-
-    This is the paper's inferred explanation for servers reachable with
-    not-ECT UDP but never with ECT(0) UDP, while still negotiating ECN
-    over TCP (Section 4.4).
-    """
-    return ECTDropper(
-        name=name,
-        protocols=frozenset({PROTO_UDP}),
-        dst_addrs=frozenset(dst_addrs),
-        probability=probability,
-    )
-
-
-def any_ect_firewall(
-    dst_addrs: Iterable[int],
-    name: str = "any-ect-firewall",
-    probability: float = 1.0,
-) -> ECTDropper:
-    """A destination-scoped firewall dropping ECT marks on UDP and TCP."""
-    return ECTDropper(
-        name=name,
-        protocols=frozenset({PROTO_UDP, PROTO_TCP}),
-        dst_addrs=frozenset(dst_addrs),
-        probability=probability,
-    )

@@ -63,44 +63,6 @@ class BernoulliLoss(LossModel):
 
 
 @dataclass
-class GilbertElliottLoss(LossModel):
-    """Two-state bursty loss (good/bad), the classic wireless model.
-
-    ``p_good_to_bad`` / ``p_bad_to_good`` are the per-packet transition
-    probabilities; ``loss_good`` / ``loss_bad`` the loss rates within
-    each state.  Used for the University of Glasgow wireless vantage,
-    whose traces the paper notes show more variation than wired ones.
-    """
-
-    p_good_to_bad: float = 0.01
-    p_bad_to_good: float = 0.2
-    loss_good: float = 0.001
-    loss_bad: float = 0.25
-    in_bad_state: bool = field(default=False, compare=False)
-
-    def sample_loss(self, rng: random.Random) -> bool:
-        if self.in_bad_state:
-            if rng.random() < self.p_bad_to_good:
-                self.in_bad_state = False
-        else:
-            if rng.random() < self.p_good_to_bad:
-                self.in_bad_state = True
-        rate = self.loss_bad if self.in_bad_state else self.loss_good
-        return rate > 0 and rng.random() < rate
-
-    def steady_state_loss(self) -> float:
-        """Long-run average loss rate (for calibration and tests)."""
-        denom = self.p_good_to_bad + self.p_bad_to_good
-        if denom == 0:
-            return self.loss_good
-        frac_bad = self.p_good_to_bad / denom
-        return frac_bad * self.loss_bad + (1 - frac_bad) * self.loss_good
-
-    def reset(self) -> None:
-        self.in_bad_state = False
-
-
-@dataclass
 class TimedOutageLoss(LossModel):
     """Wall-clock outage bursts over a base loss rate.
 
@@ -155,10 +117,6 @@ class TimedOutageLoss(LossModel):
         if now < self._outage_until:
             return rng.random() < self.outage_loss
         return self.base > 0 and rng.random() < self.base
-
-    def in_outage(self, now: float) -> bool:
-        """Whether ``now`` falls inside the current outage window."""
-        return now < self._outage_until
 
     def reset(self) -> None:
         self._next_outage = -1.0

@@ -13,37 +13,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .icmp import CLASSIC_QUOTE_PAYLOAD, ICMPMessage, time_exceeded
+from .icmp import CLASSIC_QUOTE_PAYLOAD, time_exceeded
 from .ipv4 import IPv4Packet
 from .middlebox import Middlebox
 
-#: Hop verdicts returned by :meth:`Router.process_transit`.
-HOP_FORWARD = "forward"
-HOP_DROP = "drop"
-HOP_TTL_EXPIRED = "ttl-expired"
-
-#: Integer verdicts used by the allocation-free :meth:`Router._transit`
-#: core (the network's fast path); indexes into :data:`_VERDICT_NAMES`.
+#: Hop verdicts returned by :meth:`Router._transit`.
 TRANSIT_FORWARD = 0
 TRANSIT_DROP = 1
 TRANSIT_TTL_EXPIRED = 2
-
-_VERDICT_NAMES = (HOP_FORWARD, HOP_DROP, HOP_TTL_EXPIRED)
-
-
-@dataclass
-class HopResult:
-    """Outcome of one router's transit processing.
-
-    ``icmp`` is the error message the router originates (None when it
-    does not respond, e.g. ICMP rate-limited or suppressed routers —
-    the reason traceroutes show missing hops).
-    """
-
-    verdict: str
-    packet: IPv4Packet
-    icmp: ICMPMessage | None = None
-    reason: str = ""
 
 
 @dataclass
@@ -85,36 +62,6 @@ class Router:
         """Append a policy to the transit chain."""
         self.middleboxes.append(box)
 
-    def process_transit(
-        self,
-        packet: IPv4Packet,
-        rng: random.Random,
-        metrics=None,
-        tracer=None,
-    ) -> HopResult:
-        """Process a packet transiting this router.
-
-        Order: middlebox chain first (a firewall in front of the
-        routing engine), then TTL check, then decrement.  The ICMP
-        quotation is built from the packet *after* middlebox rewrites,
-        so an upstream bleached mark is visible in the quote — exactly
-        the observable the paper's Section 4.2 measures.
-
-        The packet handed in is treated as simulator-owned: the TTL
-        decrement mutates it in place (middlebox rewrites still return
-        fresh objects, so caller-held references never see a policy
-        rewrite they didn't apply).  ``result.packet`` is the packet to
-        keep using.
-
-        ``metrics`` / ``tracer`` are the optional observability hooks
-        (:mod:`repro.obs`); both are falsey when disabled, so the hop
-        stays a pure function of (router state, packet, RNG) and pays
-        one predicate per hook.  Instrumentation never draws from
-        ``rng``.
-        """
-        verdict, packet, icmp, reason = self._transit(packet, rng, metrics, tracer)
-        return HopResult(_VERDICT_NAMES[verdict], packet, icmp=icmp, reason=reason)
-
     def _transit(
         self,
         packet: IPv4Packet,
@@ -122,12 +69,23 @@ class Router:
         metrics,
         tracer,
     ):
-        """Allocation-free transit core: ``(verdict, packet, icmp, reason)``.
+        """Process a transiting packet: ``(verdict, packet, icmp, reason)``.
 
-        The network's per-hop loop calls this directly so the dominant
-        case — no middleboxes, TTL fine, observability off — costs one
-        in-place decrement and a tuple, not a :class:`HopResult` (and,
-        before this rewrite, a full ``dataclasses.replace`` copy).
+        Order: middlebox chain first (a firewall in front of the
+        routing engine), then TTL check, then decrement.  The ICMP
+        quotation is built from the packet *after* middlebox rewrites,
+        so an upstream bleached mark is visible in the quote — exactly
+        the observable the paper's Section 4.2 measures.  ``icmp`` is
+        the error the router originates, None when it stays silent.
+
+        The packet is simulator-owned: the TTL decrement mutates it in
+        place, while middlebox rewrites return fresh objects; the
+        returned ``packet`` is the one to keep using.  The network's
+        per-hop loop calls this directly, so the dominant case — no
+        middleboxes, TTL fine, observability off — costs one in-place
+        decrement and a tuple.  ``metrics`` / ``tracer`` are the
+        :mod:`repro.obs` hooks, falsey when disabled, and never draw
+        from ``rng``.
         """
         if self.middleboxes or tracer:
             return self._transit_slow(packet, rng, metrics, tracer)

@@ -15,10 +15,9 @@ from typing import Iterable
 
 from .errors import TopologyError
 from .host import Host
-from .ipv4 import Prefix, format_addr
+from .ipv4 import format_addr
 from .link import Link
 from .router import Router
-from .routing import PrefixTrie
 
 
 class Topology:
@@ -31,7 +30,6 @@ class Topology:
         #: insertion order is the order routing breaks ties in.
         self.succ: dict[str, dict[str, Link]] = {}
         self.pred: dict[str, dict[str, Link]] = {}
-        self._prefix_owner = PrefixTrie()
         self._host_names: dict[str, Host] = {}
 
     # ------------------------------------------------------------------
@@ -76,37 +74,14 @@ class Topology:
         self._host_names[host.hostname] = host
         return host
 
-    def claim_prefix(self, prefix: Prefix, router_id: str) -> None:
-        """Record that ``router_id`` originates ``prefix``."""
-        if router_id not in self.routers:
-            raise TopologyError(f"unknown router {router_id!r}")
-        self._prefix_owner.insert(prefix, router_id)
-
     # ------------------------------------------------------------------
     # Lookup
     # ------------------------------------------------------------------
-    def host_by_addr(self, addr: int) -> Host | None:
-        """The host owning ``addr``, or None."""
-        return self.hosts.get(addr)
-
-    def host_by_name(self, hostname: str) -> Host | None:
-        """The host with the given name, or None."""
-        return self._host_names.get(hostname)
 
     def router_for_addr(self, addr: int) -> str | None:
-        """Access router for an address: host attachment, else prefix owner."""
+        """The access router ``addr``'s host attaches to, or None."""
         host = self.hosts.get(addr)
-        if host is not None:
-            return host.router_id
-        return self._prefix_owner.lookup_default(addr)
-
-    def router_asn(self, router_id: str) -> int:
-        """AS number of a router."""
-        return self.routers[router_id].asn
-
-    def links_between(self, a: str, b: str) -> tuple[Link | None, Link | None]:
-        """The (a→b, b→a) links, each possibly None."""
-        return self.succ.get(a, {}).get(b), self.succ.get(b, {}).get(a)
+        return None if host is None else host.router_id
 
     def all_links(self) -> Iterable[Link]:
         """Iterate every unidirectional link, grouped by source router."""

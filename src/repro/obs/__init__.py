@@ -30,7 +30,6 @@ from .events import (
     EventLog,
     canonical_events,
     level_rank,
-    load_flight_dump,
     parse_events_jsonl,
     render_events_jsonl,
 )
@@ -58,7 +57,6 @@ from .spans import (
     ROOT_SPAN_ID,
     chrome_trace_events,
     export_chrome_trace,
-    span_children,
     span_id,
 )
 from .report import (
@@ -73,7 +71,6 @@ from .tracing import (
     FilterError,
     PathEvent,
     PathTracer,
-    group_flows,
     parse_filter,
 )
 from .telemetry import RunTelemetry, ShardRecord, render_metrics_report
@@ -103,10 +100,8 @@ __all__ = [
     "dashboard_sections",
     "empty_snapshot",
     "export_chrome_trace",
-    "group_flows",
     "histogram_sum",
     "level_rank",
-    "load_flight_dump",
     "load_run_artifacts",
     "merge_snapshots",
     "metric_name",
@@ -119,7 +114,6 @@ __all__ = [
     "render_histogram_rows",
     "render_metrics_report",
     "render_prometheus",
-    "span_children",
     "span_id",
     "validate_exposition",
     "write_dashboard",

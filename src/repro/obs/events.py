@@ -326,10 +326,6 @@ class EventLog:
         """The most recent ``limit`` records, oldest first."""
         return self.since(self._pos - limit) if limit > 0 else []
 
-    def export(self) -> list[dict]:
-        """Every buffered record, oldest first."""
-        return self.since(0)
-
     def dropped(self) -> dict[str, int]:
         """Per-kind counts of rate-limited (dropped) events."""
         with self._lock:
@@ -446,16 +442,3 @@ def parse_events_jsonl(text: str) -> list[dict]:
             raise ValueError(f"event at line {lineno} is not an object: {kind}")
         events.append(event)
     return events
-
-
-def load_flight_dump(path: str | Path) -> dict:
-    """Read and validate a flight dump; raises ValueError on anything else."""
-    try:
-        document = json.loads(Path(path).read_bytes())
-    except RecursionError:
-        raise ValueError(f"not a flight dump: {path} (nested too deep)") from None
-    found = document.get("format") if isinstance(document, dict) else None
-    if found != FLIGHT_FORMAT:
-        shown = found if isinstance(found, str) else type(document).__name__
-        raise ValueError(f"not a flight dump: {path} ({shown!r})")
-    return document

@@ -110,10 +110,6 @@ class MetricsRegistry:
         """Add ``amount`` to counter ``name`` (created at zero)."""
         self._counters[name] = self._counters.get(name, 0) + amount
 
-    def counter(self, name: str) -> int:
-        """Current value of counter ``name`` (0 if never incremented)."""
-        return self._counters.get(name, 0)
-
     # ------------------------------------------------------------------
     # Gauges (high-water marks)
     # ------------------------------------------------------------------
@@ -122,9 +118,6 @@ class MetricsRegistry:
         current = self._gauges.get(name)
         if current is None or value > current:
             self._gauges[name] = value
-
-    def gauge(self, name: str, default: float | None = None) -> float | None:
-        return self._gauges.get(name, default)
 
     # ------------------------------------------------------------------
     # Histograms (fixed buckets, integer state)

@@ -227,7 +227,12 @@ def validate_exposition(text: str) -> dict[str, str]:
                         f"line {lineno}: histogram bucket without le label"
                     )
                 le = labels["le"]
-                bound = float("inf") if le == "+Inf" else float(le)
+                try:
+                    bound = float("inf") if le == "+Inf" else float(le)
+                except ValueError:
+                    raise ExpositionError(
+                        f"line {lineno}: unparseable bucket bound {le!r}"
+                    ) from None
                 buckets.setdefault(family, []).append((bound, value))
             elif name.endswith("_count"):
                 counts[family] = value

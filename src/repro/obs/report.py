@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import html
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .events import parse_events_jsonl
+from .events import FLIGHT_FORMAT, parse_events_jsonl
 from .prom import render_histogram_rows
 
 #: Span kinds shown in the per-phase timing table, coarse to fine.
@@ -88,12 +89,34 @@ def _objects(value) -> list[dict]:
     return [entry for entry in value if isinstance(entry, dict)]
 
 
+def _is_number(value) -> bool:
+    """Whether ``value`` is a finite number a float can hold."""
+    if not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+def _number(value) -> float:
+    """``value`` as a float; anything else reads as 0."""
+    return float(value) if _is_number(value) else 0.0
+
+
+def _is_histogram(entry) -> bool:
+    """Whether ``entry`` is a snapshot histogram the renderer can read."""
+    return (
+        isinstance(entry, dict)
+        and all(_is_number(entry.get(key, 0)) for key in ("count", "sum_fp"))
+        and all(entry.get(key) is None or _is_number(entry[key]) for key in ("min", "max"))
+    )
+
+
 def _with_histograms(document: dict | None, key: str) -> dict | None:
-    """``document``, unless its ``key`` is not an object of objects."""
+    """``document``, unless its ``key`` is not an object of histograms."""
     histograms = (document or {}).get(key, {})
-    if not isinstance(histograms, dict) or not all(
-        isinstance(entry, dict) for entry in histograms.values()
-    ):
+    if not isinstance(histograms, dict) or not all(map(_is_histogram, histograms.values())):
         return None
     return document
 
@@ -102,7 +125,8 @@ def load_run_artifacts(study_dir: str | Path) -> RunArtifacts:
     """Gather whatever observability artefacts the directory holds.
 
     An unreadable document, and one of the wrong shape, reads as
-    absent; list entries that are not objects are skipped.
+    absent; list entries that are not objects are skipped, and so is a
+    ``flight-*.json`` whose ``format`` is not a flight dump's.
     """
     directory = Path(study_dir)
     artifacts = RunArtifacts(study_dir=directory)
@@ -122,7 +146,7 @@ def load_run_artifacts(study_dir: str | Path) -> RunArtifacts:
         artifacts.spans = _objects(spans_doc["spans"])
     for path in sorted(directory.glob("flight-*.json")):
         dump = _load_json(path)
-        if isinstance(dump, dict):
+        if isinstance(dump, dict) and dump.get("format") == FLIGHT_FORMAT:
             dump.setdefault("file", path.name)
             artifacts.flights.append(dump)
     artifacts.events = _load_jsonl(directory / "events.jsonl")
@@ -168,9 +192,7 @@ def _header_rows(artifacts: RunArtifacts) -> list[tuple[str, str]]:
             )
         )
     if artifacts.flights:
-        rows.append(
-            ("flight dumps", ", ".join(d.get("file", "?") for d in artifacts.flights))
-        )
+        rows.append(("flight dumps", ", ".join(str(d["file"]) for d in artifacts.flights)))
     return rows
 
 
@@ -183,8 +205,8 @@ def _phase_table(spans: list[dict]) -> list[list[str]]:
             continue
         entry = totals.setdefault(kind, [0, 0.0, 0.0])
         entry[0] += 1
-        entry[1] += max(span.get("sim_end", 0.0) - span.get("sim_start", 0.0), 0.0)
-        entry[2] += span.get("wall_ms", 0.0)
+        entry[1] += max(_number(span.get("sim_end")) - _number(span.get("sim_start")), 0.0)
+        entry[2] += _number(span.get("wall_ms"))
     rows = []
     for kind in _PHASE_KINDS:
         if kind not in totals:
@@ -192,6 +214,10 @@ def _phase_table(spans: list[dict]) -> list[list[str]]:
         count, sim, wall = totals[kind]
         rows.append([kind, str(int(count)), f"{sim:.1f}", f"{wall:.1f}"])
     return rows
+
+
+def _shard_id(value) -> int:
+    return value if isinstance(value, int) else -1
 
 
 def _flame_rows(artifacts: RunArtifacts, count: int = 5) -> list[list[str]]:
@@ -206,8 +232,8 @@ def _flame_rows(artifacts: RunArtifacts, count: int = 5) -> list[list[str]]:
         for record in telemetry["shards"]:
             shards.append(
                 (
-                    record.get("shard_id", -1),
-                    float(record.get("elapsed", 0.0)) * 1000.0,
+                    _shard_id(record.get("shard_id")),
+                    _number(record.get("elapsed")) * 1000.0,
                     record.get("attempts", 1),
                     record.get("label", "?"),
                 )
@@ -216,9 +242,9 @@ def _flame_rows(artifacts: RunArtifacts, count: int = 5) -> list[list[str]]:
         for span in artifacts.spans:
             if span.get("kind") != "shard":
                 continue
-            shard_id = span.get("attrs", {}).get("shard_id", -1)
+            shard_id = (_object(span.get("attrs")) or {}).get("shard_id")
             shards.append(
-                (shard_id, float(span.get("wall_ms", 0.0)), 1, span.get("name", "?"))
+                (_shard_id(shard_id), _number(span.get("wall_ms")), 1, span.get("name", "?"))
             )
     shards.sort(key=lambda item: (-item[1], item[0]))
     top = shards[:count]
@@ -226,7 +252,7 @@ def _flame_rows(artifacts: RunArtifacts, count: int = 5) -> list[list[str]]:
     rows = []
     for shard_id, wall, attempts, label in top:
         bar = "#" * max(1, round(20 * wall / peak)) if peak > 0 else ""
-        rows.append([str(shard_id), f"{wall:.1f}", f"x{attempts}", label, bar])
+        rows.append([str(shard_id), f"{wall:.1f}", f"x{attempts}", str(label), bar])
     return rows
 
 
@@ -234,13 +260,13 @@ def _chaos_rows(artifacts: RunArtifacts) -> list[list[str]]:
     """Fault events in simulated-time order, from span point events."""
     rows = []
     for span in artifacts.spans or []:
-        for event in span.get("events", ()):
+        for event in _objects(span.get("events", [])):
             if event.get("name") != "fault":
                 continue
-            attrs = event.get("attrs", {})
+            attrs = _object(event.get("attrs")) or {}
             rows.append(
                 [
-                    f"{event.get('sim_time', 0.0):.1f}",
+                    f"{_number(event.get('sim_time')):.1f}",
                     str(attrs.get("epoch", "?")),
                     str(attrs.get("kind", "?")),
                     str(attrs.get("target", "?")),
@@ -277,7 +303,7 @@ def _survival_rows(summary: dict) -> list[list[str]]:
         ["mark-strip events observed", str(s42.get("strip_events", 0))],
         [
             "strips at AS boundaries",
-            _fmt(100.0 * s42.get("boundary_fraction", 0.0), 1) + "%",
+            _fmt(100.0 * _number(s42.get("boundary_fraction")), 1) + "%",
         ],
         [
             "TCP ECN negotiated (avg)",
@@ -334,7 +360,7 @@ def _alert_rows(alerts: list[dict]) -> list[list[str]]:
             str(alert.get("metric", "?")),
             _fmt(alert.get("value", 0.0), 2),
             _fmt(alert.get("reference", 0.0), 2),
-            f"{alert.get('delta_pp', 0.0):+.2f}",
+            f"{_number(alert.get('delta_pp')):+.2f}",
         ]
         for alert in alerts
     ]

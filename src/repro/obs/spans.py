@@ -139,14 +139,6 @@ def _shard_spans(shard_id: int, stream: Iterable) -> list[dict]:
     return [shard] + spans
 
 
-def span_children(spans: Iterable[Mapping]) -> dict[str | None, list[dict]]:
-    """Index a span list by parent id (document order preserved)."""
-    children: dict[str | None, list[dict]] = {}
-    for span in spans:
-        children.setdefault(span.get("parent"), []).append(dict(span))
-    return children
-
-
 # ----------------------------------------------------------------------
 # Chrome Trace Event Format export
 # ----------------------------------------------------------------------

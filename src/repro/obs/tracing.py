@@ -19,13 +19,13 @@ expression parsed by :func:`parse_filter`::
     icmp or (udp and ect)
 
 Events carry the packet's ``(src, dst, protocol, ident)`` 4-tuple so a
-flow's hops can be regrouped after the fact with :meth:`events_for`.
+flow's hops can be regrouped after the fact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 from ..netsim.ecn import ECN
 from ..netsim.ipv4 import IPv4Packet, PROTO_ICMP, PROTO_TCP, PROTO_UDP, format_addr
@@ -131,20 +131,6 @@ class PathTracer:
     # ------------------------------------------------------------------
     # Reading the log
     # ------------------------------------------------------------------
-    def events_for(
-        self,
-        src: int | None = None,
-        dst: int | None = None,
-        ident: int | None = None,
-    ) -> list[PathEvent]:
-        """The recorded events of one flow, in observation order."""
-        return [
-            event
-            for event in self.events
-            if (src is None or event.src == src)
-            and (dst is None or event.dst == dst)
-            and (ident is None or event.ident == ident)
-        ]
 
     def dump(self, max_lines: int | None = None) -> str:
         """The whole trace as text, one event per line."""
@@ -248,14 +234,3 @@ def parse_filter(expression: str) -> PacketFilter:
         )
 
     return predicate
-
-
-def group_flows(events: Sequence[PathEvent]) -> dict[tuple[int, int, int, int], list[PathEvent]]:
-    """Group events by ``(src, dst, protocol, ident)`` flow key,
-    preserving per-flow observation order and first-seen flow order."""
-    flows: dict[tuple[int, int, int, int], list[PathEvent]] = {}
-    for event in events:
-        flows.setdefault(
-            (event.src, event.dst, event.protocol, event.ident), []
-        ).append(event)
-    return flows

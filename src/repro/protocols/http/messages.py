@@ -96,10 +96,6 @@ class HTTPResponse:
                 return value
         return default
 
-    @property
-    def is_redirect(self) -> bool:
-        return self.status in (301, 302, 303, 307, 308)
-
 
 def _parse_headers(lines: list[bytes]) -> dict[str, str]:
     headers: dict[str, str] = {}

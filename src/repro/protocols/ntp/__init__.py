@@ -12,7 +12,6 @@ from .packet import (
     MODE_SERVER,
     NTP_PORT,
     NTPPacket,
-    from_ntp_timestamp,
     to_ntp_timestamp,
 )
 from .pool import NTPPool, POOL_DOMAIN, PoolMember
@@ -31,7 +30,6 @@ __all__ = [
     "NTP_PORT",
     "POOL_DOMAIN",
     "PoolMember",
-    "from_ntp_timestamp",
     "query_server",
     "to_ntp_timestamp",
 ]

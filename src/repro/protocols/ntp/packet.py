@@ -38,11 +38,6 @@ def to_ntp_timestamp(seconds: float) -> int:
     return int(seconds * _FRAC) & 0xFFFFFFFFFFFFFFFF
 
 
-def from_ntp_timestamp(value: int) -> float:
-    """Convert a 64-bit 32.32 fixed-point timestamp to float seconds."""
-    return value / _FRAC
-
-
 @dataclass
 class NTPPacket:
     """A parsed NTP packet (SNTP fields only; no extensions/MACs)."""

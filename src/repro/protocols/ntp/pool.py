@@ -5,12 +5,12 @@ cluster reached through round-robin DNS under ``pool.ntp.org`` plus
 country- and region-specific sub-domains.  Membership changes over
 time ("servers leaving the NTP pool between the two sets of
 measurements" is the paper's explanation for lower reachability in the
-July/August batch), which :meth:`NTPPool.apply_churn` reproduces.
+July/August batch): a member whose ``in_pool`` is cleared leaves every
+DNS zone while its host keeps running.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 POOL_DOMAIN = "pool.ntp.org"
@@ -61,10 +61,6 @@ class NTPPool:
             if include_departed or member.in_pool
         ]
 
-    def member_by_addr(self, addr: int) -> PoolMember | None:
-        """Look up a member by address."""
-        return self._members.get(addr)
-
     def zone_names(self) -> list[str]:
         """Every DNS zone with at least one current member.
 
@@ -86,19 +82,3 @@ class NTPPool:
             (m for m in self.members() if zone in m.zones),
             key=lambda m: m.addr,
         )
-
-    def apply_churn(self, rng: random.Random, leave_probability: float) -> list[PoolMember]:
-        """Remove a random fraction of members from the pool.
-
-        Returns the members that left.  Their hosts keep running (a
-        volunteer dropping out of the pool does not necessarily switch
-        the machine off), so probes against previously discovered
-        addresses may still succeed — or not, matching the paper's
-        observation of reduced reachability in the later batch.
-        """
-        departed = []
-        for member in self.members():
-            if rng.random() < leave_probability:
-                member.in_pool = False
-                departed.append(member)
-        return departed

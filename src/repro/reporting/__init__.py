@@ -12,7 +12,6 @@ from .figures import (
 from .report import (
     full_report,
     render_figure1,
-    render_regional,
     render_figure2,
     render_figure3,
     render_figure4,
@@ -38,7 +37,6 @@ __all__ = [
     "render_figure5",
     "render_figure6",
     "render_quic_table",
-    "render_regional",
     "render_table",
     "render_table1",
     "render_table2",

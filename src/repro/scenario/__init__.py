@@ -20,7 +20,7 @@ from .timeline import (
     drifted_params,
     timeline_by_name,
 )
-from .vantages import VANTAGES, VantageSpec, ec2_vantages, vantage_by_key
+from .vantages import VANTAGES, VantageSpec, ec2_vantages
 
 __all__ = [
     "ASInfo",
@@ -45,5 +45,4 @@ __all__ = [
     "ec2_vantages",
     "scaled_params",
     "timeline_by_name",
-    "vantage_by_key",
 ]

@@ -190,14 +190,6 @@ VANTAGES: tuple[VantageSpec, ...] = (
 )
 
 
-def vantage_by_key(key: str) -> VantageSpec:
-    """Look up a vantage; raises KeyError for unknown keys."""
-    for spec in VANTAGES:
-        if spec.key == key:
-            return spec
-    raise KeyError(key)
-
-
 def ec2_vantages() -> tuple[VantageSpec, ...]:
     """The nine EC2 vantages (source of the Phoenix-pair scoping)."""
     return tuple(spec for spec in VANTAGES if spec.kind == "ec2")

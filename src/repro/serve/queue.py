@@ -304,15 +304,6 @@ class StudyQueue:
         running = sum(1 for t in self._running.values() if t == tenant)
         return queued + running
 
-    def queued_ids(self) -> list[str]:
-        """Queued run ids in dispatch order."""
-        live = [
-            submission
-            for _, submission in sorted(self._heap)
-            if submission.run_id in self._queued
-        ]
-        return [submission.run_id for submission in live]
-
     @property
     def queued_count(self) -> int:
         return len(self._queued)

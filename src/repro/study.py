@@ -26,7 +26,10 @@ from .core.analysis.geographic import GeographicDistribution, analyze_geography
 from .core.analysis.pathanalysis import PathAnalysis, analyze_campaign
 from .core.analysis.quic_ecn import QUICECNSummary, analyze_quic_ecn
 from .core.analysis.reachability import ReachabilitySummary, analyze_reachability
-from .core.analysis.regional import RegionalReachability, analyze_regional
+# The perf ledger names ``repro.study.analyze_regional`` among its
+# analysis targets (benchmarks/ledger/layers.py), so the name stays
+# importable here although no Study view calls it.
+from .core.analysis.regional import analyze_regional  # noqa: F401
 from .core.analysis.tcp_ecn import TCPECNSummary, analyze_tcp_ecn
 from .core.analysis.uncertainty import HeadlineIntervals, headline_intervals
 from .core.analysis.validation import InferenceQuality, validate_study
@@ -309,12 +312,6 @@ class Study:
         legacy artefacts byte-identical.
         """
         return self._cached("quic", lambda: analyze_quic_ecn(self.traces))
-
-    @property
-    def regional(self) -> list[RegionalReachability]:
-        return self._cached(
-            "regional", lambda: analyze_regional(self.traces, self.world.geo)
-        )
 
     def intervals(self, confidence: float = 0.95) -> HeadlineIntervals:
         """Bootstrap CIs for the headline numbers."""

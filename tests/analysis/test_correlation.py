@@ -45,7 +45,7 @@ class TestRows:
         assert row.avg_udp_ect_unreachable == pytest.approx(2.0)
         assert row.avg_fail_tcp_ecn == pytest.approx(1.0)
         assert row.avg_negotiate_tcp_ecn == pytest.approx(1.0)
-        assert row.fraction_also_failing_tcp == pytest.approx(0.5)
+        assert row.avg_fail_tcp_ecn / row.avg_udp_ect_unreachable == pytest.approx(0.5)
 
     def test_averaging_over_traces(self):
         ts = TraceSet(server_addrs=[1])

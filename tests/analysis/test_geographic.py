@@ -4,14 +4,18 @@ import pytest
 
 from repro.core.analysis.geographic import analyze_geography
 from repro.geo.database import GeoDatabase
-from repro.geo.regions import Region, country_by_code
+from repro.geo.regions import COUNTRIES, Region
 from repro.netsim.ipv4 import Prefix, parse_addr
+
+
+def country_by_code(code):
+    return next(country for country in COUNTRIES if country.code == code)
 
 
 def small_db():
     db = GeoDatabase()
-    db.register_country(Prefix.parse("62.0.0.0/16"), country_by_code("de"))
-    db.register_country(Prefix.parse("24.0.0.0/16"), country_by_code("us"))
+    db.register_country(Prefix(parse_addr("62.0.0.0"), 16), country_by_code("de"))
+    db.register_country(Prefix(parse_addr("24.0.0.0"), 16), country_by_code("us"))
     return db
 
 

@@ -110,7 +110,7 @@ class TestCampaignAnalysis:
         assert analysis.hops_measured == 9
         assert analysis.hops_passing == 7
         assert analysis.strip_events == 1
-        assert analysis.downstream_events == 1
+        assert [hop.status for hop in analysis.hops].count(DOWNSTREAM) == 1
         assert analysis.pct_hops_passing == pytest.approx(700 / 9)
 
     def test_paths_with_strip(self):

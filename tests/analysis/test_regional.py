@@ -5,14 +5,18 @@ import pytest
 from repro.core.analysis.regional import analyze_regional
 from repro.core.traces import ProbeOutcome, Trace, TraceSet
 from repro.geo.database import GeoDatabase
-from repro.geo.regions import Region, country_by_code
+from repro.geo.regions import COUNTRIES, Region
 from repro.netsim.ipv4 import Prefix, parse_addr
+
+
+def country_by_code(code):
+    return next(country for country in COUNTRIES if country.code == code)
 
 
 def small_db():
     db = GeoDatabase()
-    db.register_country(Prefix.parse("62.0.0.0/16"), country_by_code("de"))
-    db.register_country(Prefix.parse("24.0.0.0/16"), country_by_code("us"))
+    db.register_country(Prefix(parse_addr("62.0.0.0"), 16), country_by_code("de"))
+    db.register_country(Prefix(parse_addr("24.0.0.0"), 16), country_by_code("us"))
     return db
 
 
@@ -42,10 +46,10 @@ class TestRegionalBreakdown:
         assert europe.avg_plain_reachable == pytest.approx(2.0)
         assert europe.avg_ect_reachable == pytest.approx(1.0)
         assert europe.pct_ect_given_plain == pytest.approx(50.0)
-        assert europe.ect_deficit_pct == pytest.approx(50.0)
+        assert 100.0 - europe.pct_ect_given_plain == pytest.approx(50.0)
         america = rows[1]
         assert america.pct_ect_given_plain == pytest.approx(100.0)
-        assert america.ect_deficit_pct == 0.0
+        assert 100.0 - america.pct_ect_given_plain == 0.0
 
     def test_empty_trace_set(self):
         ts = TraceSet(server_addrs=[parse_addr("62.0.0.1")])
@@ -66,8 +70,8 @@ class TestOnMeasuredStudy:
         world, trace_set, _ = study_results
         rows = analyze_regional(trace_set, world.geo)
         for row in rows:
-            if row.servers >= 5:
-                assert row.ect_deficit_pct < 25.0
+            if row.servers >= 5 and row.pct_ect_given_plain is not None:
+                assert 100.0 - row.pct_ect_given_plain < 25.0
 
     def test_overall_consistency_with_global_analysis(self, study_results):
         from repro.core.analysis.reachability import analyze_reachability

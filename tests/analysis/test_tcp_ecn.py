@@ -36,7 +36,7 @@ class TestTraceQuantities:
         record = trace_tcp_reachability(trace)
         assert record.tcp_reachable == 2
         assert record.ecn_negotiated == 1
-        assert record.unwilling == 1
+        assert record.tcp_reachable - record.ecn_negotiated == 1
         assert record.pct_negotiated == pytest.approx(50.0)
 
     def test_empty_pct_is_none(self):

@@ -192,7 +192,7 @@ class TestArchivePersistence:
             tmp_path / "camp", spec, target_epochs=3, events=log
         )
         driver.run()
-        breaches = [e for e in log.export() if e["kind"] == "slo-breach"]
+        breaches = [e for e in log.since(0) if e["kind"] == "slo-breach"]
         keys = [(e["rule"], e["epoch"]) for e in breaches]
         # Re-merges re-evaluate every epoch; narration stays deduplicated.
         assert len(keys) == len(set(keys))

@@ -1,145 +1,110 @@
-"""Tests for the tcpdump-equivalent packet capture."""
+"""Wire-level capture: what crosses a host, read at its packet tap.
 
-from repro.core.capture import PacketCapture, tcp_port_filter, udp_port_filter
+``Host.add_tap`` sees every frame a host sends or receives, so these
+tests decode the transport headers themselves; ``PathTracer`` is the
+program's own per-hop record of the same packets.
+"""
+
 from repro.netsim.ecn import ECN
+from repro.netsim.icmp import ICMPMessage
+from repro.netsim.ipv4 import PROTO_ICMP, PROTO_TCP, PROTO_UDP
+from repro.netsim.udp import UDPDatagram
+from repro.obs.tracing import PathTracer
 from repro.protocols.http.client import fetch
 from repro.protocols.http.server import PoolWebServer
 from repro.protocols.ntp.client import query_server
 from repro.protocols.ntp.server import NTPServer
+from repro.tcp.segment import Flags, TCPSegment
+
+
+def tap(host):
+    """Record ``(direction, packet)`` for every frame crossing ``host``."""
+    frames = []
+    remove = host.add_tap(lambda direction, packet, now: frames.append((direction, packet)))
+    return frames, remove
 
 
 class TestCaptureBasics:
     def test_captures_both_directions(self, two_host_net):
         net, client, server = two_host_net
         NTPServer(server)
-        with PacketCapture(client) as capture:
-            query_server(client, server.addr, ECN.ECT_0, lambda r: None)
-            net.scheduler.run()
-        directions = [c.direction for c in capture]
-        assert directions == ["out", "in"]
+        frames, _ = tap(client)
+        query_server(client, server.addr, ECN.ECT_0, lambda r: None)
+        net.scheduler.run()
+        assert [direction for direction, _ in frames] == ["out", "in"]
 
     def test_decodes_udp(self, two_host_net):
         net, client, server = two_host_net
         NTPServer(server)
-        capture = PacketCapture(client)
+        frames, _ = tap(client)
         query_server(client, server.addr, ECN.ECT_0, lambda r: None)
         net.scheduler.run()
-        capture.stop()
-        assert capture.packets[0].udp.dst_port == 123
-        assert capture.packets[0].ecn is ECN.ECT_0
-        assert capture.packets[1].ecn is ECN.NOT_ECT
-
-    def test_udp_port_filter(self, two_host_net):
-        net, client, server = two_host_net
-        NTPServer(server)
-        capture = PacketCapture(client, capture_filter=udp_port_filter(123))
-        other = client.udp_bind(None)
-        other.send(server.addr, 9999, b"noise")
-        query_server(client, server.addr, ECN.NOT_ECT, lambda r: None)
-        net.scheduler.run()
-        assert all(
-            123 in (c.udp.src_port, c.udp.dst_port) for c in capture.stop()
-        )
+        (_, request), (_, response) = frames
+        assert request.protocol == PROTO_UDP
+        assert UDPDatagram.decode(request.payload).dst_port == 123
+        assert request.ecn is ECN.ECT_0
+        assert response.ecn is ECN.NOT_ECT
 
     def test_tcp_filter_and_decode(self, two_host_net):
         net, client, server = two_host_net
         PoolWebServer(server)
-        capture = PacketCapture(client, capture_filter=tcp_port_filter(80))
+        frames, _ = tap(client)
         fetch(client, server.addr, use_ecn=True, callback=lambda r: None)
         net.scheduler.run()
-        packets = capture.stop()
-        assert packets, "expected TCP traffic"
-        assert all(c.tcp is not None for c in packets)
+        segments = [
+            TCPSegment.decode(packet.payload)
+            for _, packet in frames
+            if packet.protocol == PROTO_TCP
+        ]
+        assert segments, "expected TCP traffic"
+        assert all(80 in (s.src_port, s.dst_port) for s in segments)
         # First outbound segment is the ECN-setup SYN.
-        from repro.tcp.segment import Flags
-
-        syn = packets[0].tcp
+        syn = segments[0]
         assert syn.flags & Flags.SYN and syn.flags & Flags.ECE and syn.flags & Flags.CWR
 
     def test_max_packets_cap(self, two_host_net):
         net, client, server = two_host_net
         NTPServer(server)
-        capture = PacketCapture(client, max_packets=1)
+        tracer = PathTracer(match="udp", limit=1)
+        net.set_tracer(tracer)
         query_server(client, server.addr, ECN.NOT_ECT, lambda r: None)
         net.scheduler.run()
-        assert len(capture) == 1
-        assert capture.dropped >= 1
+        assert len(tracer) == 1
+        assert tracer.dropped >= 1
 
     def test_stop_is_idempotent_and_detaches(self, two_host_net):
         net, client, server = two_host_net
         NTPServer(server)
-        capture = PacketCapture(client)
-        capture.stop()
-        capture.stop()
+        frames, remove = tap(client)
+        remove()
+        remove()
         query_server(client, server.addr, ECN.NOT_ECT, lambda r: None)
         net.scheduler.run()
-        assert len(capture) == 0
+        assert frames == []
 
 
 class TestSummaries:
     def test_dump_mentions_protocol_and_marks(self, two_host_net):
         net, client, server = two_host_net
         NTPServer(server)
-        capture = PacketCapture(client)
+        tracer = PathTracer(match="udp")
+        net.set_tracer(tracer)
         query_server(client, server.addr, ECN.ECT_0, lambda r: None)
         net.scheduler.run()
-        text = capture.dump()
-        assert "UDP" in text
+        assert {event.protocol for event in tracer.events} == {PROTO_UDP}
+        text = tracer.dump()
         assert "ECT(0)" in text
         assert "not-ECT" in text
 
     def test_icmp_summary(self, two_host_net):
         net, client, server = two_host_net
-        capture = PacketCapture(client)
+        frames, _ = tap(client)
         client.udp_bind(None).send(server.addr, 33434, b"probe", ttl=1)
         net.scheduler.run()
-        capture.stop()
-        icmp = [c for c in capture if c.icmp is not None]
+        icmp = [
+            ICMPMessage.decode(packet.payload, verify=False)
+            for _, packet in frames
+            if packet.protocol == PROTO_ICMP
+        ]
         assert len(icmp) == 1
-        assert "type=11" in icmp[0].summary()
-
-
-class TestSummaryFlags:
-    def test_tcp_flags_rendered_from_segment_fields(self):
-        """Regression: summary() used to recover flags by splitting the
-        segment's repr string; render them from the flag bits."""
-        from repro.core.capture import CapturedPacket
-        from repro.netsim.ipv4 import IPv4Packet, PROTO_TCP, parse_addr
-        from repro.tcp.segment import Flags, TCPSegment
-
-        segment = TCPSegment(
-            src_port=49152,
-            dst_port=80,
-            seq=1,
-            ack=0,
-            flags=Flags.SYN | Flags.ECE | Flags.CWR,
-        )
-        packet = IPv4Packet(
-            src=parse_addr("192.0.2.1"),
-            dst=parse_addr("198.51.100.1"),
-            protocol=PROTO_TCP,
-        )
-        captured = CapturedPacket(
-            time=0.0, direction="out", packet=packet, tcp=segment
-        )
-        summary = captured.summary()
-        assert "[SYN|ECE|CWR]" in summary
-        assert "49152" in summary and "80" in summary
-
-    def test_tcp_no_flags_renders_dash(self):
-        from repro.core.capture import CapturedPacket
-        from repro.netsim.ipv4 import IPv4Packet, PROTO_TCP, parse_addr
-        from repro.tcp.segment import Flags, TCPSegment
-
-        segment = TCPSegment(
-            src_port=1, dst_port=2, seq=0, ack=0, flags=Flags(0)
-        )
-        packet = IPv4Packet(
-            src=parse_addr("192.0.2.1"),
-            dst=parse_addr("198.51.100.1"),
-            protocol=PROTO_TCP,
-        )
-        captured = CapturedPacket(
-            time=0.0, direction="out", packet=packet, tcp=segment
-        )
-        assert "[-]" in captured.summary()
+        assert icmp[0].icmp_type == 11

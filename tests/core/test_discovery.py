@@ -38,7 +38,9 @@ class TestDiscovery:
         # membership is consistent with the pool's ground truth.
         for server in report.servers.values():
             assert server.zones
-            member = fresh_world.pool.member_by_addr(server.addr)
+            (member,) = [
+                m for m in fresh_world.pool.members() if m.addr == server.addr
+            ]
             assert server.zones <= set(member.zones)
 
     def test_query_accounting(self, fresh_world):

@@ -23,6 +23,11 @@ def hop(ttl, tos, responder=1000):
     )
 
 
+def first_change_ttl(result, field_name):
+    """TTL where ``field_name`` was first observed rewritten, or None."""
+    return min((c.ttl for c in result.changes_for(field_name)), default=None)
+
+
 class TestDiffPath:
     def _path(self, toses):
         path = PathTrace(vantage_key="v", dst_addr=9, sent_ecn=int(ECN.ECT_0))
@@ -41,15 +46,15 @@ class TestDiffPath:
         bleached = tos_byte(dscp=10, ecn=ECN.NOT_ECT)
         result = diff_path(self._path([sent, bleached, bleached]), sent_dscp=10)
         assert result.classify_tos_interference() == "ecn-specific"
-        assert result.first_change_ttl(FIELD_ECN) == 2
+        assert first_change_ttl(result, FIELD_ECN) == 2
         assert result.changes_for(FIELD_DSCP) == []
 
     def test_tos_washing(self):
         sent = tos_byte(dscp=10, ecn=ECN.ECT_0)
         result = diff_path(self._path([sent, 0, 0]), sent_dscp=10)
         assert result.classify_tos_interference() == "tos-washing"
-        assert result.first_change_ttl(FIELD_ECN) == 2
-        assert result.first_change_ttl(FIELD_DSCP) == 2
+        assert first_change_ttl(result, FIELD_ECN) == 2
+        assert first_change_ttl(result, FIELD_DSCP) == 2
 
     def test_dscp_only_remarking(self):
         sent = tos_byte(dscp=10, ecn=ECN.ECT_0)
@@ -72,16 +77,16 @@ class TestRunTracebox:
         result = run_tracebox(client, server.addr, dscp=12, ecn=ECN.ECT_0)
         assert result.classify_tos_interference() == "ecn-specific"
         # r2 is the third router: hop TTL 3.
-        assert result.first_change_ttl(FIELD_ECN) == 3
-        assert result.first_change_ttl(FIELD_DSCP) is None
+        assert first_change_ttl(result, FIELD_ECN) == 3
+        assert first_change_ttl(result, FIELD_DSCP) is None
 
     def test_detects_tos_washer(self, net_factory):
         net, client, server = net_factory(hops=4)
         net.topology.routers["r1"].add_middlebox(TOSBleacher())
         result = run_tracebox(client, server.addr, dscp=12, ecn=ECN.ECT_0)
         assert result.classify_tos_interference() == "tos-washing"
-        assert result.first_change_ttl(FIELD_ECN) == 2
-        assert result.first_change_ttl(FIELD_DSCP) == 2
+        assert first_change_ttl(result, FIELD_ECN) == 2
+        assert first_change_ttl(result, FIELD_DSCP) == 2
 
     def test_clean_network(self, net_factory):
         net, client, server = net_factory(hops=4)

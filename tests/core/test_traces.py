@@ -70,8 +70,8 @@ class TestTraceAggregates:
 
     def test_outcome_lookup(self):
         trace = self._trace()
-        assert trace.outcome_for(2).udp_differential_plain_only
-        assert trace.outcome_for(99) is None
+        assert trace.outcomes.get(2).udp_differential_plain_only
+        assert trace.outcomes.get(99) is None
 
 
 class TestTraceSetRoundtrip:
@@ -97,8 +97,8 @@ class TestTraceSetRoundtrip:
         assert loaded.server_addrs == ts.server_addrs
         assert loaded.description == "unit test"
         assert len(loaded) == 3
-        original = ts.traces[0].outcome_for(1)
-        restored = loaded.traces[0].outcome_for(1)
+        original = ts.traces[0].outcomes.get(1)
+        restored = loaded.traces[0].outcomes.get(1)
         assert restored == original
 
     def test_unknown_format_rejected(self):
@@ -119,13 +119,13 @@ class TestTraceSetRoundtrip:
             ect1_echoed=0,
             ce_echoed=1,
         )
-        ts.traces[0].outcome_for(1).quic = quic
+        ts.traces[0].outcomes.get(1).quic = quic
         path = tmp_path / "quic-traces.json"
         ts.save(path)
         loaded = TraceSet.load(path)
-        assert loaded.traces[0].outcome_for(1).quic == quic
-        assert loaded.traces[0].outcome_for(2).quic is None
-        assert loaded.traces[1].outcome_for(1).quic is None
+        assert loaded.traces[0].outcomes.get(1).quic == quic
+        assert loaded.traces[0].outcomes.get(2).quic is None
+        assert loaded.traces[1].outcomes.get(1).quic is None
 
     def test_row_codec_length_is_append_only(self):
         legacy = outcome(1, tcp=True, ecn_neg=True, status=200)
@@ -142,11 +142,6 @@ class TestTraceSetRoundtrip:
         assert len(ts.by_vantage("a")) == 2
         assert len(ts.by_vantage("b")) == 1
         assert ts.vantage_keys() == ["a", "b"]
-
-    def test_by_batch(self):
-        ts = self._trace_set()
-        assert len(ts.by_batch(1)) == 2
-        assert len(ts.by_batch(2)) == 1
 
 
 class TestPathTraces:
@@ -217,7 +212,7 @@ class TestStrictLoaders:
     def test_well_formed_rows_load(self):
         for row in (self.BASE, self.BASE + self.QUIC):
             loaded = TraceSet.from_dict(self.traceset(row))
-            assert _outcome_to_row(loaded.traces[0].outcome_for(7)) == row
+            assert _outcome_to_row(loaded.traces[0].outcomes.get(7)) == row
 
     @pytest.mark.parametrize(
         "row,field",

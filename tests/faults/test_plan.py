@@ -16,7 +16,6 @@ from repro.faults import (
     PROFILES,
     ROUTER_BLACKHOLE,
     generate_fault_plan,
-    merge_plans,
     resolve_profile,
 )
 
@@ -89,13 +88,6 @@ class TestFaultPlan:
         summary = plan.summary()
         assert summary["events"] == 3
         assert summary["by_kind"] == {LINK_FLAP: 2, NTP_BROWNOUT: 1}
-
-    def test_merge_plans_unions_events(self):
-        a = FaultPlan(events=(_event(epoch=0),), profile="light")
-        b = FaultPlan(events=(_event(epoch=1),), profile="heavy")
-        merged = merge_plans([a, b])
-        assert len(merged) == 2
-        assert merged.profile == "light+heavy"
 
 
 class TestProfiles:

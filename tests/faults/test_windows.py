@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.faults import FaultWindow, LinkFault, SuppressedPolicy, WindowedPolicy
-from repro.netsim.ecn import ECN, replace_ecn
+from repro.netsim.ecn import ECN
 from repro.netsim.ipv4 import IPv4Packet, PROTO_UDP, parse_addr
 from repro.netsim.middlebox import ECTBleacher
 
@@ -20,7 +20,7 @@ def _packet(ecn=ECN.ECT_0):
         src=parse_addr("192.0.2.1"),
         dst=parse_addr("198.51.100.1"),
         protocol=PROTO_UDP,
-        tos=replace_ecn(0, ecn),
+        tos=int(ecn),
     )
 
 

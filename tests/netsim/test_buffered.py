@@ -32,11 +32,16 @@ def bound_link(**kwargs):
 RNG = random.Random(0)
 
 
+def transit(link, pkt):
+    """``(delivered, delay, reason)`` of ``pkt`` offered to ``link``."""
+    return link._transit(pkt, RNG, None, None)
+
+
 class TestServiceAndQueueing:
     def test_requires_clock(self):
         link = BufferedLink("a", "b")
         with pytest.raises(SimulationError):
-            link.transit(packet(), RNG)
+            transit(link, packet())
 
     def test_service_time(self):
         link, _ = bound_link(bandwidth=1_000_000)
@@ -44,28 +49,28 @@ class TestServiceAndQueueing:
 
     def test_single_packet_delay_is_service_plus_propagation(self):
         link, _ = bound_link(bandwidth=1_000_000)
-        outcome = link.transit(packet(1000), RNG)
-        assert outcome.delivered
-        assert outcome.delay == pytest.approx(0.008 + 0.001)
+        delivered, delay, _ = transit(link, packet(1000))
+        assert delivered
+        assert delay == pytest.approx(0.008 + 0.001)
 
     def test_back_to_back_packets_queue(self):
         link, _ = bound_link(bandwidth=1_000_000)
-        first = link.transit(packet(1000), RNG)
-        second = link.transit(packet(1000), RNG)
-        assert second.delay == pytest.approx(first.delay + 0.008)
+        _, first, _ = transit(link, packet(1000))
+        _, second, _ = transit(link, packet(1000))
+        assert second == pytest.approx(first + 0.008)
 
     def test_queue_drains_as_clock_advances(self):
         link, clock = bound_link(bandwidth=1_000_000)
-        link.transit(packet(1000), RNG)
+        transit(link, packet(1000))
         clock.advance_to(1.0)  # far past the busy period
-        outcome = link.transit(packet(1000), RNG)
-        assert outcome.delay == pytest.approx(0.009)
+        _, delay, _ = transit(link, packet(1000))
+        assert delay == pytest.approx(0.009)
 
     def test_tail_drop_when_full(self):
         link, _ = bound_link(bandwidth=1_000_000, queue_limit=5)
-        outcomes = [link.transit(packet(1000), RNG) for _ in range(10)]
-        delivered = [o for o in outcomes if o.delivered]
-        dropped = [o for o in outcomes if not o.delivered]
+        outcomes = [transit(link, packet(1000))[0] for _ in range(10)]
+        delivered = [o for o in outcomes if o]
+        dropped = [o for o in outcomes if not o]
         assert len(delivered) <= 6  # one in service + limit queued
         assert dropped
         assert link.tail_drops == len(dropped)
@@ -80,8 +85,8 @@ class TestREDIntegration:
         link, _ = self._red_link()
         marked = 0
         for _ in range(30):
-            outcome = link.transit(packet(1000, ECN.ECT_0), RNG)
-            if outcome.delivered and outcome.packet.ecn is ECN.CE:
+            offered = packet(1000, ECN.ECT_0)
+            if transit(link, offered)[0] and offered.ecn is ECN.CE:
                 marked += 1
         assert marked > 0
         assert link.ce_marks == marked
@@ -89,8 +94,8 @@ class TestREDIntegration:
 
     def test_red_drops_not_ect_under_backlog(self):
         link, _ = self._red_link()
-        outcomes = [link.transit(packet(1000, ECN.NOT_ECT), RNG) for _ in range(30)]
-        assert any(not o.delivered for o in outcomes)
+        outcomes = [transit(link, packet(1000, ECN.NOT_ECT))[0] for _ in range(30)]
+        assert not all(outcomes)
         assert link.red_drops > 0
 
     def test_ecn_traffic_outlives_not_ect_through_red(self):
@@ -98,11 +103,11 @@ class TestREDIntegration:
         link_a, _ = self._red_link()
         link_b, _ = self._red_link()
         ect_delivered = sum(
-            link_a.transit(packet(1000, ECN.ECT_0), RNG).delivered
+            transit(link_a, packet(1000, ECN.ECT_0))[0]
             for _ in range(40)
         )
         plain_delivered = sum(
-            link_b.transit(packet(1000, ECN.NOT_ECT), RNG).delivered
+            transit(link_b, packet(1000, ECN.NOT_ECT))[0]
             for _ in range(40)
         )
         assert ect_delivered > plain_delivered

@@ -21,8 +21,8 @@ class TestSimClock:
 
     def test_advance_by(self):
         clock = SimClock()
-        clock.advance_by(0.25)
-        clock.advance_by(0.25)
+        clock.advance_to(clock.now + 0.25)
+        clock.advance_to(clock.now + 0.25)
         assert clock.now == 0.5
 
     def test_advance_to_same_time_is_allowed(self):
@@ -38,8 +38,9 @@ class TestSimClock:
             clock.advance_to(1.0)
 
     def test_negative_delta_rejected(self):
+        clock = SimClock()
         with pytest.raises(SimulationError):
-            SimClock().advance_by(-0.1)
+            clock.advance_to(clock.now - 0.1)
 
     def test_unix_time_tracks_origin(self):
         clock = SimClock(origin=1000.0)

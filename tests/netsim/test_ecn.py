@@ -8,9 +8,9 @@ from repro.netsim.ecn import (
     ECN,
     dscp_from_tos,
     ecn_from_tos,
-    replace_ecn,
     tos_byte,
 )
+from repro.netsim.ipv4 import IPv4Packet, PROTO_UDP
 
 
 class TestCodepoints:
@@ -63,8 +63,9 @@ class TestTOSComposition:
         assert tos_byte(ecn=0b11) == 0b11
 
     def test_replace_ecn_preserves_dscp(self):
-        tos = tos_byte(dscp=0b001011, ecn=ECN.ECT_0)
-        cleared = replace_ecn(tos, ECN.NOT_ECT)
+        packet = IPv4Packet(src=1, dst=2, protocol=PROTO_UDP)
+        packet.tos = tos_byte(dscp=0b001011, ecn=ECN.ECT_0)
+        cleared = packet.with_ecn(ECN.NOT_ECT).tos
         assert ecn_from_tos(cleared) is ECN.NOT_ECT
         assert dscp_from_tos(cleared) == 0b001011
 
@@ -78,6 +79,8 @@ def test_compose_extract_roundtrip(dscp, ecn):
 
 @given(st.integers(0, 255), st.sampled_from(list(ECN)))
 def test_replace_ecn_only_touches_low_bits(tos, ecn):
-    replaced = replace_ecn(tos, ecn)
+    packet = IPv4Packet(src=1, dst=2, protocol=PROTO_UDP, tos=tos)
+    packet.set_ecn(ecn)
+    replaced = packet.tos
     assert replaced & 0b11 == int(ecn)
     assert replaced >> 2 == tos >> 2

@@ -41,7 +41,7 @@ class TestScheduling:
         sched.schedule(1.0, lambda: None)
         sched.step()
         seen = []
-        sched.schedule_at(4.0, lambda: seen.append(sched.now))
+        sched.schedule(4.0 - sched.now, lambda: seen.append(sched.now))
         sched.run()
         assert seen == [4.0]
 

@@ -12,7 +12,6 @@ from repro.netsim.icmp import (
     TYPE_DEST_UNREACHABLE,
     TYPE_ECHO_REQUEST,
     TYPE_TIME_EXCEEDED,
-    admin_prohibited,
     port_unreachable,
     quote_datagram,
     time_exceeded,
@@ -108,11 +107,6 @@ class TestConstructors:
         message = port_unreachable(probe_packet())
         assert message.icmp_type == TYPE_DEST_UNREACHABLE
         assert message.code == CODE_PORT_UNREACHABLE
-
-    def test_admin_prohibited(self):
-        message = admin_prohibited(probe_packet())
-        assert message.icmp_type == TYPE_DEST_UNREACHABLE
-        assert message.code == 13
 
 
 class _OptionsPacket(IPv4Packet):

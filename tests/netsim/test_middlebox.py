@@ -9,8 +9,6 @@ from repro.netsim.middlebox import (
     ECTDropper,
     NotECTDropper,
     TOSBleacher,
-    any_ect_firewall,
-    udp_ect_firewall,
 )
 
 
@@ -109,7 +107,7 @@ class TestNotECTDropper:
 
     def test_src_prefix_scoping(self):
         """The Phoenix-library pair: misbehaves only from EC2 space."""
-        ec2 = Prefix.parse("54.0.0.0/8")
+        ec2 = Prefix(parse_addr("54.0.0.0"), 8)
         box = NotECTDropper(src_prefixes=(ec2,))
         assert box.process(packet(ECN.NOT_ECT, src="54.1.2.3"), RNG).dropped
         assert not box.process(packet(ECN.NOT_ECT, src="192.0.2.1"), RNG).dropped
@@ -150,7 +148,7 @@ class TestScopingAndDraws:
 
     def test_src_prefix_and_probability_interact(self):
         """probability gates only packets already matched by scope."""
-        ec2 = Prefix.parse("54.0.0.0/8")
+        ec2 = Prefix(parse_addr("54.0.0.0"), 8)
         box = ECTBleacher(src_prefixes=(ec2,), probability=0.5)
         rng = random.Random(7)
         out_of_scope = [
@@ -166,7 +164,7 @@ class TestScopingAndDraws:
         assert in_scope.count(ECN.ECT_0) > 100
 
     def test_out_of_scope_consumes_no_draw(self):
-        ec2 = Prefix.parse("54.0.0.0/8")
+        ec2 = Prefix(parse_addr("54.0.0.0"), 8)
         rng = CountingRandom(0)
         for box in (
             ECTBleacher(src_prefixes=(ec2,), probability=0.5),
@@ -204,9 +202,12 @@ class TestScopingAndDraws:
 
 
 class TestFactories:
+    """Destination-scoped firewalls, built the way the scenario builds
+    its per-server ECT filters."""
+
     def test_udp_ect_firewall_scope(self):
         target = parse_addr("198.51.100.1")
-        box = udp_ect_firewall([target])
+        box = ECTDropper(protocols=frozenset({PROTO_UDP}), dst_addrs=frozenset({target}))
         assert box.process(packet(ECN.ECT_0, PROTO_UDP), RNG).dropped
         assert not box.process(packet(ECN.ECT_0, PROTO_TCP), RNG).dropped
         assert not box.process(
@@ -215,5 +216,7 @@ class TestFactories:
 
     def test_any_ect_firewall_covers_tcp(self):
         target = parse_addr("198.51.100.1")
-        box = any_ect_firewall([target])
+        box = ECTDropper(
+            protocols=frozenset({PROTO_UDP, PROTO_TCP}), dst_addrs=frozenset({target})
+        )
         assert box.process(packet(ECN.ECT_0, PROTO_TCP), RNG).dropped

@@ -7,7 +7,6 @@ import pytest
 from repro.netsim.queues import (
     AQMDecision,
     BernoulliLoss,
-    GilbertElliottLoss,
     NoCongestion,
     NoLoss,
     REDQueue,
@@ -37,35 +36,6 @@ class TestLossModels:
             BernoulliLoss(1.5)
         with pytest.raises(ValueError):
             BernoulliLoss(-0.1)
-
-    def test_gilbert_elliott_is_bursty(self):
-        """Losses under GE cluster: the conditional probability of a
-        loss right after a loss far exceeds the marginal rate."""
-        rng = random.Random(7)
-        model = GilbertElliottLoss(
-            p_good_to_bad=0.02, p_bad_to_good=0.2, loss_good=0.001, loss_bad=0.5
-        )
-        samples = [model.sample_loss(rng) for _ in range(50000)]
-        marginal = sum(samples) / len(samples)
-        after_loss = [b for a, b in zip(samples, samples[1:]) if a]
-        conditional = sum(after_loss) / len(after_loss)
-        assert conditional > marginal * 3
-
-    def test_gilbert_elliott_steady_state(self):
-        model = GilbertElliottLoss(
-            p_good_to_bad=0.01, p_bad_to_good=0.09, loss_good=0.0, loss_bad=0.3
-        )
-        # 10% of time in bad state -> 3% long-run loss.
-        assert model.steady_state_loss() == pytest.approx(0.03)
-
-    def test_gilbert_elliott_empirical_matches_steady_state(self):
-        rng = random.Random(3)
-        model = GilbertElliottLoss(
-            p_good_to_bad=0.01, p_bad_to_good=0.09, loss_good=0.0, loss_bad=0.3
-        )
-        expected = model.steady_state_loss()
-        losses = sum(model.sample_loss(rng) for _ in range(100000))
-        assert abs(losses / 100000 - expected) < 0.01
 
 
 class TestStaticCongestion:

@@ -15,19 +15,19 @@ from repro.netsim.topology import Topology
 class TestPrefixTrie:
     def test_exact_lookup(self):
         trie = PrefixTrie()
-        trie.insert(Prefix.parse("10.0.0.0/8"), "ten")
+        trie.insert(Prefix(parse_addr("10.0.0.0"), 8), "ten")
         assert trie.lookup(parse_addr("10.1.2.3")) == "ten"
 
     def test_longest_prefix_wins(self):
         trie = PrefixTrie()
-        trie.insert(Prefix.parse("10.0.0.0/8"), "short")
-        trie.insert(Prefix.parse("10.1.0.0/16"), "long")
+        trie.insert(Prefix(parse_addr("10.0.0.0"), 8), "short")
+        trie.insert(Prefix(parse_addr("10.1.0.0"), 16), "long")
         assert trie.lookup(parse_addr("10.1.9.9")) == "long"
         assert trie.lookup(parse_addr("10.2.0.1")) == "short"
 
     def test_miss_raises_keyerror(self):
         trie = PrefixTrie()
-        trie.insert(Prefix.parse("10.0.0.0/8"), "ten")
+        trie.insert(Prefix(parse_addr("10.0.0.0"), 8), "ten")
         with pytest.raises(KeyError):
             trie.lookup(parse_addr("11.0.0.1"))
 
@@ -38,20 +38,20 @@ class TestPrefixTrie:
     def test_default_route(self):
         trie = PrefixTrie()
         trie.insert(Prefix(0, 0), "default")
-        trie.insert(Prefix.parse("10.0.0.0/8"), "ten")
+        trie.insert(Prefix(parse_addr("10.0.0.0"), 8), "ten")
         assert trie.lookup(parse_addr("200.1.1.1")) == "default"
         assert trie.lookup(parse_addr("10.0.0.1")) == "ten"
 
     def test_host_route(self):
         trie = PrefixTrie()
-        trie.insert(Prefix.parse("10.0.0.0/8"), "net")
+        trie.insert(Prefix(parse_addr("10.0.0.0"), 8), "net")
         trie.insert(Prefix(parse_addr("10.5.5.5"), 32), "host")
         assert trie.lookup(parse_addr("10.5.5.5")) == "host"
         assert trie.lookup(parse_addr("10.5.5.6")) == "net"
 
     def test_reinsert_replaces(self):
         trie = PrefixTrie()
-        prefix = Prefix.parse("10.0.0.0/8")
+        prefix = Prefix(parse_addr("10.0.0.0"), 8)
         trie.insert(prefix, "old")
         trie.insert(prefix, "new")
         assert trie.lookup(parse_addr("10.0.0.1")) == "new"

@@ -65,7 +65,7 @@ class TestSchedule:
         model.sample_loss(rng)  # initialises the schedule
         clock.advance_to(10.0)  # far past the first (endless) outage start
         model.sample_loss(rng)
-        assert model.in_outage(clock.now)
+        assert clock.now < model._outage_until  # inside the outage window
         losses = sum(model.sample_loss(rng) for _ in range(4000))
         assert 0.45 < losses / 4000 < 0.55
 
@@ -82,7 +82,7 @@ class TestSchedule:
         # an outage window (coverage ~10%); repeated sampling at the
         # same instant is consistent.
         first = model.sample_loss(rng)
-        if not model.in_outage(clock.now):
+        if clock.now >= model._outage_until:  # outside any outage window
             assert first is False
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.netsim.errors import TopologyError
 from repro.netsim.host import Host
-from repro.netsim.ipv4 import Prefix, parse_addr
+from repro.netsim.ipv4 import parse_addr
 from repro.netsim.link import Link, link_pair
 from repro.netsim.router import Router
 from repro.netsim.topology import Topology
@@ -67,36 +67,26 @@ class TestLookup:
 
     def test_host_by_addr(self):
         topo = self._topo()
-        assert topo.host_by_addr(parse_addr("192.0.2.1")).hostname == "h1"
-        assert topo.host_by_addr(parse_addr("192.0.2.2")) is None
-
-    def test_host_by_name(self):
-        topo = self._topo()
-        assert topo.host_by_name("h1").addr == parse_addr("192.0.2.1")
-        assert topo.host_by_name("nope") is None
+        assert topo.hosts[parse_addr("192.0.2.1")].hostname == "h1"
+        assert parse_addr("192.0.2.2") not in topo.hosts
 
     def test_router_for_addr_prefers_host_attachment(self):
         topo = self._topo()
         assert topo.router_for_addr(parse_addr("192.0.2.1")) == "r1"
 
-    def test_router_for_addr_uses_claimed_prefix(self):
-        topo = self._topo()
-        topo.claim_prefix(Prefix.parse("203.0.113.0/24"), "r2")
-        assert topo.router_for_addr(parse_addr("203.0.113.77")) == "r2"
-
     def test_router_for_unknown_addr_is_none(self):
         assert self._topo().router_for_addr(parse_addr("8.8.8.8")) is None
 
     def test_router_asn(self):
-        assert self._topo().router_asn("r2") == 200
+        assert self._topo().routers["r2"].asn == 200
 
     def test_links_between(self):
         topo = self._topo()
-        forward, backward = topo.links_between("r1", "r2")
+        forward, backward = topo.succ["r1"]["r2"], topo.succ["r2"]["r1"]
         assert forward.dst == "r2"
         assert backward.dst == "r1"
-        none_f, none_b = topo.links_between("r1", "r1")
-        assert none_f is None and none_b is None
+        assert topo.pred["r2"]["r1"] is forward
+        assert "r1" not in topo.succ["r1"]
 
     def test_all_links(self):
         assert len(list(self._topo().all_links())) == 2

@@ -57,7 +57,7 @@ class TestEmission:
         assert log.emit("quiet", "info") is None
         assert log.emit("loud", "warning") is not None
         assert log.emit("loud", "alert") is not None
-        assert [e["kind"] for e in log.export()] == ["loud", "loud"]
+        assert [e["kind"] for e in log.since(0)] == ["loud", "loud"]
 
     def test_unknown_level_is_loud(self):
         log = EventLog()
@@ -82,10 +82,10 @@ class TestRateLimit:
         for _ in range(5):
             log.emit("chatty")
         log.emit("other")
-        assert len([e for e in log.export() if e["kind"] == "chatty"]) == 3
+        assert len([e for e in log.since(0) if e["kind"] == "chatty"]) == 3
         assert log.dropped() == {"chatty": 2}
         # Other kinds are unaffected by one kind hitting its cap.
-        assert [e["kind"] for e in log.export()][-1] == "other"
+        assert [e["kind"] for e in log.since(0)][-1] == "other"
 
     def test_seq_not_consumed_by_dropped_events(self):
         log = EventLog(kind_limit=1)
@@ -100,7 +100,7 @@ class TestRingAndCursor:
         log = EventLog(capacity=4)
         for i in range(10):
             log.emit("tick", "info", i=i)
-        window = log.export()
+        window = log.since(0)
         assert len(window) == 4
         assert [e["i"] for e in window] == [6, 7, 8, 9]
         assert log.next_seq == 10
@@ -127,7 +127,7 @@ class TestRingAndCursor:
         log.emit("a")
         log.emit("a")
         log.clear()
-        assert log.export() == []
+        assert log.since(0) == []
         assert log.next_seq == 0
         assert log.dropped() == {}
         assert log.emit("a") is not None
@@ -144,7 +144,7 @@ class TestShardAttribution:
         log.emit("b")
         log.enter_context("trace", "vp-0", 0)
         log.emit("c")
-        seqs = [(e["shard"], e["seq"]) for e in log.export()]
+        seqs = [(e["shard"], e["seq"]) for e in log.since(0)]
         assert seqs == [(0, 0), (1, 0), (0, 1)]
 
     def test_unknown_context_is_loud(self):
@@ -174,7 +174,7 @@ class TestCanonicalForm:
         log.enter_context("trace", "vp-0", 0)
         log.emit("a")
         log.emit("c")
-        for view in (log.events(), canonical_events(log.export())):
+        for view in (log.events(), canonical_events(log.since(0))):
             assert [(e["shard"], e["seq"], e["kind"]) for e in view] == [
                 (0, 0, "a"),
                 (0, 1, "c"),
@@ -184,7 +184,7 @@ class TestCanonicalForm:
     def test_canonical_strips_wall_and_sorts_keys(self):
         log = EventLog()
         log.emit("x", "info", zeta=1, alpha=2)
-        [entry] = canonical_events(log.export())
+        [entry] = canonical_events(log.since(0))
         assert "wall" not in entry
         assert list(entry) == sorted(entry)
 

@@ -1,4 +1,9 @@
-"""Unit tests for crash flight dumps: the event log's bounded tail."""
+"""Unit tests for crash flight dumps: the event log's bounded tail.
+
+Dumps are read back the way the dashboard reads them, through
+``load_run_artifacts``, which skips any ``flight-*.json`` that is not a
+flight dump.
+"""
 
 import json
 
@@ -6,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.obs import DEFAULT_EVENT_CAPACITY, EventLog, load_flight_dump
+from repro.obs import DEFAULT_EVENT_CAPACITY, EventLog, load_run_artifacts
 from repro.obs.events import FLIGHT_TAIL
 
 #: Any JSON document, serialised: valid syntax of every shape.
@@ -17,13 +22,21 @@ JSON_DOCUMENTS = st.recursive(
 ).map(lambda value: json.dumps(value).encode())
 
 
+def load_flight_dump(path):
+    """The flight dump at ``path`` as the dashboard lists it."""
+    for document in load_run_artifacts(path.parent).flights:
+        if document.pop("file") == path.name:
+            return document
+    raise ValueError(f"not a flight dump: {path}")
+
+
 class TestRing:
     def test_bounded_capacity_drops_oldest(self):
         log = EventLog(capacity=3)
         for i in range(5):
             log.emit("tick", "info", i=i)
-        assert len(log.export()) == 3
-        assert [e["i"] for e in log.export()] == [2, 3, 4]
+        assert len(log.since(0)) == 3
+        assert [e["i"] for e in log.since(0)] == [2, 3, 4]
         assert log.next_seq == 5
 
     def test_capacity_must_be_positive(self):
@@ -42,7 +55,7 @@ class TestRing:
         that exists to record crashes, and the envelope wins."""
         log = EventLog(capacity=4)
         log.emit("span-event", "info", kind="link_flap", target="r1")
-        event = log.export()[0]
+        event = log.since(0)[0]
         assert event["kind"] == "span-event"
         assert event["target"] == "r1"
 
@@ -50,7 +63,7 @@ class TestRing:
         log = EventLog()
         log.emit("x")
         log.clear()
-        assert len(log.export()) == 0
+        assert len(log.since(0)) == 0
 
 
 class TestDump:

@@ -15,25 +15,24 @@ from repro.obs import (
 class TestRegistry:
     def test_counters_start_at_zero(self):
         registry = MetricsRegistry()
-        assert registry.counter("router.forwarded") == 0
+        assert registry.snapshot()["counters"].get("router.forwarded", 0) == 0
 
     def test_incr_accumulates(self):
         registry = MetricsRegistry()
         registry.incr("router.forwarded")
         registry.incr("router.forwarded", 4)
-        assert registry.counter("router.forwarded") == 5
+        assert registry.snapshot()["counters"]["router.forwarded"] == 5
 
     def test_gauge_is_high_water_mark(self):
         registry = MetricsRegistry()
         registry.gauge_max("engine.heap_peak", 10)
         registry.gauge_max("engine.heap_peak", 3)
         registry.gauge_max("engine.heap_peak", 17)
-        assert registry.gauge("engine.heap_peak") == 17
+        assert registry.snapshot()["gauges"]["engine.heap_peak"] == 17
 
     def test_gauge_default(self):
         registry = MetricsRegistry()
-        assert registry.gauge("missing") is None
-        assert registry.gauge("missing", 0.0) == 0.0
+        assert "missing" not in registry.snapshot()["gauges"]
 
     def test_snapshot_is_key_sorted(self):
         registry = MetricsRegistry()

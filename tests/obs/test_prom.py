@@ -5,10 +5,15 @@ these tests hold them to that — everything the renderer emits must
 pass the validator, and the validator must reject the classic
 format-0.0.4 mistakes (bad sample syntax, TYPE after samples,
 non-monotonic cumulative buckets, ``+Inf`` disagreeing with
-``_count``).
+``_count``).  On any text at all, the validator either returns the
+declared families or raises :class:`ExpositionError`.
 """
 
+from datetime import timedelta
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs import (
     PROM_CONTENT_TYPE,
@@ -126,3 +131,43 @@ class TestValidatorRejects:
 
     def test_free_comments_and_blank_lines_are_legal(self):
         assert validate_exposition("\n# just a comment\nm 1\n") == {}
+
+    def test_unparseable_bucket_bound(self):
+        text = '# TYPE a histogram\na_bucket{le="abc"} 1'
+        with pytest.raises(ExpositionError, match="line 2: unparseable bucket bound"):
+            validate_exposition(text)
+
+
+#: Exposition-shaped lines, so generated text reaches the TYPE, label
+#: and histogram checks instead of failing at the first regex.
+_NAMES = st.sampled_from(["a", "a_bucket", "a_count", "a_sum", "b"])
+_LABELS = st.lists(
+    st.tuples(
+        st.sampled_from(["le", "x"]),
+        st.sampled_from(["0.5", "1", "+Inf", "abc", "", "1e400"]) | st.text(max_size=3),
+    ),
+    max_size=2,
+).map(lambda pairs: "{%s}" % ",".join(f'{k}="{v}"' for k, v in pairs) if pairs else "")
+_VALUES = st.sampled_from(["0", "1", "5", "NaN", "+Inf", "-Inf", "x", "1e400"])
+_LINES = (
+    st.builds("{}{} {}".format, _NAMES, _LABELS, _VALUES)
+    | st.builds(
+        "# TYPE {} {}".format,
+        _NAMES,
+        st.sampled_from(["histogram", "counter", "summary", "bogus"]),
+    )
+    | st.sampled_from(["# HELP a x", "# TYPE a", "# free comment", ""])
+    | st.text(max_size=20)
+)
+EXPOSITION_TEXT = st.lists(_LINES, max_size=12).map("\n".join)
+
+
+@settings(max_examples=1000, deadline=timedelta(seconds=2))
+@given(EXPOSITION_TEXT | st.text())
+def test_arbitrary_text_validates_or_raises_exposition_error(text):
+    try:
+        types = validate_exposition(text)
+    except ExpositionError:
+        return
+    assert isinstance(types, dict)
+    assert all(isinstance(name, str) and isinstance(kind, str) for name, kind in types.items())

@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs import (
     RunArtifacts,
@@ -17,6 +19,10 @@ from repro.obs import (
 @pytest.fixture
 def study_dir(tmp_path):
     """A synthesized study directory with every observability artefact."""
+    return write_study(tmp_path)
+
+
+def write_study(tmp_path):
     (tmp_path / "manifest.json").write_text(
         json.dumps(
             {
@@ -139,6 +145,12 @@ class TestLoading:
             ("spans.json", b'{"spans": [1]}', False),
             ("telemetry.json", b'{"shards": [1]}', False),
             ("metrics.json", b'{"histograms": [1]}', False),
+            ("spans.json", b'{"spans": [{"kind": "trace", "events": [1]}]}', False),
+            ("telemetry.json", b'{"shards": [{"elapsed": "x"}]}', False),
+            ("telemetry.json", b'{"shards": [{"label": 5}]}', False),
+            ("telemetry.json", b'{"shards": [{"elapsed": Infinity}]}', False),
+            ("metrics.json", b'{"histograms": {"h": {"count": "x"}}}', False),
+            ("summary.json", b'{"section_4_2": {"boundary_fraction": "x"}}', False),
         ],
     )
     def test_wrong_shapes_degrade_instead_of_raising(
@@ -153,6 +165,49 @@ class TestLoading:
         artifacts = load_run_artifacts(study_dir)
         assert render_dashboard_markdown(artifacts)
         assert render_dashboard_html(artifacts)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_mutated_artefacts_degrade_instead_of_raising(self, tmp_path_factory, data):
+        """Any one field of any artefact replaced by any JSON value."""
+        directory = write_study(tmp_path_factory.mktemp("mutated"))
+        name = data.draw(st.sampled_from(sorted(p.name for p in directory.glob("*.json"))))
+        document = json.loads((directory / name).read_text())
+        path = data.draw(st.sampled_from(list(_json_paths(document))))
+        value = data.draw(JSON_VALUES)
+        if path:
+            parent = document
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]] = value
+        else:
+            document = value
+        (directory / name).write_text(json.dumps(document))
+        artifacts = load_run_artifacts(directory)
+        assert render_dashboard_markdown(artifacts)
+        assert render_dashboard_html(artifacts)
+
+
+#: Any JSON value, as a mutated artefact field may hold.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=3), children, max_size=3),
+    max_leaves=5,
+)
+
+
+def _json_paths(value, prefix=()):
+    """Every key path into a JSON document, the root's ``()`` included."""
+    yield prefix
+    if isinstance(value, dict):
+        children = value.items()
+    elif isinstance(value, list):
+        children = enumerate(value)
+    else:
+        children = ()
+    for key, child in children:
+        yield from _json_paths(child, prefix + (key,))
 
 
 class TestSections:

@@ -12,7 +12,6 @@ from repro.obs import (
     canonical_events,
     chrome_trace_events,
     export_chrome_trace,
-    span_children,
     span_id,
 )
 from repro.obs.spans import SPAN_CLOSE, SPAN_OPEN, span_tree
@@ -125,7 +124,7 @@ class TestRecording:
         rec = recorder()
         with rec.span("trace", "t"):
             rec.emit("fault", "warning", fault="link_flap")
-        kinds = [record["kind"] for record in rec.export()]
+        kinds = [record["kind"] for record in rec.since(0)]
         assert kinds == ["span-open", "fault", "span-close"]
 
 
@@ -198,9 +197,9 @@ class TestAssembly:
         with rec.span("trace", "t"):
             with rec.span("probe", "p"):
                 pass
-        index = span_children(rec.spans())
-        assert [s["name"] for s in index[None]] == ["study"]
-        assert [s["name"] for s in index["s0.1"]] == ["p"]
+        spans = rec.spans()
+        assert [s["name"] for s in spans if s["parent"] is None] == ["study"]
+        assert [s["name"] for s in spans if s["parent"] == "s0.1"] == ["p"]
 
 
 class TestChromeTrace:

@@ -10,7 +10,7 @@ from repro.netsim.middlebox import ECTBleacher
 from repro.netsim.network import FAST, EVENT, Network
 from repro.netsim.router import Router
 from repro.netsim.topology import Topology
-from repro.obs import FilterError, PathTracer, group_flows, parse_filter
+from repro.obs import FilterError, PathTracer, parse_filter
 
 
 def packet(src="10.0.0.1", dst="10.0.0.2", protocol=PROTO_UDP, ecn=ECN.NOT_ECT, ident=7):
@@ -74,15 +74,19 @@ class TestRecording:
         tracer = PathTracer()
         tracer.record(packet(ident=1), "r0", "forward", ECN.NOT_ECT, ECN.NOT_ECT)
         tracer.record(packet(ident=2), "r0", "forward", ECN.NOT_ECT, ECN.NOT_ECT)
-        assert len(tracer.events_for(ident=1)) == 1
+        assert [event.ident for event in tracer.events] == [1, 2]
 
     def test_group_flows_preserves_order(self):
         tracer = PathTracer()
         for hop in ("r0", "r1", "r2"):
             tracer.record(packet(ident=9), hop, "forward", ECN.ECT_0, ECN.ECT_0)
-        flows = group_flows(tracer.events)
-        (events,) = flows.values()
-        assert [event.hop for event in events] == ["r0", "r1", "r2"]
+        record = packet(ident=9)
+        flow = (record.src, record.dst, record.protocol, record.ident)
+        assert [
+            event.hop
+            for event in tracer.events
+            if (event.src, event.dst, event.protocol, event.ident) == flow
+        ] == ["r0", "r1", "r2"]
 
     def test_describe_renders_ecn_transition(self):
         tracer = PathTracer()
@@ -123,7 +127,11 @@ class TestInNetwork:
         client.udp_bind(None).send(server.addr, 123, b"x", ecn=ECN.ECT_0)
         net.scheduler.run()
 
-        events = tracer.events_for(src=client.addr, dst=server.addr)
+        events = [
+            event
+            for event in tracer.events
+            if (event.src, event.dst) == (client.addr, server.addr)
+        ]
         actions = [(event.hop, event.action) for event in events]
         # tx at the client, forwards through r0 and r1 with the mark
         # intact, the bleach exactly at r2, then onwards to delivery.

@@ -83,7 +83,7 @@ class TestServerResolver:
 
     def test_retry_recovers_from_loss(self, net_factory):
         net, client, server = net_factory(seed=6)
-        forward, _ = net.topology.links_between("r0", "r1")
+        forward = net.topology.succ["r0"]["r1"]
         forward.loss = BernoulliLoss(0.5)
         dns = DNSServer(server)
         dns.add_zone(RoundRobinZone("pool.ntp.org", addresses=[7]))

@@ -50,11 +50,6 @@ class TestResponse:
         assert decoded.header("location") == "http://www.pool.ntp.org/"
         assert decoded.body == b"<html></html>"
 
-    def test_is_redirect(self):
-        assert HTTPResponse(status=302).is_redirect
-        assert HTTPResponse(status=301).is_redirect
-        assert not HTTPResponse(status=200).is_redirect
-
     def test_header_lookup_case_insensitive(self):
         response = HTTPResponse(headers={"Content-Type": "text/html"})
         assert response.header("content-type") == "text/html"

@@ -124,7 +124,7 @@ class TestFetchECN:
 class TestFetchOverLoss:
     def test_fetch_survives_moderate_loss(self, net_factory):
         net, client, server = net_factory(seed=31)
-        forward, _ = net.topology.links_between("r0", "r1")
+        forward = net.topology.succ["r0"]["r1"]
         forward.loss = BernoulliLoss(0.15)
         PoolWebServer(server)
         results = []

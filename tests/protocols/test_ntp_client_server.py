@@ -83,7 +83,7 @@ class TestClientRetries:
 
     def test_retry_recovers_from_loss(self, net_factory):
         net, client, server = net_factory(seed=23)
-        forward, _ = net.topology.links_between("r0", "r1")
+        forward = net.topology.succ["r0"]["r1"]
         forward.loss = BernoulliLoss(0.6)
         NTPServer(server)
         results = []
@@ -112,7 +112,7 @@ class TestClientRetries:
     def test_late_response_after_retransmit_still_counts(self, net_factory):
         """A response to any attempt marks the server reachable (§3)."""
         net, client, server = net_factory(seed=4)
-        forward, _ = net.topology.links_between("r0", "r1")
+        forward = net.topology.succ["r0"]["r1"]
         # Lose exactly the first probe.
         class FirstOnly(BernoulliLoss):
             def __init__(self):

@@ -10,9 +10,13 @@ from repro.protocols.ntp.packet import (
     MODE_SERVER,
     NTPPacket,
     PACKET_LEN,
-    from_ntp_timestamp,
     to_ntp_timestamp,
 )
+
+
+def from_ntp_timestamp(value):
+    """32.32 fixed point back to float seconds."""
+    return value / 2**32
 
 
 class TestTimestamps:

@@ -1,6 +1,4 @@
-"""Tests for NTP pool membership, zones, and churn."""
-
-import random
+"""Tests for NTP pool membership and zones."""
 
 import pytest
 
@@ -28,12 +26,6 @@ class TestMembership:
         pool.add(member(1))
         with pytest.raises(ValueError):
             pool.add(member(1))
-
-    def test_member_by_addr(self):
-        pool = NTPPool()
-        added = pool.add(member(5))
-        assert pool.member_by_addr(added.addr) is added
-        assert pool.member_by_addr(12345) is None
 
 
 class TestZones:
@@ -71,26 +63,3 @@ class TestZones:
         m.in_pool = False
         assert pool.zone_members(POOL_DOMAIN) == []
         assert pool.members(include_departed=True) == [m]
-
-
-class TestChurn:
-    def test_churn_removes_expected_fraction(self):
-        pool = NTPPool()
-        for index in range(1000):
-            pool.add(member(index))
-        departed = pool.apply_churn(random.Random(1), leave_probability=0.1)
-        assert 60 < len(departed) < 140
-        assert len(pool.members()) == 1000 - len(departed)
-
-    def test_churn_zero_probability_is_noop(self):
-        pool = NTPPool()
-        pool.add(member(1))
-        assert pool.apply_churn(random.Random(1), 0.0) == []
-
-    def test_churned_members_flagged(self):
-        pool = NTPPool()
-        for index in range(50):
-            pool.add(member(index))
-        departed = pool.apply_churn(random.Random(2), 1.0)
-        assert len(departed) == 50
-        assert all(not m.in_pool for m in departed)

@@ -1,7 +1,5 @@
 """Property tests for pool-zone invariants."""
 
-import random
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -52,14 +50,3 @@ def test_country_zone_members_share_the_country(pool):
         if len(label) == 2:  # country zone
             for member in pool.zone_members(zone):
                 assert member.country_code == label
-
-
-@settings(max_examples=30, deadline=None)
-@given(pools(), st.integers(0, 100), st.floats(0.0, 1.0))
-def test_churn_partitions_membership(pool, seed, probability):
-    before = {m.addr for m in pool.members()}
-    departed = pool.apply_churn(random.Random(seed), probability)
-    departed_addrs = {m.addr for m in departed}
-    remaining = {m.addr for m in pool.members()}
-    assert departed_addrs | remaining == before
-    assert not departed_addrs & remaining

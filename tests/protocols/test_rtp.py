@@ -154,7 +154,7 @@ class TestMediaSession:
         """The ECN value proposition for media: on a marking
         bottleneck, rate adapts with (almost) no packet loss."""
         net, client, server = net_factory(seed=9)
-        forward, _ = net.topology.links_between("r0", "r1")
+        forward = net.topology.succ["r0"]["r1"]
         forward.aqm = StaticCongestion(0.4, ecn_capable_queue=True)
         controller = NADAController(initial_rate=1_500_000)
         stats, receiver = run_media_session(
@@ -169,7 +169,7 @@ class TestMediaSession:
     def test_drop_bottleneck_loses_media(self, net_factory):
         """Same bottleneck without ECN support: congestion = loss."""
         net, client, server = net_factory(seed=9)
-        forward, _ = net.topology.links_between("r0", "r1")
+        forward = net.topology.succ["r0"]["r1"]
         forward.aqm = StaticCongestion(0.4, ecn_capable_queue=False)
         controller = NADAController(initial_rate=1_500_000)
         stats, receiver = run_media_session(

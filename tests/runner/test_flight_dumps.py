@@ -3,12 +3,13 @@
 A crashing shard must leave ``flight-shard-<id>.json`` behind; a
 worker killed hard enough to break the pool must at least leave the
 parent's ``flight-parent.json``; and every dump must parse as the
-self-describing ``ecn-udp-flight/1`` document.
+self-describing ``ecn-udp-flight/1`` document, which is what the
+dashboard's ``load_run_artifacts`` lists.
 """
 
 import pytest
 
-from repro.obs import EventLog, load_flight_dump
+from repro.obs import EventLog, load_run_artifacts
 from repro.runner import (
     FAULT_EXIT,
     FAULT_RAISE,
@@ -38,11 +39,16 @@ def _run(tmp_path, faults, workers=2, **kwargs):
     )
 
 
+def _flights(directory):
+    """``{file name: document}`` of the flight dumps the dashboard lists."""
+    return {d["file"]: d for d in load_run_artifacts(directory).flights}
+
+
 def test_crashing_shard_leaves_a_parseable_flight_dump(tmp_path):
     _run(tmp_path, faults={0: FaultSpec(kind=FAULT_RAISE, attempts=1)})
     dump_path = tmp_path / "flight-shard-0.json"
     assert dump_path.exists()
-    document = load_flight_dump(dump_path)
+    document = _flights(tmp_path)["flight-shard-0.json"]
     assert document["context"]["shard_id"] == 0
     kinds = [event["kind"] for event in document["events"]]
     assert "shard-start" in kinds
@@ -56,7 +62,9 @@ def test_killed_worker_leaves_flight_evidence(tmp_path):
     _run(tmp_path, faults={1: FaultSpec(kind=FAULT_EXIT, attempts=1)})
     dumps = sorted(tmp_path.glob("flight-*.json"))
     assert dumps, "no flight dump survived the killed worker"
-    documents = [load_flight_dump(path) for path in dumps]
+    flights = _flights(tmp_path)
+    assert sorted(flights) == [path.name for path in dumps]
+    documents = list(flights.values())
     assert any(
         event["kind"] == "shard-killed"
         for document in documents
@@ -64,7 +72,7 @@ def test_killed_worker_leaves_flight_evidence(tmp_path):
     )
     parent = tmp_path / "flight-parent.json"
     assert parent.exists()
-    parent_kinds = [e["kind"] for e in load_flight_dump(parent)["events"]]
+    parent_kinds = [e["kind"] for e in flights[parent.name]["events"]]
     assert "dispatch" in parent_kinds
     assert "gang-recovery" in parent_kinds
 
@@ -72,7 +80,7 @@ def test_killed_worker_leaves_flight_evidence(tmp_path):
 def test_budget_exhaustion_dumps_the_parent_ring(tmp_path):
     with pytest.raises(ShardExecutionError):
         _run(tmp_path, faults={0: FaultSpec(kind=FAULT_RAISE, attempts=99)})
-    parent = load_flight_dump(tmp_path / "flight-parent.json")
+    parent = _flights(tmp_path)["flight-parent.json"]
     kinds = [event["kind"] for event in parent["events"]]
     assert "budget-exhausted" in kinds
     assert "retry budget" in parent["reason"]
@@ -99,7 +107,7 @@ def test_crash_dump_carries_the_shards_event_tail(tmp_path):
         event_log=log,
     )
     events = log.events()
-    document = load_flight_dump(tmp_path / "flight-shard-1.json")
+    document = _flights(tmp_path)["flight-shard-1.json"]
     tail = document.get("events")
     assert tail, "the killed shard's dump carried no event tail"
     assert all(event["shard"] == 1 for event in tail)

@@ -18,8 +18,10 @@ class TestChurnToDNS:
 
     def test_pool_churn_shrinks_discovery(self, fresh_world):
         world = fresh_world
-        departed = world.pool.apply_churn(world._rng, leave_probability=0.3)
+        departed = [m for m in world.pool.members() if world._rng.random() < 0.3]
         assert departed
+        for member in departed:
+            member.in_pool = False
         world.refresh_dns_zones()
         discovery = PoolDiscovery(
             world.vantage_hosts["ugla-wired"],

@@ -53,7 +53,7 @@ class TestStructure:
         unknowns = [s for s in shared_world.servers if s.region is Region.UNKNOWN]
         assert unknowns
         for server in unknowns:
-            assert shared_world.geo.region_of(server.addr) is Region.UNKNOWN
+            assert shared_world.geo.lookup(server.addr).region is Region.UNKNOWN
 
     def test_deterministic_build(self):
         params = scaled_params(0.02, seed=5)

@@ -4,12 +4,15 @@ import asyncio
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.serve.http import (
     MAX_BODY_BYTES,
     MAX_HEADERS,
     ChunkedWriter,
     HttpError,
+    Request,
     Response,
     read_request,
     write_response,
@@ -165,3 +168,35 @@ class TestWriteResponse:
         writer = FakeWriter()
         asyncio.run(ChunkedWriter(writer).finish())
         assert writer.data == b""
+
+
+#: Pieces of requests, so generated bytes reach the header and body
+#: parsing instead of failing at the request line.
+_REQUEST_FRAGMENTS = (
+    b"GET ", b"POST ", b"/studies", b"/a?b=c&d", b"/[", b" HTTP/1.1", b" HTTP/2",
+    b"\r\n", b"\n", b"Content-Length: ", b"content-length:", b"Host: x",
+    b"0", b"5", b"+5", b"99999999999", b"abc", b":", b" ", b"\xff",
+)
+
+REQUEST_BYTES = st.lists(
+    st.sampled_from(_REQUEST_FRAGMENTS) | st.binary(max_size=4), max_size=24
+).map(b"".join)
+
+
+@settings(max_examples=500, deadline=None)
+@given(REQUEST_BYTES | st.binary(max_size=512))
+def test_arbitrary_bytes_parse_or_raise_http_error(raw):
+    """Any byte stream ends as a request, a clean close, or an HttpError;
+    never another exception and never a hang."""
+
+    async def go():
+        reader = asyncio.StreamReader()
+        reader.feed_data(raw)
+        reader.feed_eof()
+        return await asyncio.wait_for(read_request(reader), 2)
+
+    try:
+        result = asyncio.run(go())
+    except HttpError:
+        return
+    assert result is None or isinstance(result, Request)

@@ -269,7 +269,8 @@ class TestPersistence:
             restored = queue.restore(json.loads(json.dumps(document)))
         except ValidationError:
             return
-        assert [s.run_id for s in restored] == queue.queued_ids()
+        queued = [entry["run_id"] for entry in queue.snapshot()["entries"]]
+        assert [s.run_id for s in restored] == queued
 
     def test_restore_reapplies_admission_control(self):
         queue = StudyQueue(depth=10, tenant_quota=10)

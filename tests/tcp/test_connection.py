@@ -197,7 +197,7 @@ class TestTeardown:
 class TestRetransmission:
     def _lossy_net(self, net_factory, loss_rate):
         net, client, server = net_factory(seed=13)
-        forward, _ = net.topology.links_between("r0", "r1")
+        forward = net.topology.succ["r0"]["r1"]
         forward.loss = BernoulliLoss(loss_rate)
         return net, client, server
 

@@ -77,7 +77,7 @@ class TestCongestionEcho:
     def _congested_ecn_path(self, net_factory):
         """Mark every ECT packet CE on the forward link."""
         net, client, server = net_factory(seed=2)
-        forward, _ = net.topology.links_between("r0", "r1")
+        forward = net.topology.succ["r0"]["r1"]
         forward.aqm = MarkAllECT()
         return net, client, server
 
@@ -127,7 +127,7 @@ class TestCongestionEcho:
             # After CWR lands, lift the congestion so segment three
             # arrives unmarked; its ACK must not carry ECE.
             def lift():
-                forward, _ = net.topology.links_between("r0", "r1")
+                forward = net.topology.succ["r0"]["r1"]
                 forward.aqm = StaticCongestion(0.0)  # no more signalling
                 c.send(b"three")
 

@@ -40,7 +40,7 @@ class TestEventModeMeasurement:
         app = MeasurementApplication(world)
         trace = app.run_trace("perkins-home", trace_id=1, batch=1)
         for addr in world.ground_truth.udp_ect_blocked:
-            outcome = trace.outcome_for(addr)
+            outcome = trace.outcomes.get(addr)
             assert outcome.udp_plain and not outcome.udp_ect
 
     def test_traceroutes_in_event_mode(self, event_world):

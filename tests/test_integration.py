@@ -50,7 +50,7 @@ class TestPipeline:
         blocked = truth.udp_ect_blocked | truth.any_ect_blocked
         for trace in traces:
             for addr in blocked:
-                outcome = trace.outcome_for(addr)
+                outcome = trace.outcomes.get(addr)
                 # Persistently blocked: never ECT-reachable.
                 assert not outcome.udp_ect
 
@@ -59,7 +59,7 @@ class TestPipeline:
         always_offline = world.ground_truth.offline_batch1
         for trace in traces:
             for addr in always_offline:
-                outcome = trace.outcome_for(addr)
+                outcome = trace.outcomes.get(addr)
                 assert not outcome.udp_plain
                 assert not outcome.udp_ect
 

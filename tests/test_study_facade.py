@@ -74,7 +74,6 @@ class TestAnalyses:
         assert small_study.paths.pct_hops_passing > 80
         assert len(small_study.correlation.rows) == 13
         assert small_study.geography.total == len(small_study.traces.server_addrs)
-        assert small_study.regional
 
     def test_intervals_and_validation(self, small_study):
         intervals = small_study.intervals()
