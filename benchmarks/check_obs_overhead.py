@@ -4,14 +4,12 @@ The :mod:`repro.obs` layer promises that disabled instrumentation
 costs one falsey-predicate per call site.  A build cannot time itself
 against a hypothetical uninstrumented twin, so this check pins the
 contract from the other side: it times the same small sequential study
-with observability **disabled** and **enabled**, and compares best-of
-wall clocks.
-
-If the disabled runs are more than ``--budget`` (default 5 %) slower
-than the enabled ones, the gating is broken or inverted — a disabled
-registry is doing real work — and the check fails.  The enabled-mode
-cost is reported for the record but not gated: counting ~1.5 M events
-is allowed to cost something.
+with observability **disabled** and **enabled**.  If the disabled runs
+are more than ``--budget`` (default 5 %) slower than the enabled ones,
+the gating is broken or inverted — a disabled registry is doing real
+work — and the check fails.  The enabled-mode cost is reported for the
+record but not gated: counting ~1.5 M events is allowed to cost
+something.
 
 Recording gets its own gate: ``record="epoch"`` turns on the study's
 event log — one context switch, one span and a handful of events per
@@ -19,20 +17,26 @@ measurement epoch — so it must cost at most ``--record-budget``
 (default 5 %) over a run with recording off.  Spans and events are one
 record stream behind one switch, so a single gate covers both.
 
-The three configurations are timed in ``--runs`` rounds (default 3).
-Every round runs each configuration once, and the order rotates from
-round to round, so drift of a shared machine spreads over all three
-instead of landing on whichever configuration runs last.
+Both gates compare paired runs in one process, in CPU time.  Each of
+``--pairs`` rounds (default 7) runs the three configurations back to
+back, in an order that reverses from one round to the next, and yields
+one ratio per gate: disabled over enabled, and recording over
+disabled.  A gate reads the median of its ratios.  Wall-clock best-of
+timings in a fixed order followed the drift of a shared machine more
+than the cost under test; CPU time leaves out the time the process
+waits, and the median of paired ratios leaves out a round that drifted.
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/check_obs_overhead.py [--scale 0.03]
+    PYTHONPATH=src python benchmarks/check_obs_overhead.py [--scale 0.03] [--pairs 7]
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import os
+import statistics
 import sys
 import time
 
@@ -61,32 +65,36 @@ def write_step_summary(title: str, headers: list[str], rows: list[list[str]]) ->
         handle.write("\n".join(lines) + "\n")
 
 
-#: The timed configurations, as ``Study.run`` keyword arguments.
+#: The timed configurations, as ``Study.run`` keyword arguments, in
+#: run order: the reference ``disabled`` runs between the two it is
+#: compared with, so each pair runs back to back.
 CONFIGS = {
-    "disabled": dict(collect_metrics=False),
     "enabled": dict(collect_metrics=True),
+    "disabled": dict(collect_metrics=False),
     "recording": dict(collect_metrics=False, record="epoch"),
 }
 
 
-def best_of_rotated(runs: int, scale: float, seed: int) -> dict[str, float]:
-    """Best wall clock per configuration over ``runs`` rotated rounds."""
+def paired_cpu_seconds(pairs: int, scale: float, seed: int) -> dict[str, list[float]]:
+    """Per-round CPU seconds of every configuration, in round order."""
     names = list(CONFIGS)
-    best = dict.fromkeys(names, float("inf"))
-    for round_index in range(runs):
-        shift = round_index % len(names)
-        for name in names[shift:] + names[:shift]:
-            started = time.perf_counter()
+    seconds: dict[str, list[float]] = {name: [] for name in names}
+    for round_index in range(pairs):
+        order = names if round_index % 2 == 0 else names[::-1]
+        for name in order:
+            # Collect the previous study's cyclic garbage outside the timer.
+            gc.collect()
+            started = time.process_time()
             Study.run(scale=scale, seed=seed, **CONFIGS[name])
-            best[name] = min(best[name], time.perf_counter() - started)
-    return best
+            seconds[name].append(time.process_time() - started)
+    return seconds
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--scale", type=float, default=0.03)
     parser.add_argument("--seed", type=int, default=11)
-    parser.add_argument("--runs", type=int, default=3)
+    parser.add_argument("--pairs", type=int, default=7)
     parser.add_argument(
         "--budget",
         type=float,
@@ -101,18 +109,23 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    best = best_of_rotated(args.runs, args.scale, args.seed)
-    disabled, enabled, recording = (
-        best["disabled"], best["enabled"], best["recording"]
-    )
-    overhead = disabled / enabled - 1.0
+    seconds = paired_cpu_seconds(args.pairs, args.scale, args.seed)
+    disabled = statistics.median(seconds["disabled"])
+    enabled = statistics.median(seconds["enabled"])
+    recording = statistics.median(seconds["recording"])
+    overhead = statistics.median(
+        off / on for off, on in zip(seconds["disabled"], seconds["enabled"])
+    ) - 1.0
+    record_overhead = statistics.median(
+        rec / off for rec, off in zip(seconds["recording"], seconds["disabled"])
+    ) - 1.0
     print(
-        f"scale={args.scale} runs={args.runs}: "
-        f"disabled best {disabled:.2f}s, enabled best {enabled:.2f}s"
+        f"scale={args.scale} pairs={args.pairs}: CPU median "
+        f"disabled {disabled:.2f}s, enabled {enabled:.2f}s"
     )
     print(
-        f"disabled-mode overhead vs enabled: {overhead:+.1%} "
-        f"(budget {args.budget:.0%}); enabled-mode cost: "
+        f"disabled-mode overhead vs enabled (median paired ratio): "
+        f"{overhead:+.1%} (budget {args.budget:.0%}); enabled-mode cost: "
         f"{enabled / disabled - 1.0:+.1%}"
     )
     failed = False
@@ -124,11 +137,10 @@ def main(argv: list[str] | None = None) -> int:
         )
         failed = True
 
-    record_overhead = recording / disabled - 1.0
     print(
-        f"recording (epoch detail) best {recording:.2f}s; "
-        f"overhead vs recording off: {record_overhead:+.1%} "
-        f"(budget {args.record_budget:.0%})"
+        f"recording (epoch detail) CPU median {recording:.2f}s; "
+        f"overhead vs recording off (median paired ratio): "
+        f"{record_overhead:+.1%} (budget {args.record_budget:.0%})"
     )
     if record_overhead > args.record_budget:
         print(
@@ -140,8 +152,8 @@ def main(argv: list[str] | None = None) -> int:
 
     write_step_summary(
         f"Observability overhead (scale={args.scale}, "
-        f"best of {args.runs} rotated rounds)",
-        ["configuration", "best (s)", "overhead vs reference", "budget", "verdict"],
+        f"{args.pairs} alternating rounds, CPU time)",
+        ["configuration", "median CPU (s)", "median overhead vs reference", "budget", "verdict"],
         [
             [
                 "metrics disabled (reference: enabled)",

@@ -21,12 +21,10 @@ an artefact that must be byte-stable across reruns.
 
 Rule modes:
 
-* ``baseline-delta`` — the metric at epoch ``N`` has moved more than
-  ``threshold_pp`` percentage points from epoch 0's value.  This is
-  the trend detector: slow drift accumulates until it crosses.
 * ``baseline-ratio`` — the metric at epoch ``N`` has moved more than
-  ``threshold_pp`` *percent relative to* epoch 0's value.  The
-  scale-robust variant for count-like metrics (``strip_events``) and
+  ``threshold_pp`` *percent relative to* epoch 0's value.  This is the
+  trend detector (slow drift accumulates until it crosses), robust to
+  scale for count-like metrics (``strip_events``) and
   small percentages, where a fixed pp threshold would be meaningless
   at scale 0.02 and trigger on noise at scale 0.1.  A zero baseline
   makes relative change undefined, so those series are skipped.
@@ -44,7 +42,7 @@ Rule modes:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from ..scenario.timeline import Timeline
 
@@ -73,12 +71,7 @@ class SloRule:
     direction: str = "any"
 
     def __post_init__(self) -> None:
-        if self.mode not in (
-            "baseline-delta",
-            "baseline-ratio",
-            "step-delta",
-            "timeline-envelope",
-        ):
+        if self.mode not in ("baseline-ratio", "step-delta", "timeline-envelope"):
             raise ValueError(f"unknown SLO rule mode {self.mode!r}")
         if self.direction not in ("drop", "rise", "any"):
             raise ValueError(f"unknown SLO rule direction {self.direction!r}")
@@ -171,21 +164,17 @@ def _alert(
     }
 
 
-def evaluate_rules(
-    points: Sequence[Mapping],
-    timeline: Timeline,
-    rules: Iterable[SloRule] = DEFAULT_RULES,
-) -> list[dict]:
-    """Evaluate every rule over the full trend; returns all breaches.
+def evaluate_rules(points: Sequence[Mapping], timeline: Timeline) -> list[dict]:
+    """Evaluate :data:`DEFAULT_RULES` over the full trend; returns all breaches.
 
-    Pure and total: the result is a function of ``(points, timeline,
-    rules)`` alone, every breached ``(rule, epoch)`` pair appears
+    Pure and total: the result is a function of ``(points, timeline)``
+    alone, every breached ``(rule, epoch)`` pair appears
     exactly once, and the list is ordered by ``(epoch, rule name)`` —
     so rebuilding ``alerts.jsonl`` from it is idempotent.
     """
     ordered = sorted(points, key=lambda p: p["epoch"])
     alerts: list[dict] = []
-    for rule in rules:
+    for rule in DEFAULT_RULES:
         series = [
             (p, float(p.get(rule.metric, 0.0)))
             for p in ordered
@@ -193,13 +182,7 @@ def evaluate_rules(
         ]
         if not series:
             continue
-        if rule.mode == "baseline-delta":
-            _, baseline = series[0]
-            for point, value in series[1:]:
-                delta = value - baseline
-                if rule.breached(delta):
-                    alerts.append(_alert(rule, point, value, baseline, delta))
-        elif rule.mode == "baseline-ratio":
+        if rule.mode == "baseline-ratio":
             _, baseline = series[0]
             if baseline == 0:
                 continue
@@ -224,15 +207,20 @@ def evaluate_rules(
     return alerts
 
 
-def wall_time_regression(
-    durations: Sequence[tuple[int, float]], factor: float = 3.0, floor: float = 1.0
-) -> list[dict]:
+#: An epoch's wall time breaches at this multiple of the preceding
+#: median, and only above this many seconds.
+WALL_TIME_FACTOR = 3.0
+WALL_TIME_FLOOR_S = 1.0
+
+
+def wall_time_regression(durations: Sequence[tuple[int, float]]) -> list[dict]:
     """Flag epochs whose wall time regressed vs the preceding median.
 
     ``durations`` is ``(epoch, wall_seconds)`` pairs in execution
-    order.  An epoch breaches when it ran ``factor``× slower than the
-    median of the epochs before it (and above ``floor`` seconds, so
-    trivially fast campaigns never alert on scheduler jitter).
+    order.  An epoch breaches when it ran :data:`WALL_TIME_FACTOR`×
+    slower than the median of the epochs before it (and above
+    :data:`WALL_TIME_FLOOR_S` seconds, so trivially fast campaigns
+    never alert on scheduler jitter).
 
     Wall clocks are not deterministic, so these breaches go to the
     driver's **live** event log only — never to ``alerts.jsonl``.
@@ -243,7 +231,11 @@ def wall_time_regression(
         if seen:
             ranked = sorted(seen)
             median = ranked[len(ranked) // 2]
-            if elapsed > floor and median > 0 and elapsed > factor * median:
+            if (
+                elapsed > WALL_TIME_FLOOR_S
+                and median > 0
+                and elapsed > WALL_TIME_FACTOR * median
+            ):
                 breaches.append(
                     {
                         "level": ALERT_LEVEL,
@@ -253,7 +245,7 @@ def wall_time_regression(
                         "wall_seconds": round(elapsed, 3),
                         "median_seconds": round(median, 3),
                         "factor": round(elapsed / median, 3),
-                        "threshold_factor": factor,
+                        "threshold_factor": WALL_TIME_FACTOR,
                     }
                 )
         seen.append(elapsed)

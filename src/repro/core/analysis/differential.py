@@ -134,15 +134,14 @@ class DifferentialAnalysis:
 
 def transient_vs_persistent(
     analysis: DifferentialAnalysis,
-    persistent_threshold: float = 0.5,
 ) -> tuple[set[int], set[int]]:
     """Split differential servers into persistent and transient sets.
 
-    Persistent: above the threshold somewhere.  Transient: showed a
+    Persistent: above 50 % somewhere.  Transient: showed a
     non-zero differential somewhere but never crossed the threshold.
     The paper finds roughly 4x more transient than persistent cases.
     """
-    persistent = analysis.servers_above_somewhere(persistent_threshold)
+    persistent = analysis.servers_above_somewhere(0.5)
     transient = {
         addr
         for addr, fraction in analysis.global_fractions().items()

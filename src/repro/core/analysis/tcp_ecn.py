@@ -110,29 +110,23 @@ HISTORICAL_STUDIES: tuple[HistoricalStudy, ...] = (
 MEASUREMENT_YEAR = 2015.5
 
 
-def ecn_deployment_series(
-    measured_pct: float,
-    measured_year: float = MEASUREMENT_YEAR,
-) -> list[HistoricalStudy]:
+def ecn_deployment_series(measured_pct: float) -> list[HistoricalStudy]:
     """The Figure 6 point set: history plus our measured value."""
     return list(HISTORICAL_STUDIES) + [
-        HistoricalStudy(measured_year, measured_pct, "measured")
+        HistoricalStudy(MEASUREMENT_YEAR, measured_pct, "measured")
     ]
 
 
-def fit_deployment_trend(
-    series: list[HistoricalStudy] | None = None,
-) -> LogisticFit:
-    """Fit a logistic adoption curve to the deployment series.
+def fit_deployment_trend() -> LogisticFit:
+    """Fit a logistic adoption curve to the historical deployment series.
 
     The paper eyeballs that its measurement sits "on a growth curve
     that looks to be in line with previous results"; the fit makes
     that checkable: tests assert the measured point's residual is
     within the curve's tolerance band.
     """
-    points = series if series is not None else list(HISTORICAL_STUDIES)
-    years = [p.year for p in points]
-    values = [p.pct_negotiated for p in points]
+    years = [p.year for p in HISTORICAL_STUDIES]
+    values = [p.pct_negotiated for p in HISTORICAL_STUDIES]
     return fit_logistic(years, values, ceiling=100.0)
 
 

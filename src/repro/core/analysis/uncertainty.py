@@ -44,13 +44,8 @@ class HeadlineIntervals:
         ]
 
 
-def headline_intervals(
-    trace_set: TraceSet,
-    confidence: float = 0.95,
-    resamples: int = 2000,
-    seed: int = 0,
-) -> HeadlineIntervals:
-    """Bootstrap the four headline statistics over traces."""
+def headline_intervals(trace_set: TraceSet) -> HeadlineIntervals:
+    """Bootstrap 95 % intervals for the four headline statistics over traces."""
     reach = analyze_reachability(trace_set)
     tcp = analyze_tcp_ecn(trace_set)
 
@@ -69,16 +64,8 @@ def headline_intervals(
         t.pct_negotiated for t in tcp.per_trace if t.pct_negotiated is not None
     ]
     return HeadlineIntervals(
-        pct_ect_given_plain=bootstrap_ci(
-            pct_a, confidence=confidence, resamples=resamples, seed=seed
-        ),
-        pct_plain_given_ect=bootstrap_ci(
-            pct_b, confidence=confidence, resamples=resamples, seed=seed + 1
-        ),
-        udp_plain_reachable=bootstrap_ci(
-            plain_counts, confidence=confidence, resamples=resamples, seed=seed + 2
-        ),
-        pct_ecn_negotiated=bootstrap_ci(
-            pct_neg, confidence=confidence, resamples=resamples, seed=seed + 3
-        ),
+        pct_ect_given_plain=bootstrap_ci(pct_a, seed=0),
+        pct_plain_given_ect=bootstrap_ci(pct_b, seed=1),
+        udp_plain_reachable=bootstrap_ci(plain_counts, seed=2),
+        pct_ecn_negotiated=bootstrap_ci(pct_neg, seed=3),
     )

@@ -56,12 +56,11 @@ def _score(name: str, inferred: set, actual: set) -> InferenceQuality:
 def validate_blocked_server_inference(
     trace_set: TraceSet,
     truth: GroundTruth,
-    threshold: float = 0.5,
 ) -> InferenceQuality:
     """§4.1's rule: servers with >50 % differential reachability from
     every vantage are behind ECT-dropping firewalls."""
     analysis = DifferentialAnalysis(trace_set, "plain-only")
-    inferred = analysis.servers_above_everywhere(threshold)
+    inferred = analysis.servers_above_everywhere(0.5)
     actual = truth.udp_ect_blocked | truth.any_ect_blocked
     return _score("blocked-servers", inferred, actual)
 
@@ -69,12 +68,11 @@ def validate_blocked_server_inference(
 def validate_oddball_inference(
     trace_set: TraceSet,
     truth: GroundTruth,
-    threshold: float = 0.5,
 ) -> InferenceQuality:
     """Figure 3b's rule: ect-only differential spikes mark servers
     that drop not-ECT UDP (globally or from some sources)."""
     analysis = DifferentialAnalysis(trace_set, "ect-only")
-    inferred = analysis.servers_above_somewhere(threshold)
+    inferred = analysis.servers_above_somewhere(0.5)
     actual = truth.not_ect_blocked | truth.phoenix
     return _score("not-ect-droppers", inferred, actual)
 

@@ -14,6 +14,11 @@ from dataclasses import dataclass, field
 from ..netsim.host import Host
 from ..protocols.dns.resolver import LookupResult, Resolver
 
+#: Seconds between queries within a sweep, and between sweeps: the
+#: paper's one second and "roughly every ten minutes".
+QUERY_GAP = 1.0
+SWEEP_INTERVAL = 600.0
+
 
 @dataclass
 class DiscoveredServer:
@@ -51,15 +56,11 @@ class PoolDiscovery:
         host: Host,
         dns_addr: int,
         zones: list[str],
-        query_gap: float = 1.0,
-        sweep_interval: float = 600.0,
     ) -> None:
         if not zones:
             raise ValueError("at least one zone to sweep is required")
         self.host = host
         self.zones = list(zones)
-        self.query_gap = query_gap
-        self.sweep_interval = sweep_interval
         self.resolver = Resolver(host, dns_addr)
         self.report = DiscoveryReport()
 
@@ -108,5 +109,5 @@ class PoolDiscovery:
                         self.report.servers[addr] = known
                     known.zones.add(zone)
             # The paper's one-second politeness gap between queries.
-            scheduler.run_until(scheduler.now + self.query_gap)
-        scheduler.run_until(scheduler.now + self.sweep_interval)
+            scheduler.run_until(scheduler.now + QUERY_GAP)
+        scheduler.run_until(scheduler.now + SWEEP_INTERVAL)

@@ -127,7 +127,6 @@ class ECNUsabilityResult:
 def probe_tcp_ecn_usability(
     host: Host,
     server_addr: int,
-    deadline: float = 8.0,
 ) -> ECNUsabilityResult:
     """Kühlewind et al.'s ECN *usability* test, as an extension probe.
 
@@ -139,8 +138,7 @@ def probe_tcp_ecn_usability(
     feedback loop actually works (Kühlewind et al. found ~90 % did).
     """
     results: list[FetchResult] = []
-    fetch = HTTPFetch(host, server_addr, use_ecn=True, callback=results.append,
-                      deadline=deadline)
+    fetch = HTTPFetch(host, server_addr, use_ecn=True, callback=results.append)
     fetch.conn.force_ce_once = True
     host.network.scheduler.run()
     if not results:

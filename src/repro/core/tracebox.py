@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..netsim.ecn import ECN, dscp_from_tos, ecn_from_tos
+from ..netsim.ecn import dscp_from_tos, ecn_from_tos
 from ..netsim.host import Host
 from ..scenario.parameters import ProbeParams
 from .probes import Traceroute
@@ -71,7 +71,7 @@ class TraceboxResult:
         return "clean"
 
 
-def diff_path(path: PathTrace, sent_dscp: int, sent_ident_known: bool = False) -> TraceboxResult:
+def diff_path(path: PathTrace, sent_dscp: int) -> TraceboxResult:
     """Diff quoted headers along an already-collected path."""
     result = TraceboxResult(path=path, sent_dscp=sent_dscp, sent_ecn=path.sent_ecn)
     for hop in path.hops:
@@ -106,15 +106,13 @@ def run_tracebox(
     host: Host,
     dst_addr: int,
     dscp: int = 0,
-    ecn: ECN = ECN.ECT_0,
     params: ProbeParams | None = None,
 ) -> TraceboxResult:
-    """Run a traceroute with the given TOS and diff every quotation."""
+    """Run an ECT(0) traceroute with the given DSCP and diff every quotation."""
     params = params if params is not None else ProbeParams()
     path = Traceroute(
         host,
         dst_addr,
-        ecn=ecn,
         dscp=dscp,
         max_ttl=params.traceroute_max_ttl,
         attempts=params.traceroute_attempts,

@@ -89,6 +89,32 @@ class Trace:
     def add(self, outcome: ProbeOutcome) -> None:
         self.outcomes[outcome.server_addr] = outcome
 
+    def to_dict(self) -> dict:
+        """The one dict form of a trace: an element of ``traces.json``'s
+        ``traces`` list and of a shard result's."""
+        return {
+            "trace_id": self.trace_id,
+            "vantage_key": self.vantage_key,
+            "batch": self.batch,
+            "started_at": self.started_at,
+            "outcomes": [_outcome_to_row(o) for o in self.outcomes.values()],
+        }
+
+    @classmethod
+    def from_dict(cls, raw, where: str = "") -> "Trace":
+        """Inverse of :meth:`to_dict`; a malformed dict raises
+        ``ValueError`` naming ``where`` plus the bad field."""
+        trace = cls(
+            trace_id=_field(raw, "trace_id", where, int),
+            vantage_key=_field(raw, "vantage_key", where, str),
+            batch=_field(raw, "batch", where, int),
+            started_at=_field(raw, "started_at", where, float, int),
+        )
+        for position, row in enumerate(_field(raw, "outcomes", where, list)):
+            _check_row(row, f"{where}outcomes[{position}]")
+            trace.add(_outcome_from_row(row))
+        return trace
+
     # ------------------------------------------------------------------
     # Per-trace aggregates (the quantities plotted per bar in Figs 2/5)
     # ------------------------------------------------------------------
@@ -167,18 +193,7 @@ class TraceSet:
             "format": "ecn-udp-traceset/1",
             "description": self.description,
             "server_addrs": self.server_addrs,
-            "traces": [
-                {
-                    "trace_id": trace.trace_id,
-                    "vantage_key": trace.vantage_key,
-                    "batch": trace.batch,
-                    "started_at": trace.started_at,
-                    "outcomes": [
-                        _outcome_to_row(o) for o in trace.outcomes.values()
-                    ],
-                }
-                for trace in self.traces
-            ],
+            "traces": [trace.to_dict() for trace in self.traces],
         }
 
     @classmethod
@@ -195,17 +210,7 @@ class TraceSet:
             description=_field(data, "description", "", str, default=""),
         )
         for index, raw in enumerate(_field(data, "traces", "", list)):
-            where = f"traces[{index}]."
-            trace = Trace(
-                trace_id=_field(raw, "trace_id", where, int),
-                vantage_key=_field(raw, "vantage_key", where, str),
-                batch=_field(raw, "batch", where, int),
-                started_at=_field(raw, "started_at", where, float, int),
-            )
-            for position, row in enumerate(_field(raw, "outcomes", where, list)):
-                _check_row(row, f"{where}outcomes[{position}]")
-                trace.add(_outcome_from_row(row))
-            trace_set.add(trace)
+            trace_set.add(Trace.from_dict(raw, f"traces[{index}]."))
         return trace_set
 
     def save(self, path: str | Path) -> None:

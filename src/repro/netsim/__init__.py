@@ -26,7 +26,6 @@ from .icmp import (
     ICMPMessage,
     TYPE_DEST_UNREACHABLE,
     TYPE_TIME_EXCEEDED,
-    port_unreachable,
     time_exceeded,
 )
 from .ipv4 import (
@@ -117,7 +116,6 @@ __all__ = [
     "format_addr",
     "link_pair",
     "parse_addr",
-    "port_unreachable",
     "time_exceeded",
     "tos_byte",
 ]

@@ -139,13 +139,11 @@ def buffered_pair(
     delay: float = 0.005,
     queue_limit: int = 20,
     red: REDQueue | None = None,
-    reverse_bandwidth: float | None = None,
 ) -> tuple[BufferedLink, BufferedLink]:
     """Build both directions of a buffered link.
 
     Each direction gets its own queue state and (if requested) its own
-    RED instance; ``reverse_bandwidth`` supports asymmetric links such
-    as ADSL.
+    RED instance.
     """
     import copy
 
@@ -156,7 +154,7 @@ def buffered_pair(
         b,
         a,
         delay=delay,
-        bandwidth=reverse_bandwidth if reverse_bandwidth is not None else bandwidth,
+        bandwidth=bandwidth,
         queue_limit=queue_limit,
         red=copy.deepcopy(red) if red is not None else None,
     )

@@ -25,34 +25,24 @@ DEFAULT_EPOCH_ORIGIN = 1_427_846_400.0
 class SimClock:
     """A monotonic simulated clock.
 
-    Parameters
-    ----------
-    origin:
-        Absolute time (seconds since the Unix epoch) corresponding to
-        simulation time zero.  Defaults to the start of the paper's
-        measurement campaign so NTP timestamps decode to plausible
-        2015 dates.
+    Simulation time zero is :data:`DEFAULT_EPOCH_ORIGIN`, the start of
+    the paper's measurement campaign, so NTP timestamps decode to
+    plausible 2015 dates.
     """
 
-    __slots__ = ("_now", "_origin")
+    __slots__ = ("_now",)
 
-    def __init__(self, origin: float = DEFAULT_EPOCH_ORIGIN) -> None:
+    def __init__(self) -> None:
         self._now = 0.0
-        self._origin = float(origin)
 
     @property
     def now(self) -> float:
         """Current simulation time, in seconds since the run started."""
         return self._now
 
-    @property
-    def origin(self) -> float:
-        """Unix timestamp corresponding to simulation time zero."""
-        return self._origin
-
     def unix_time(self) -> float:
         """Current absolute time as seconds since the Unix epoch."""
-        return self._origin + self._now
+        return DEFAULT_EPOCH_ORIGIN + self._now
 
     def ntp_time(self) -> float:
         """Current absolute time as seconds since the NTP epoch (1900)."""
@@ -85,4 +75,4 @@ class SimClock:
         self._now = float(when)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"SimClock(now={self._now:.6f}, origin={self._origin:.0f})"
+        return f"SimClock(now={self._now:.6f})"

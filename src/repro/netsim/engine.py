@@ -61,8 +61,8 @@ class EventScheduler:
     ``run*`` methods to execute it.
     """
 
-    def __init__(self, clock: SimClock | None = None) -> None:
-        self.clock = clock if clock is not None else SimClock()
+    def __init__(self) -> None:
+        self.clock = SimClock()
         #: Heap of ``(time, seq, event)`` entries: ordering compares
         #: plain tuples in C, and the unique ``seq`` breaks time ties
         #: by insertion order, so events themselves are never compared.

@@ -2,10 +2,10 @@
 
 A host owns one address, attaches to one access router, and demuxes
 arriving packets to UDP sockets, a TCP stack (attached by
-:mod:`repro.tcp`), and ICMP handlers.  A packet tap (:meth:`Host.add_tap`)
-sees every frame in both directions, before any demux decision: the
-raw wire seam tests read.  The program's own record of the same
-packets is :class:`repro.obs.tracing.PathTracer`.
+:mod:`repro.tcp`), and ICMP handlers.  The program's record of the
+packets a host sends and receives is
+:class:`repro.obs.tracing.PathTracer`.  A datagram to an unbound port
+is dropped silently, as pool hosts do.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Callable, Protocol
 
 from .errors import CodecError, SocketError
 from .queues import AQMModel, LossModel
-from .icmp import ICMPMessage, port_unreachable
+from .icmp import ICMPMessage
 from .ipv4 import IPv4Packet, PROTO_ICMP, PROTO_TCP, PROTO_UDP, format_addr
 from .middlebox import Middlebox
 from .sockets import EPHEMERAL_BASE, EPHEMERAL_LIMIT, UDPHandler, UDPSocket
@@ -39,8 +39,6 @@ _RX_COUNTERS = {
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .network import Network
 
-#: Tap signature: (direction, packet, sim_time); direction is "in"/"out".
-TapFn = Callable[[str, IPv4Packet, float], None]
 #: ICMP handler signature: (message, ip_packet, sim_time).
 ICMPHandler = Callable[[ICMPMessage, IPv4Packet, float], None]
 
@@ -79,12 +77,10 @@ class Host:
         hostname: str,
         addr: int,
         router_id: str,
-        respond_port_unreachable: bool = False,
     ) -> None:
         self.hostname = hostname
         self.addr = addr
         self.router_id = router_id
-        self.respond_port_unreachable = respond_port_unreachable
         self.network: "Network | None" = None
         self.tcp: TCPStackProtocol | None = None
         self.access = AccessLink()
@@ -92,7 +88,6 @@ class Host:
         self.outbound_filters: list[Middlebox] = []
         self._udp_sockets: dict[int, UDPSocket] = {}
         self._icmp_handlers: list[ICMPHandler] = []
-        self._taps: list[TapFn] = []
         self._next_ephemeral = EPHEMERAL_BASE
         #: Host-local RNG for inbound-filter sampling (set on attach).
         self._rng = random.Random(0)
@@ -138,17 +133,16 @@ class Host:
     def send_ip(self, packet: IPv4Packet) -> None:
         """Hand a fully formed IP packet to the network.
 
-        Taps observe the packet first (tcpdump runs on the host, inside
-        any home-gateway middleboxes), then outbound filters may drop
-        or rewrite it before it reaches the access link.
+        The tracer observes the packet first (tcpdump runs on the host,
+        inside any home-gateway middleboxes), then outbound filters may
+        drop or rewrite it before it reaches the access link.
         """
         network = self.network
         if network is None:
             raise SocketError(f"host {self.hostname!r} is not attached to a network")
         metrics = network.metrics
         tracer = network.tracer
-        taps = self._taps
-        if metrics or tracer or taps:
+        if metrics or tracer:
             # Only observers need the clock; the bare forwarding path
             # (most hosts, observability off) skips the property chain.
             now = network.scheduler.now
@@ -159,8 +153,6 @@ class Host:
                 tracer.record(
                     packet, self.hostname, "tx", packet.ecn, packet.ecn, time=now
                 )
-            for tap in taps:
-                tap("out", packet, now)
         for box in self.outbound_filters:
             verdict = box.process(packet, self._rng)
             if verdict.dropped:
@@ -203,16 +195,6 @@ class Host:
     # ------------------------------------------------------------------
     # Receiving
     # ------------------------------------------------------------------
-    def add_tap(self, tap: TapFn) -> Callable[[], None]:
-        """Install a packet tap; returns a removal function."""
-        self._taps.append(tap)
-
-        def remove() -> None:
-            if tap in self._taps:
-                self._taps.remove(tap)
-
-        return remove
-
     def on_icmp(self, handler: ICMPHandler) -> Callable[[], None]:
         """Register an ICMP handler; returns a removal function."""
         self._icmp_handlers.append(handler)
@@ -245,8 +227,6 @@ class Host:
             metrics.incr(name or f"host.rx.{proto_name(packet.protocol)}")
         if tracer and tracer.wants(packet):
             tracer.record(packet, self.hostname, "rx", packet.ecn, packet.ecn, time=now)
-        for tap in self._taps:
-            tap("in", packet, now)
         if packet.protocol == PROTO_UDP:
             self._deliver_udp(packet, now)
         elif packet.protocol == PROTO_TCP:
@@ -263,16 +243,6 @@ class Host:
         sock = self._udp_sockets.get(datagram.dst_port)
         if sock is not None:
             sock.deliver(datagram, packet, now)
-            return
-        if self.respond_port_unreachable:
-            icmp = port_unreachable(packet)
-            reply = IPv4Packet(
-                src=self.addr,
-                dst=packet.src,
-                protocol=PROTO_ICMP,
-                payload=icmp.encode(),
-            )
-            self.send_ip(reply)
 
     def _deliver_icmp(self, packet: IPv4Packet, now: float) -> None:
         try:

@@ -121,12 +121,3 @@ def time_exceeded(original: IPv4Packet, quote_payload: int = CLASSIC_QUOTE_PAYLO
         code=CODE_TTL_EXCEEDED,
         body=quote_datagram(original, quote_payload),
     )
-
-
-def port_unreachable(original: IPv4Packet, quote_payload: int = CLASSIC_QUOTE_PAYLOAD) -> ICMPMessage:
-    """Construct a Destination Unreachable (port) error quoting ``original``."""
-    return ICMPMessage(
-        icmp_type=TYPE_DEST_UNREACHABLE,
-        code=CODE_PORT_UNREACHABLE,
-        body=quote_datagram(original, quote_payload),
-    )

@@ -176,27 +176,15 @@ def link_pair(
     delay: float = 0.005,
     jitter: float = 0.0,
     loss: LossModel | None = None,
-    aqm: AQMModel | None = None,
-    reverse_loss: LossModel | None = None,
-    reverse_aqm: AQMModel | None = None,
 ) -> tuple[Link, Link]:
     """Build the two directions of a symmetric link.
 
-    Distinct loss/AQM objects are used per direction (stateful models
-    such as Gilbert-Elliott must not share state across directions);
-    pass ``reverse_*`` to make the directions differ.
+    Each direction gets its own copy of ``loss`` (stateful models must
+    not share state across directions).
     """
     forward = Link(
-        a,
-        b,
-        delay=delay,
-        jitter=jitter,
-        loss=loss if loss is not None else NoLoss(),
-        aqm=aqm if aqm is not None else NoCongestion(),
+        a, b, delay=delay, jitter=jitter, loss=loss if loss is not None else NoLoss()
     )
-    if reverse_loss is None:
-        reverse_loss = copy.deepcopy(loss) if loss is not None else NoLoss()
-    if reverse_aqm is None:
-        reverse_aqm = copy.deepcopy(aqm) if aqm is not None else NoCongestion()
-    backward = Link(b, a, delay=delay, jitter=jitter, loss=reverse_loss, aqm=reverse_aqm)
+    reverse_loss = copy.deepcopy(loss) if loss is not None else NoLoss()
+    backward = Link(b, a, delay=delay, jitter=jitter, loss=reverse_loss)
     return forward, backward

@@ -67,28 +67,23 @@ class Network:
     def __init__(
         self,
         topology: Topology,
-        scheduler: EventScheduler | None = None,
         seed: int = 0,
         mode: str = FAST,
-        metrics=None,
-        tracer=None,
     ) -> None:
         if mode not in (FAST, EVENT):
             raise NetSimError(f"unknown network mode {mode!r}")
         topology.validate()
         self.topology = topology
-        self.scheduler = scheduler if scheduler is not None else EventScheduler()
+        self.scheduler = EventScheduler()
         self.routing = RoutingTable(topology)
         self.rng = random.Random(seed)
         self.mode = mode
         self.counters = NetworkCounters()
-        #: Observability hooks (:mod:`repro.obs`); both falsey when
+        #: Observability hooks (:mod:`repro.obs`), installed by
+        #: :meth:`set_metrics` and :meth:`set_tracer`; both falsey when
         #: disabled so instrumented paths pay one predicate each.
-        self.metrics = metrics
-        self.tracer = tracer
-        self.scheduler.metrics = metrics
-        if tracer is not None:
-            tracer.clock = lambda: self.scheduler.now
+        self.metrics = None
+        self.tracer = None
         self._hop_cache: dict[tuple[str, str], tuple[tuple[Router, Link], ...]] = {}
         #: Destination route table: ``(src_router, dst_addr)`` straight
         #: to the hop sequence (or ``None`` for unroutable), skipping

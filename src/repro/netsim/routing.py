@@ -69,12 +69,12 @@ class PrefixTrie:
             raise KeyError(format_addr(addr))
         return best
 
-    def lookup_default(self, addr: int, default=None):
-        """Longest-prefix match returning ``default`` when none matches."""
+    def lookup_default(self, addr: int):
+        """Longest-prefix match returning ``None`` when none matches."""
         try:
             return self.lookup(addr)
         except KeyError:
-            return default
+            return None
 
 
 _MISSING = object()

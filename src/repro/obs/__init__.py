@@ -24,7 +24,6 @@ DESIGN.md's observability section for the overhead contract.
 from __future__ import annotations
 
 from .events import (
-    DEFAULT_EVENT_CAPACITY,
     EVENTS_FORMAT,
     LEVELS,
     EventLog,
@@ -76,7 +75,6 @@ from .tracing import (
 from .telemetry import RunTelemetry, ShardRecord, render_metrics_report
 
 __all__ = [
-    "DEFAULT_EVENT_CAPACITY",
     "DETAIL_EPOCH",
     "DETAIL_PROBE",
     "DURATION_BOUNDS",

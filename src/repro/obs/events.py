@@ -56,13 +56,14 @@ LEVELS = ("debug", "info", "warning", "alert")
 
 _LEVEL_RANK = {name: rank for rank, name in enumerate(LEVELS)}
 
-#: Default ring capacity: enough for a full chaos-heavy study's shard
+#: Ring capacity: enough for a full chaos-heavy study's shard
 #: lifecycle plus fault events, small enough to stay cheap to merge.
-DEFAULT_EVENT_CAPACITY = 4096
+EVENT_CAPACITY = 4096
 
-#: Default per-kind emission cap (the deterministic rate limit): after
-#: this many events of one kind, further ones are counted, not stored.
-DEFAULT_KIND_LIMIT = 512
+#: Per-``(shard, kind)`` emission cap (the deterministic rate limit):
+#: after this many events of one kind, further ones are counted, not
+#: stored.
+KIND_LIMIT = 512
 
 #: Records a flight dump carries: the causal tail, not the stream.
 FLIGHT_TAIL = 512
@@ -89,10 +90,7 @@ class EventLog:
     """A bounded, leveled, deterministically rate-limited record stream."""
 
     __slots__ = (
-        "capacity",
-        "kind_limit",
         "detail",
-        "_min_rank",
         "_context",
         "_ring",
         "_pos",
@@ -111,27 +109,17 @@ class EventLog:
 
     def __init__(
         self,
-        capacity: int = DEFAULT_EVENT_CAPACITY,
-        min_level: str = "debug",
-        kind_limit: int = DEFAULT_KIND_LIMIT,
         stamp_wall: bool = True,
         context_map: Mapping[tuple[str, str, int], int] | None = None,
         detail: str | None = None,
         **context,
     ) -> None:
-        if capacity <= 0:
-            raise ValueError(f"capacity must be > 0: {capacity!r}")
-        if kind_limit <= 0:
-            raise ValueError(f"kind_limit must be > 0: {kind_limit!r}")
         if detail not in (None, DETAIL_EPOCH, DETAIL_PROBE):
             raise ValueError(f"unknown span detail level: {detail!r}")
-        self.capacity = capacity
-        self.kind_limit = kind_limit
         #: Span detail the measurement records at (``None``: no study).
         self.detail = detail
-        self._min_rank = level_rank(min_level)
         self._context = {k: v for k, v in context.items() if v is not None}
-        self._ring: deque[dict] = deque(maxlen=capacity)
+        self._ring: deque[dict] = deque(maxlen=EVENT_CAPACITY)
         self._pos = 0  # global stream position (the ring/tail cursor)
         self._shard: int | None = None
         self._context_map = dict(context_map) if context_map else None
@@ -209,22 +197,20 @@ class EventLog:
     # Recording
     # ------------------------------------------------------------------
     def emit(self, kind: str, level: str = "info", /, **fields) -> dict | None:
-        """Record one event; returns it, or ``None`` if filtered.
+        """Record one event; returns it, or ``None`` if rate-limited.
 
         ``kind`` is the event's stable machine name (``shard-retry``,
         ``serve-submit``, ``fault``, ...); ``fields`` are its payload.
         Payload fields never override the envelope (``seq``, ``kind``,
         ``level``) or bound context — the envelope wins.
         """
-        rank = level_rank(level)
-        if rank < self._min_rank:
-            return None
+        level_rank(level)  # raises on an unknown level
         with self._lock:
             shard = self._shard
             counter_key = (shard, kind)
             seen = self._kind_counts.get(counter_key, 0) + 1
             self._kind_counts[counter_key] = seen
-            if seen > self.kind_limit:
+            if seen > KIND_LIMIT:
                 self._dropped[kind] = self._dropped.get(kind, 0) + 1
                 return None
             event = dict(fields)

@@ -32,7 +32,6 @@ PROM_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 #: Prefix namespacing every exported metric family.
 METRIC_PREFIX = "ecnudp"
 
-_NAME_OK = re.compile(r"[a-zA-Z_:][a-zA-Z0-9_:]*\Z")
 _SANITISE = re.compile(r"[^a-zA-Z0-9_:]")
 
 _SAMPLE_RE = re.compile(
@@ -52,13 +51,9 @@ class ExpositionError(ValueError):
     """The text is not valid Prometheus exposition format 0.0.4."""
 
 
-def metric_name(name: str, prefix: str = METRIC_PREFIX) -> str:
+def metric_name(name: str) -> str:
     """Sanitise a dotted registry name into a legal metric name."""
-    flat = _SANITISE.sub("_", name)
-    full = f"{prefix}_{flat}" if prefix else flat
-    if not _NAME_OK.match(full):
-        full = "_" + full
-    return full
+    return f"{METRIC_PREFIX}_{_SANITISE.sub('_', name)}"
 
 
 def _format_value(value: float) -> str:
@@ -89,7 +84,6 @@ def _format_bound(bound: float) -> str:
 def render_prometheus(
     snapshot: Mapping,
     extra_gauges: Mapping[str, float] | None = None,
-    prefix: str = METRIC_PREFIX,
 ) -> str:
     """Render a metric snapshot in text exposition format 0.0.4.
 
@@ -101,7 +95,7 @@ def render_prometheus(
     lines: list[str] = []
 
     def family(name: str, kind: str, help_text: str) -> str:
-        full = metric_name(name, prefix)
+        full = metric_name(name)
         lines.append(f"# HELP {full} {help_text}")
         lines.append(f"# TYPE {full} {kind}")
         return full

@@ -31,6 +31,9 @@ _PHASE_KINDS = ("shard", "trace", "sweep", "probe", "phase")
 #: Most recent events shown in the dashboard's event-log section.
 _EVENT_TAIL_ROWS = 20
 
+#: Slowest shards shown in the dashboard's flame section.
+_FLAME_ROWS = 5
+
 
 @dataclass
 class RunArtifacts:
@@ -220,7 +223,7 @@ def _shard_id(value) -> int:
     return value if isinstance(value, int) else -1
 
 
-def _flame_rows(artifacts: RunArtifacts, count: int = 5) -> list[list[str]]:
+def _flame_rows(artifacts: RunArtifacts) -> list[list[str]]:
     """Slowest shards with a proportional wall-time bar.
 
     Prefers telemetry's worker-side timings; falls back to span wall
@@ -247,7 +250,7 @@ def _flame_rows(artifacts: RunArtifacts, count: int = 5) -> list[list[str]]:
                 (_shard_id(shard_id), _number(span.get("wall_ms")), 1, span.get("name", "?"))
             )
     shards.sort(key=lambda item: (-item[1], item[0]))
-    top = shards[:count]
+    top = shards[:_FLAME_ROWS]
     peak = max((wall for _, wall, _, _ in top), default=0.0)
     rows = []
     for shard_id, wall, attempts, label in top:
@@ -329,10 +332,10 @@ def _histogram_rows(artifacts: RunArtifacts) -> list[list[str]]:
     return rows
 
 
-def _event_rows(events: list[dict], limit: int = _EVENT_TAIL_ROWS) -> list[list[str]]:
+def _event_rows(events: list[dict]) -> list[list[str]]:
     """The most recent structured events, one row each."""
     rows = []
-    for event in events[-limit:]:
+    for event in events[-_EVENT_TAIL_ROWS:]:
         detail = " ".join(
             f"{key}={event[key]}"
             for key in sorted(event)

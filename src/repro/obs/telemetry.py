@@ -107,11 +107,11 @@ class RunTelemetry:
     def total_retries(self) -> int:
         return sum(max(0, record.attempts - 1) for record in self.shards)
 
-    def slowest_shards(self, count: int = 5) -> list[ShardRecord]:
-        """The ``count`` longest-running shards (stable on ties)."""
+    def slowest_shards(self) -> list[ShardRecord]:
+        """The five longest-running shards (stable on ties)."""
         return sorted(
             self.shards, key=lambda r: (-r.elapsed, r.shard_id)
-        )[:count]
+        )[:5]
 
     def to_dict(self) -> dict:
         """JSON-safe document, shards in shard-id order."""
@@ -160,7 +160,7 @@ class RunTelemetry:
         return lines
 
 
-def histogram_lines(histograms: dict, indent: str = "  ") -> list[str]:
+def histogram_lines(histograms: dict) -> list[str]:
     """Human-readable one-liners for snapshot histograms."""
     lines = []
     for name in sorted(histograms):
@@ -170,7 +170,7 @@ def histogram_lines(histograms: dict, indent: str = "  ") -> list[str]:
         lo = hist.get("min")
         hi = hist.get("max")
         lines.append(
-            f"{indent}{name}  n={count} mean={mean:.4f}"
+            f"  {name}  n={count} mean={mean:.4f}"
             + ("" if lo is None else f" min={lo:.4f}")
             + ("" if hi is None else f" max={hi:.4f}")
         )

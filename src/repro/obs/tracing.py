@@ -63,6 +63,10 @@ class PathEvent:
         )
 
 
+#: Hard cap on the events one tracer stores.
+EVENT_LIMIT = 100_000
+
+
 class PathTracer:
     """Records the per-hop history of packets matching a filter.
 
@@ -71,21 +75,19 @@ class PathTracer:
     match:
         Packet predicate (or expression string for
         :func:`parse_filter`); ``None`` traces every packet.
-    limit:
-        Hard cap on recorded events; once reached further events are
-        counted in :attr:`dropped` instead of stored, so a too-broad
-        filter degrades instead of exhausting memory.
+
+    At most :data:`EVENT_LIMIT` events are stored; further ones are
+    counted in :attr:`dropped`, so a too-broad filter degrades instead
+    of exhausting memory.
     """
 
     def __init__(
         self,
         match: PacketFilter | str | None = None,
-        limit: int = 100_000,
     ) -> None:
         self.match: PacketFilter | None = (
             parse_filter(match) if isinstance(match, str) else match
         )
-        self.limit = limit
         self.events: list[PathEvent] = []
         self.dropped = 0
         #: Timestamp source for call sites that don't pass ``time``
@@ -109,7 +111,7 @@ class PathTracer:
         time: float | None = None,
     ) -> None:
         """Append one hop observation for ``packet``."""
-        if len(self.events) >= self.limit:
+        if len(self.events) >= EVENT_LIMIT:
             self.dropped += 1
             return
         if time is None:

@@ -49,11 +49,6 @@ class RoundRobinZone:
         self._cursor = (self._cursor + count) % len(self.addresses)
         return selected
 
-    def set_addresses(self, addresses: list[int]) -> None:
-        """Replace the membership (pool churn)."""
-        self.addresses = list(addresses)
-        self._cursor = 0
-
 
 class DNSServer:
     """An authoritative resolver bound to UDP 53 on its host."""
@@ -68,9 +63,6 @@ class DNSServer:
         """Register a zone (name is normalised to lowercase)."""
         self.zones[zone.name.lower().rstrip(".")] = zone
         return zone
-
-    def zone(self, name: str) -> RoundRobinZone | None:
-        return self.zones.get(name.lower().rstrip("."))
 
     def _on_datagram(self, datagram: UDPDatagram, packet: IPv4Packet, now: float) -> None:
         try:

@@ -56,24 +56,19 @@ class HTTPFetch:
         server_addr: int,
         use_ecn: bool,
         callback: FetchCallback,
-        port: int = HTTP_PORT,
         deadline: float = DEFAULT_DEADLINE,
-        syn_retries: int = 2,
     ) -> None:
         self.host = host
         self.server_addr = server_addr
         self.use_ecn = use_ecn
         self.callback = callback
-        self.port = port
         self.finished = False
         self._buffer = b""
         self._connected = False
         self._started_at = 0.0
         stack = host.tcp if isinstance(host.tcp, TCPStack) else TCPStack(host)
         self._started_at = stack.scheduler.now
-        self.conn = stack.connect(
-            server_addr, port, use_ecn=use_ecn, syn_retries=syn_retries
-        )
+        self.conn = stack.connect(server_addr, HTTP_PORT, use_ecn=use_ecn)
         self.conn.on_established = self._on_established
         self.conn.on_data = self._on_data
         self.conn.on_close = self._on_close

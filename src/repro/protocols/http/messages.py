@@ -88,13 +88,13 @@ class HTTPResponse:
         headers = _parse_headers(lines[1:])
         return cls(status=status, reason=reason, version=version, headers=headers, body=body)
 
-    def header(self, name: str, default: str | None = None) -> str | None:
-        """Case-insensitive header lookup."""
+    def header(self, name: str) -> str | None:
+        """Case-insensitive header lookup; ``None`` when absent."""
         wanted = name.lower()
         for key, value in self.headers.items():
             if key.lower() == wanted:
                 return value
-        return default
+        return None
 
 
 def _parse_headers(lines: list[bytes]) -> dict[str, str]:

@@ -33,15 +33,12 @@ class PoolWebServer:
         self,
         host: Host,
         ecn_policy: ECNServerPolicy = ECNServerPolicy.IGNORE,
-        port: int = HTTP_PORT,
-        status: int = 302,
     ) -> None:
         self.host = host
-        self.status = status
         self.requests_served = 0
         stack = host.tcp if isinstance(host.tcp, TCPStack) else TCPStack(host)
         self.stack = stack
-        self.listener = stack.listen(port, self._on_connection, ecn_policy=ecn_policy)
+        self.listener = stack.listen(HTTP_PORT, self._on_connection, ecn_policy=ecn_policy)
         self._buffers: dict[tuple[int, int, int], bytes] = {}
 
     @property
@@ -73,17 +70,10 @@ class PoolWebServer:
     def _respond(self, request: HTTPRequest) -> HTTPResponse:
         if request.method != "GET":
             return HTTPResponse(status=405, reason="Method Not Allowed")
-        if self.status in (301, 302):
-            return HTTPResponse(
-                status=self.status,
-                reason="Found" if self.status == 302 else "Moved Permanently",
-                headers={"Location": REDIRECT_TARGET, "Server": "ntppool/1.0"},
-                body=_REDIRECT_BODY,
-            )
         return HTTPResponse(
-            status=200,
-            reason="OK",
-            headers={"Server": "ntppool/1.0", "Content-Type": "text/html"},
+            status=302,
+            reason="Found",
+            headers={"Location": REDIRECT_TARGET, "Server": "ntppool/1.0"},
             body=_REDIRECT_BODY,
         )
 

@@ -5,8 +5,8 @@ cluster reached through round-robin DNS under ``pool.ntp.org`` plus
 country- and region-specific sub-domains.  Membership changes over
 time ("servers leaving the NTP pool between the two sets of
 measurements" is the paper's explanation for lower reachability in the
-July/August batch): a member whose ``in_pool`` is cleared leaves every
-DNS zone while its host keeps running.
+July/August batch); the worlds model that churn as servers that go
+offline between batches while staying listed in DNS.
 """
 
 from __future__ import annotations
@@ -24,8 +24,6 @@ class PoolMember:
     addr: int
     country_code: str
     region: str
-    #: Whether the pool's monitoring currently lists the server.
-    in_pool: bool = True
 
     @property
     def zones(self) -> tuple[str, ...]:
@@ -53,16 +51,12 @@ class NTPPool:
     def __len__(self) -> int:
         return len(self._members)
 
-    def members(self, include_departed: bool = False) -> list[PoolMember]:
-        """All members currently in the pool (or all ever, on request)."""
-        return [
-            member
-            for member in self._members.values()
-            if include_departed or member.in_pool
-        ]
+    def members(self) -> list[PoolMember]:
+        """Every member, in registration order."""
+        return list(self._members.values())
 
     def zone_names(self) -> list[str]:
-        """Every DNS zone with at least one current member.
+        """Every DNS zone with at least one member.
 
         The global zone is first, then regional and country zones in
         sorted order — the order the discovery script walks them in.
@@ -77,7 +71,7 @@ class NTPPool:
         return ordered
 
     def zone_members(self, zone: str) -> list[PoolMember]:
-        """Current members of one zone, in stable (address) order."""
+        """Members of one zone, in stable (address) order."""
         return sorted(
             (m for m in self.members() if zone in m.zones),
             key=lambda m: m.addr,

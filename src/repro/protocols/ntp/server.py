@@ -18,13 +18,16 @@ from ...netsim.udp import UDPDatagram
 from .packet import MODE_CLIENT, NTPPacket, NTP_PORT, to_ntp_timestamp
 
 
+#: What every pool server reports: stratum 2, reference id "GPS" + NUL.
+STRATUM = 2
+REFERENCE_ID = 0x47505300
+
+
 class NTPServer:
     """A stratum-2-ish pool server bound to UDP 123."""
 
-    def __init__(self, host: Host, stratum: int = 2, reference_id: int = 0x47505300) -> None:
+    def __init__(self, host: Host) -> None:
         self.host = host
-        self.stratum = stratum
-        self.reference_id = reference_id
         self.online = True
         self.requests_served = 0
         self._socket = host.udp_bind(NTP_PORT, self._on_datagram)
@@ -47,10 +50,10 @@ class NTPServer:
         server_time = to_ntp_timestamp(clock.ntp_time())
         response = NTPPacket(
             mode=4,
-            stratum=self.stratum,
+            stratum=STRATUM,
             poll=request.poll,
             precision=-23,
-            reference_id=self.reference_id,
+            reference_id=REFERENCE_ID,
             reference_ts=server_time,
             origin_ts=request.transmit_ts,
             receive_ts=server_time,

@@ -32,6 +32,15 @@ from .packet import ECNFeedback, RTPPacket
 MEDIA_PAYLOAD_TYPE = 96
 #: RTP clock rate used for timestamps (8 kHz, telephony-style).
 RTP_CLOCK_HZ = 8000
+#: Media payload per packet (one 20 ms G.711-sized frame) and the
+#: sender's SSRC.
+PACKET_BYTES = 160
+SENDER_SSRC = 0x5353_5243
+#: Seconds between the receiver's ECN feedback reports.
+FEEDBACK_INTERVAL = 0.1
+#: Seconds the sender waits for feedback validating ECN before it
+#: falls back to not-ECT.
+VALIDATION_TIMEOUT = 0.5
 
 ECN_PROBING = "probing"
 ECN_ACTIVE = "active"
@@ -45,10 +54,8 @@ class RTPReceiver:
         self,
         host: Host,
         port: int,
-        feedback_interval: float = 0.1,
     ) -> None:
         self.host = host
-        self.feedback_interval = feedback_interval
         self.socket = host.udp_bind(port, self._on_packet)
         self.counts = {ECN.NOT_ECT: 0, ECN.ECT_0: 0, ECN.ECT_1: 0, ECN.CE: 0}
         self.highest_seq: int | None = None
@@ -76,7 +83,7 @@ class RTPReceiver:
 
     def _schedule_feedback(self) -> None:
         self._timer = self.host.network.scheduler.schedule(
-            self.feedback_interval, self._send_feedback
+            FEEDBACK_INTERVAL, self._send_feedback
         )
 
     def _send_feedback(self) -> None:
@@ -129,17 +136,11 @@ class RTPSender:
         dst_addr: int,
         dst_port: int,
         controller: NADAController | None = None,
-        packet_bytes: int = 160,
-        ssrc: int = 0x5353_5243,
-        validation_timeout: float = 0.5,
     ) -> None:
         self.host = host
         self.dst_addr = dst_addr
         self.dst_port = dst_port
         self.controller = controller if controller is not None else NADAController()
-        self.packet_bytes = packet_bytes
-        self.ssrc = ssrc
-        self.validation_timeout = validation_timeout
         self.socket = host.udp_bind(None, self._on_datagram)
         self.ecn_state = ECN_PROBING
         self.stats = SenderStats()
@@ -158,7 +159,7 @@ class RTPSender:
         # must also fail closed on a sender-side timer (RFC 6679 §7.2's
         # "fail to negotiate" path).
         self.host.network.scheduler.schedule(
-            self.validation_timeout, self._on_validation_timeout
+            VALIDATION_TIMEOUT, self._on_validation_timeout
         )
         self._send_next()
 
@@ -184,15 +185,15 @@ class RTPSender:
             payload_type=MEDIA_PAYLOAD_TYPE,
             sequence=self._sequence & 0xFFFF,
             timestamp=int(clock.now * RTP_CLOCK_HZ),
-            ssrc=self.ssrc,
-            payload=bytes(self.packet_bytes),
+            ssrc=SENDER_SSRC,
+            payload=bytes(PACKET_BYTES),
         )
         self._sequence += 1
         self.stats.sent += 1
         if mark is ECN.ECT_0:
             self.stats.ect_sent += 1
         self.socket.send(self.dst_addr, self.dst_port, rtp.encode(), ecn=mark)
-        gap = (self.packet_bytes + 40) * 8 / self.controller.rate
+        gap = (PACKET_BYTES + 40) * 8 / self.controller.rate
         self._send_timer = self.host.network.scheduler.schedule(gap, self._send_next)
 
     # ------------------------------------------------------------------
@@ -203,7 +204,7 @@ class RTPSender:
             feedback = ECNFeedback.decode(datagram.payload)
         except CodecError:
             return
-        if feedback.ssrc != self.ssrc:
+        if feedback.ssrc != SENDER_SSRC:
             return
         self.stats.feedback_received += 1
         self._validate_ecn(feedback)

@@ -17,16 +17,16 @@ _BLOCKS = " ▁▂▃▄▅▆▇█"
 def bar_chart(
     labels: Sequence[str],
     values: Sequence[float],
-    width: int = 40,
     unit: str = "",
     floor: float | None = None,
     ceiling: float | None = None,
 ) -> str:
-    """Horizontal bar chart, one labelled row per value.
+    """Horizontal 40-column bar chart, one labelled row per value.
 
     ``floor``/``ceiling`` pin the axis (e.g. 90-100 % to match the
     zoomed y-axis of Figure 2).
     """
+    width = 40
     if len(labels) != len(values):
         raise ValueError("labels and values must be parallel")
     if not values:
@@ -43,17 +43,14 @@ def bar_chart(
     return "\n".join(rows)
 
 
-def per_trace_bars(
-    groups: Sequence[tuple[str, Sequence[float]]],
-    floor: float = 90.0,
-    ceiling: float = 100.0,
-) -> str:
+def per_trace_bars(groups: Sequence[tuple[str, Sequence[float]]]) -> str:
     """Figure 2/5-style rendering: one character column per trace.
 
     ``groups`` holds ``(vantage label, per-trace values)`` in display
     order; bars within a group abut, groups are separated by spaces —
-    mirroring how the paper plots its 210 bars.
+    mirroring how the paper plots its 210 bars on a 90-100 % axis.
     """
+    floor, ceiling = 90.0, 100.0
     if not groups:
         return "(no data)"
     span = ceiling - floor or 1.0
@@ -74,13 +71,14 @@ def per_trace_bars(
     return f"{ceiling:5.0f}% |{bars}|\n{floor:5.0f}% +{'-' * len(bars)}+\n        {names}"
 
 
-def spike_plot(values: Sequence[float], width: int = 100, height_label: str = "") -> str:
+def spike_plot(values: Sequence[float], height_label: str = "") -> str:
     """Figure 3-style spike plot: one column per server, 0..1 heights.
 
-    Down-samples by taking the *maximum* within each bucket, because
-    the interesting feature is the tall, thin spikes — a mean would
-    erase exactly what the figure exists to show.
+    Down-samples to at most 100 columns by taking the *maximum* within
+    each bucket, because the interesting feature is the tall, thin
+    spikes — a mean would erase exactly what the figure exists to show.
     """
+    width = 100
     if not values:
         return "(no data)"
     bucket_count = min(width, len(values))
@@ -96,13 +94,9 @@ def spike_plot(values: Sequence[float], width: int = 100, height_label: str = ""
     return f"{prefix}|{''.join(columns)}|"
 
 
-def time_series(
-    points: Sequence[tuple[float, float, str]],
-    width: int = 64,
-    height: int = 12,
-    y_max: float = 100.0,
-) -> str:
+def time_series(points: Sequence[tuple[float, float, str]]) -> str:
     """Scatter a labelled (x, y, label) series on a text grid (Fig 6)."""
+    width, height, y_max = 64, 12, 100.0
     if not points:
         return "(no data)"
     xs = [p[0] for p in points]
@@ -123,12 +117,9 @@ def time_series(
     return "\n".join(lines)
 
 
-def world_map(
-    points: Sequence[tuple[float, float]],
-    width: int = 72,
-    height: int = 24,
-) -> str:
+def world_map(points: Sequence[tuple[float, float]]) -> str:
     """Figure 1-style density map from (latitude, longitude) points."""
+    width, height = 72, 24
     if not points:
         return "(no data)"
     grid = [[0 for _ in range(width)] for _ in range(height)]
@@ -149,17 +140,16 @@ def world_map(
     return "\n".join(lines)
 
 
-def traceroute_tree(
-    paths: Sequence[Sequence[tuple[int, bool]]],
-    max_paths: int = 24,
-) -> str:
+def traceroute_tree(paths: Sequence[Sequence[tuple[int, bool]]]) -> str:
     """Figure 4-style rendering: one line per path, hops as glyphs.
 
     Each path is a sequence of ``(responder, mark_preserved)``; hops
     that kept the mark render ``o`` (green in the paper), hops where
     the returned ECN field differed render ``X`` (red), giving the
-    paper's "runs of red after the mark is stripped".
+    paper's "runs of red after the mark is stripped".  At most 24
+    paths are drawn.
     """
+    max_paths = 24
     lines = []
     for path in list(paths)[:max_paths]:
         glyphs = "".join("o" if preserved else "X" for _, preserved in path)

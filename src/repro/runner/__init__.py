@@ -38,9 +38,7 @@ from .merge import (
     MergeError,
     WIRE_FORMAT,
     decode_path,
-    decode_trace,
     encode_path,
-    encode_trace,
     merge_campaign,
     merge_traces,
 )
@@ -76,9 +74,7 @@ __all__ = [
     "SharedWorkerPool",
     "WIRE_FORMAT",
     "decode_path",
-    "decode_trace",
     "encode_path",
-    "encode_trace",
     "execute_shard",
     "merge_campaign",
     "merge_traces",

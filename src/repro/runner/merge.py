@@ -3,9 +3,10 @@
 Shard results cross the process boundary as plain dicts of lists and
 scalars (a compact, version-tagged wire encoding — no pickled domain
 objects, so worker and parent never disagree about class identity).
-The decoders rebuild full-fidelity :class:`Trace` / :class:`PathTrace`
-objects — including the hop fields (`rtt`, `quoted_tos`,
-`quoted_ident`) that the archival JSON format drops — and the merge
+A trace travels in its one dict form (:meth:`Trace.to_dict`, the
+element of ``traces.json``); a path travels in a wire form that keeps
+the hop fields (`rtt`, `quoted_tos`, `quoted_ident`) the archival
+JSON format drops.  The merge
 functions reassemble them in the study's canonical order: traces
 ascending by ``trace_id`` (the schedule's plan order), traceroutes by
 vantage build order.  Because every epoch is a pure function of
@@ -24,8 +25,6 @@ from ..core.traces import (
     Trace,
     TraceSet,
     TracerouteCampaign,
-    _outcome_from_row,
-    _outcome_to_row,
 )
 
 #: Wire-format tag carried by every shard result.
@@ -34,38 +33,6 @@ WIRE_FORMAT = "ecn-udp-shard/1"
 
 class MergeError(ValueError):
     """A shard result could not be decoded or reassembled."""
-
-
-# ----------------------------------------------------------------------
-# Trace codec
-# ----------------------------------------------------------------------
-def encode_trace(trace: Trace) -> dict:
-    """Trace -> wire dict (outcome rows *are* the archival row format).
-
-    Sharing the archival row codec keeps the two encodings in lockstep:
-    the QUIC extension (rows grow from 9 to 17 elements when the probe
-    family runs) lives in one place, ``repro.core.traces``.
-    """
-    return {
-        "trace_id": trace.trace_id,
-        "vantage_key": trace.vantage_key,
-        "batch": trace.batch,
-        "started_at": trace.started_at,
-        "outcomes": [_outcome_to_row(o) for o in trace.outcomes.values()],
-    }
-
-
-def decode_trace(data: dict) -> Trace:
-    """Wire dict -> Trace (inverse of :func:`encode_trace`)."""
-    trace = Trace(
-        trace_id=data["trace_id"],
-        vantage_key=data["vantage_key"],
-        batch=data["batch"],
-        started_at=data["started_at"],
-    )
-    for row in data["outcomes"]:
-        trace.add(_outcome_from_row(row))
-    return trace
 
 
 # ----------------------------------------------------------------------
@@ -142,7 +109,7 @@ def merge_traces(
     for result in results:
         _check_format(result)
         for raw in result.get("traces", ()):
-            trace = decode_trace(raw)
+            trace = Trace.from_dict(raw)
             by_id[trace.trace_id] = trace
     trace_set = TraceSet(server_addrs=list(server_addrs), description=description)
     trace_set.extend(by_id[trace_id] for trace_id in sorted(by_id))

@@ -38,7 +38,7 @@ from ..obs.events import EventLog
 from ..obs.metrics import MetricsRegistry
 from ..scenario.internet import SyntheticInternet
 from ..spec import StudySpec
-from .merge import WIRE_FORMAT, encode_path, encode_trace
+from .merge import WIRE_FORMAT, encode_path
 from .shard import KIND_TRACES, Shard
 
 #: Fault kinds understood by :func:`execute_shard`.
@@ -236,7 +236,7 @@ def _execute_shard(
     try:
         if shard.kind == KIND_TRACES:
             traces = app.run_planned(shard.planned_traces())
-            result["traces"] = [encode_trace(trace) for trace in traces]
+            result["traces"] = [trace.to_dict() for trace in traces]
         else:
             paths = app.run_traceroute_vantage(shard.vantage_key)
             result["paths"] = [encode_path(path) for path in paths]

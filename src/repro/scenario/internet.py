@@ -760,21 +760,12 @@ class SyntheticInternet:
     def _start_dns(self) -> DNSServer:
         """Publish the pool zones from the DNS infrastructure host."""
         dns = DNSServer(self._dns_host)
-        self.refresh_dns_zones(dns)
-        return dns
-
-    def refresh_dns_zones(self, dns: DNSServer | None = None) -> None:
-        """(Re)build pool zones from current membership (churn support)."""
-        dns = dns if dns is not None else self.dns_server
         rng = self._rng
         for zone_name in self.pool.zone_names():
             addresses = [member.addr for member in self.pool.zone_members(zone_name)]
             rng.shuffle(addresses)
-            existing = dns.zone(zone_name)
-            if existing is not None:
-                existing.set_addresses(addresses)
-            else:
-                dns.add_zone(RoundRobinZone(name=zone_name, addresses=addresses))
+            dns.add_zone(RoundRobinZone(name=zone_name, addresses=addresses))
+        return dns
 
     # ==================================================================
     # Conveniences

@@ -101,8 +101,8 @@ class Response:
         return cls.json({"error": message, "status": status}, status=status, **headers)
 
     @classmethod
-    def text(cls, body: str, status: int = 200, content_type: str = "text/plain") -> "Response":
-        return cls(status=status, body=body.encode(), content_type=content_type)
+    def text(cls, body: str, content_type: str) -> "Response":
+        return cls(body=body.encode(), content_type=content_type)
 
 
 async def _read_line(reader: asyncio.StreamReader) -> bytes:

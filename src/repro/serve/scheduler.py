@@ -140,8 +140,7 @@ class _WorldEntry:
 class WorldCache:
     """Thread-safe LRU of built worlds + first-discovery targets."""
 
-    def __init__(self, size: int = PARENT_WORLD_CACHE_SIZE, metrics=None) -> None:
-        self.size = size
+    def __init__(self, metrics=None) -> None:
         self.metrics = metrics
         self._lock = threading.Lock()
         self._entries: dict[tuple, _WorldEntry] = {}
@@ -182,7 +181,7 @@ class WorldCache:
             ).run().addresses
             entry = _WorldEntry(world=world, targets=list(targets))
             with self._lock:
-                while len(self._entries) >= self.size:
+                while len(self._entries) >= PARENT_WORLD_CACHE_SIZE:
                     self._entries.pop(next(iter(self._entries)))
                 self._entries[key] = entry
                 del self._building[key]

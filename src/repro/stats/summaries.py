@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 
 def mean(values: Sequence[float]) -> float:
@@ -76,28 +76,25 @@ class ConfidenceInterval:
         return self.low <= value <= self.high
 
 
-def bootstrap_ci(
-    values: Sequence[float],
-    statistic: Callable[[Sequence[float]], float] = mean,
-    confidence: float = 0.95,
-    resamples: int = 2000,
-    seed: int = 0,
-) -> ConfidenceInterval:
-    """Percentile-bootstrap CI for ``statistic`` over ``values``."""
+#: Coverage and resample count of every bootstrap interval.
+BOOTSTRAP_CONFIDENCE = 0.95
+BOOTSTRAP_RESAMPLES = 2000
+
+
+def bootstrap_ci(values: Sequence[float], seed: int) -> ConfidenceInterval:
+    """Percentile-bootstrap CI for the mean of ``values``."""
     if not values:
         raise ValueError("bootstrap over empty sequence")
-    if not 0 < confidence < 1:
-        raise ValueError(f"confidence out of range: {confidence}")
     rng = random.Random(seed)
     n = len(values)
     estimates = sorted(
-        statistic([values[rng.randrange(n)] for _ in range(n)])
-        for _ in range(resamples)
+        mean([values[rng.randrange(n)] for _ in range(n)])
+        for _ in range(BOOTSTRAP_RESAMPLES)
     )
-    alpha = (1 - confidence) / 2
+    alpha = (1 - BOOTSTRAP_CONFIDENCE) / 2
     return ConfidenceInterval(
-        estimate=statistic(values),
+        estimate=mean(values),
         low=percentile(estimates, 100 * alpha),
         high=percentile(estimates, 100 * (1 - alpha)),
-        confidence=confidence,
+        confidence=BOOTSTRAP_CONFIDENCE,
     )

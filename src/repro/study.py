@@ -313,9 +313,9 @@ class Study:
         """
         return self._cached("quic", lambda: analyze_quic_ecn(self.traces))
 
-    def intervals(self, confidence: float = 0.95) -> HeadlineIntervals:
-        """Bootstrap CIs for the headline numbers."""
-        return headline_intervals(self.traces, confidence=confidence)
+    def intervals(self) -> HeadlineIntervals:
+        """Bootstrap 95 % CIs for the headline numbers."""
+        return headline_intervals(self.traces)
 
     def validate(self) -> list[InferenceQuality]:
         """Score the §4 inference rules against deployed ground truth."""

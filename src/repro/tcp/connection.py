@@ -34,6 +34,12 @@ from .segment import ACK, CWR, DEFAULT_MSS, ECE, FIN, PSH, RST, SYN, TCPSegment
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..netsim.host import Host
 
+#: Retransmissions of a SYN, and of a data segment, before giving up.
+SYN_RETRIES = 2
+DATA_RETRIES = 4
+#: Initial retransmission timeout in seconds, doubled per retry.
+RTO_INITIAL = 1.0
+
 
 class ECNServerPolicy(enum.Enum):
     """How a server responds to an ECN-setup SYN."""
@@ -95,20 +101,14 @@ class TCPConnection:
         remote_port: int,
         iss: int,
         use_ecn: bool = False,
-        syn_retries: int = 2,
-        data_retries: int = 4,
-        rto_initial: float = 1.0,
-        mss: int = DEFAULT_MSS,
     ) -> None:
         self.stack = stack
         self.local_port = local_port
         self.remote_addr = remote_addr
         self.remote_port = remote_port
         self.use_ecn = use_ecn
-        self.syn_retries = syn_retries
-        self.data_retries = data_retries
-        self.rto_initial = rto_initial
-        self.mss = mss
+        self.syn_retries = SYN_RETRIES
+        self.data_retries = DATA_RETRIES
 
         self.state = ConnState.CLOSED
         self.ecn_active = False
@@ -132,7 +132,7 @@ class TCPConnection:
         self._retx_queue: list[tuple[int, bytes, int]] = []
         self._retx_timer: Event | None = None
         self._retx_count = 0
-        self._rto = rto_initial
+        self._rto = RTO_INITIAL
 
         # Congestion control (RFC 5681 slow start/AIMD, RFC 6928
         # initial window, RFC 3168 §6.1.2 ECE-triggered reduction).
@@ -174,8 +174,8 @@ class TCPConnection:
         """Queue application data for reliable, window-gated delivery."""
         if self.state not in (ConnState.ESTABLISHED, ConnState.CLOSE_WAIT):
             raise SocketError(f"cannot send in state {self.state.value}")
-        for start in range(0, len(data), self.mss):
-            self._send_queue.append(data[start : start + self.mss])
+        for start in range(0, len(data), DEFAULT_MSS):
+            self._send_queue.append(data[start : start + DEFAULT_MSS])
         self._pump_send_queue()
 
     @property
@@ -264,7 +264,7 @@ class TCPConnection:
             seq=seq,
             ack=self.rcv_nxt if (flags & ACK) else 0,
             flags=flags,
-            mss=self.mss if (flags & SYN) else None,
+            mss=DEFAULT_MSS if (flags & SYN) else None,
             payload=payload,
         )
         # RFC 3168: only data segments of an ECN-negotiated connection
@@ -322,7 +322,7 @@ class TCPConnection:
         if acked:
             self.snd_una = ack
             self._retx_count = 0
-            self._rto = self.rto_initial
+            self._rto = RTO_INITIAL
             self._cancel_retx_timer()
             self._arm_retx_timer()
             self._on_ack_progress(acked)
@@ -545,8 +545,6 @@ class TCPStack:
         remote_addr: int,
         remote_port: int,
         use_ecn: bool = False,
-        syn_retries: int = 2,
-        rto_initial: float = 1.0,
     ) -> TCPConnection:
         """Open an active connection; wire callbacks before events run."""
         local_port = self._allocate_port()
@@ -557,8 +555,6 @@ class TCPStack:
             remote_port=remote_port,
             iss=self._allocate_iss(),
             use_ecn=use_ecn,
-            syn_retries=syn_retries,
-            rto_initial=rto_initial,
         )
         self.connections[conn.key] = conn
         # The SYN goes out on the next scheduler tick so the caller can

@@ -28,25 +28,25 @@ def uniform_trace_set(n_traces=8, n_servers=20, ect_fail=1):
 class TestHeadlineIntervals:
     def test_estimates_match_point_statistics(self):
         ts = uniform_trace_set()
-        intervals = headline_intervals(ts, resamples=200)
+        intervals = headline_intervals(ts)
         assert intervals.pct_ect_given_plain.estimate == pytest.approx(95.0)
         assert intervals.udp_plain_reachable.estimate == pytest.approx(20.0)
         assert intervals.pct_ecn_negotiated.estimate == pytest.approx(50.0)
 
     def test_zero_variance_gives_tight_interval(self):
         ts = uniform_trace_set()
-        intervals = headline_intervals(ts, resamples=200)
+        intervals = headline_intervals(ts)
         ci = intervals.pct_ect_given_plain
         assert ci.low == pytest.approx(ci.high)
 
     def test_deterministic(self):
         ts = uniform_trace_set()
-        a = headline_intervals(ts, resamples=100, seed=5)
-        b = headline_intervals(ts, resamples=100, seed=5)
+        a = headline_intervals(ts)
+        b = headline_intervals(ts)
         assert a.pct_ecn_negotiated.low == b.pct_ecn_negotiated.low
 
     def test_summary_lines(self):
-        lines = headline_intervals(uniform_trace_set(), resamples=50).summary_lines()
+        lines = headline_intervals(uniform_trace_set()).summary_lines()
         assert len(lines) == 4
         assert any("ECT-given-plain" in line for line in lines)
         assert all("CI" in line for line in lines)
@@ -55,7 +55,7 @@ class TestHeadlineIntervals:
 class TestOnMeasuredStudy:
     def test_intervals_bracket_estimates(self, study_results):
         _, trace_set, _ = study_results
-        intervals = headline_intervals(trace_set, resamples=300)
+        intervals = headline_intervals(trace_set)
         for ci in (
             intervals.pct_ect_given_plain,
             intervals.pct_plain_given_ect,
@@ -68,7 +68,7 @@ class TestOnMeasuredStudy:
         """The CI for the 2a percentage stays in the high 90s — the
         paper's conclusion is robust over trace resampling."""
         _, trace_set, _ = study_results
-        intervals = headline_intervals(trace_set, resamples=300)
+        intervals = headline_intervals(trace_set)
         assert intervals.pct_ect_given_plain.low > 90.0
         assert intervals.pct_ecn_negotiated.low > 70.0
         assert intervals.pct_ecn_negotiated.high < 95.0

@@ -17,7 +17,6 @@ import pytest
 from repro.campaign import (
     CampaignDriver,
     CampaignSpec,
-    DEFAULT_RULES,
     SloRule,
     evaluate_rules,
     wall_time_regression,
@@ -67,56 +66,30 @@ class TestRuleValidation:
 
 
 class TestEvaluateRules:
-    def test_baseline_delta_accumulates_to_breach(self):
-        rule = SloRule(
-            name="drift", metric="mark_survival_pct",
-            mode="baseline-delta", threshold_pp=5.0,
-        )
-        alerts = evaluate_rules(
-            points(90.0, 93.0, 96.0, 97.0), FROZEN, rules=[rule]
-        )
-        assert [a["epoch"] for a in alerts] == [2, 3]
-        assert alerts[0]["reference"] == 90.0
-        assert alerts[0]["delta_pp"] == 6.0
-
     def test_baseline_ratio_is_relative(self):
-        rule = SloRule(
-            name="collapse", metric="strip_events",
-            mode="baseline-ratio", threshold_pp=25.0,
-        )
+        # bleaching-trend: strip_events, 25 % of the epoch-0 baseline.
         pts = points(100, 80, 70, metric="strip_events")
-        alerts = evaluate_rules(pts, FROZEN, rules=[rule])
+        alerts = evaluate_rules(pts, FROZEN)
         assert [a["epoch"] for a in alerts] == [2]
+        assert alerts[0]["rule"] == "bleaching-trend"
         assert alerts[0]["delta_pp"] == -30.0
 
     def test_baseline_ratio_skips_zero_baseline(self):
-        rule = SloRule(
-            name="collapse", metric="strip_events",
-            mode="baseline-ratio", threshold_pp=25.0,
-        )
-        assert evaluate_rules(
-            points(0, 50, metric="strip_events"), FROZEN, rules=[rule]
-        ) == []
+        assert evaluate_rules(points(0, 50, metric="strip_events"), FROZEN) == []
 
     def test_step_delta_flags_only_the_jump(self):
-        rule = SloRule(
-            name="step", metric="mark_survival_pct",
-            mode="step-delta", threshold_pp=10.0,
-        )
-        alerts = evaluate_rules(points(90.0, 91.0, 75.0, 76.0), FROZEN, rules=[rule])
+        # bleaching-step: mark_survival_pct, 12 pp between epochs.
+        alerts = evaluate_rules(points(90.0, 91.0, 75.0, 76.0), FROZEN)
         assert [a["epoch"] for a in alerts] == [2]
+        assert alerts[0]["rule"] == "bleaching-step"
         assert alerts[0]["reference"] == 91.0
 
     def test_timeline_envelope_uses_model_expectation(self):
-        rule = SloRule(
-            name="envelope", metric="negotiation_pct",
-            mode="timeline-envelope", threshold_pp=15.0,
-        )
-        # FROZEN expects 82 % negotiation at every year.
-        alerts = evaluate_rules(
-            points(81.0, 60.0, metric="negotiation_pct"), FROZEN, rules=[rule]
-        )
+        # negotiation-envelope: 15 pp around the model; FROZEN expects
+        # 82 % negotiation at every year.
+        alerts = evaluate_rules(points(81.0, 60.0, metric="negotiation_pct"), FROZEN)
         assert [a["epoch"] for a in alerts] == [1]
+        assert alerts[0]["rule"] == "negotiation-envelope"
         assert alerts[0]["reference"] == 82.0
 
     def test_result_is_pure_and_ordered(self):

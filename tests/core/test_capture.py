@@ -1,6 +1,6 @@
 """Wire-level capture: what crosses a host, read at its packet tap.
 
-``Host.add_tap`` sees every frame a host sends or receives, so these
+``wiretap.tap`` sees every frame a host sends or receives, so these
 tests decode the transport headers themselves; ``PathTracer`` is the
 program's own per-hop record of the same packets.
 """
@@ -9,6 +9,7 @@ from repro.netsim.ecn import ECN
 from repro.netsim.icmp import ICMPMessage
 from repro.netsim.ipv4 import PROTO_ICMP, PROTO_TCP, PROTO_UDP
 from repro.netsim.udp import UDPDatagram
+from repro.obs import tracing
 from repro.obs.tracing import PathTracer
 from repro.protocols.http.client import fetch
 from repro.protocols.http.server import PoolWebServer
@@ -16,11 +17,13 @@ from repro.protocols.ntp.client import query_server
 from repro.protocols.ntp.server import NTPServer
 from repro.tcp.segment import Flags, TCPSegment
 
+import wiretap
 
-def tap(host):
+
+def capture(host):
     """Record ``(direction, packet)`` for every frame crossing ``host``."""
     frames = []
-    remove = host.add_tap(lambda direction, packet, now: frames.append((direction, packet)))
+    remove = wiretap.tap(host, lambda direction, packet, now: frames.append((direction, packet)))
     return frames, remove
 
 
@@ -28,7 +31,7 @@ class TestCaptureBasics:
     def test_captures_both_directions(self, two_host_net):
         net, client, server = two_host_net
         NTPServer(server)
-        frames, _ = tap(client)
+        frames, _ = capture(client)
         query_server(client, server.addr, ECN.ECT_0, lambda r: None)
         net.scheduler.run()
         assert [direction for direction, _ in frames] == ["out", "in"]
@@ -36,7 +39,7 @@ class TestCaptureBasics:
     def test_decodes_udp(self, two_host_net):
         net, client, server = two_host_net
         NTPServer(server)
-        frames, _ = tap(client)
+        frames, _ = capture(client)
         query_server(client, server.addr, ECN.ECT_0, lambda r: None)
         net.scheduler.run()
         (_, request), (_, response) = frames
@@ -48,7 +51,7 @@ class TestCaptureBasics:
     def test_tcp_filter_and_decode(self, two_host_net):
         net, client, server = two_host_net
         PoolWebServer(server)
-        frames, _ = tap(client)
+        frames, _ = capture(client)
         fetch(client, server.addr, use_ecn=True, callback=lambda r: None)
         net.scheduler.run()
         segments = [
@@ -62,10 +65,11 @@ class TestCaptureBasics:
         syn = segments[0]
         assert syn.flags & Flags.SYN and syn.flags & Flags.ECE and syn.flags & Flags.CWR
 
-    def test_max_packets_cap(self, two_host_net):
+    def test_max_packets_cap(self, two_host_net, monkeypatch):
         net, client, server = two_host_net
         NTPServer(server)
-        tracer = PathTracer(match="udp", limit=1)
+        monkeypatch.setattr(tracing, "EVENT_LIMIT", 1)
+        tracer = PathTracer(match="udp")
         net.set_tracer(tracer)
         query_server(client, server.addr, ECN.NOT_ECT, lambda r: None)
         net.scheduler.run()
@@ -75,7 +79,7 @@ class TestCaptureBasics:
     def test_stop_is_idempotent_and_detaches(self, two_host_net):
         net, client, server = two_host_net
         NTPServer(server)
-        frames, remove = tap(client)
+        frames, remove = capture(client)
         remove()
         remove()
         query_server(client, server.addr, ECN.NOT_ECT, lambda r: None)
@@ -98,7 +102,7 @@ class TestSummaries:
 
     def test_icmp_summary(self, two_host_net):
         net, client, server = two_host_net
-        frames, _ = tap(client)
+        frames, _ = capture(client)
         client.udp_bind(None).send(server.addr, 33434, b"probe", ttl=1)
         net.scheduler.run()
         icmp = [

@@ -74,7 +74,7 @@ class TestRunTracebox:
     def test_detects_ect_bleacher_at_correct_hop(self, net_factory):
         net, client, server = net_factory(hops=4)
         net.topology.routers["r2"].add_middlebox(ECTBleacher())
-        result = run_tracebox(client, server.addr, dscp=12, ecn=ECN.ECT_0)
+        result = run_tracebox(client, server.addr, dscp=12)
         assert result.classify_tos_interference() == "ecn-specific"
         # r2 is the third router: hop TTL 3.
         assert first_change_ttl(result, FIELD_ECN) == 3
@@ -83,7 +83,7 @@ class TestRunTracebox:
     def test_detects_tos_washer(self, net_factory):
         net, client, server = net_factory(hops=4)
         net.topology.routers["r1"].add_middlebox(TOSBleacher())
-        result = run_tracebox(client, server.addr, dscp=12, ecn=ECN.ECT_0)
+        result = run_tracebox(client, server.addr, dscp=12)
         assert result.classify_tos_interference() == "tos-washing"
         assert first_change_ttl(result, FIELD_ECN) == 2
         assert first_change_ttl(result, FIELD_DSCP) == 2

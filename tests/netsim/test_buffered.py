@@ -115,8 +115,10 @@ class TestREDIntegration:
 
 class TestBufferedPair:
     def test_asymmetric_bandwidth(self):
-        forward, backward = buffered_pair("a", "b", bandwidth=8_000_000,
-                                          reverse_bandwidth=1_000_000)
+        # An ADSL-like pair: each direction is its own link, so the
+        # uplink's rate can be set apart from the downlink's.
+        forward, backward = buffered_pair("a", "b", bandwidth=8_000_000)
+        backward.bandwidth = 1_000_000
         clock = SimClock()
         forward.bind_clock(clock)
         backward.bind_clock(clock)

@@ -43,17 +43,17 @@ class TestSimClock:
             clock.advance_to(clock.now - 0.1)
 
     def test_unix_time_tracks_origin(self):
-        clock = SimClock(origin=1000.0)
+        clock = SimClock()
         clock.advance_to(5.0)
-        assert clock.unix_time() == 1005.0
+        assert clock.unix_time() == DEFAULT_EPOCH_ORIGIN + 5.0
 
     def test_default_origin_is_2015(self):
         # 2015-04-01: the start of the measurement campaign.
         assert DEFAULT_EPOCH_ORIGIN == 1_427_846_400.0
 
     def test_ntp_time_offset(self):
-        clock = SimClock(origin=0.0)
-        assert clock.ntp_time() == NTP_UNIX_EPOCH_DELTA
+        clock = SimClock()
+        assert clock.ntp_time() == DEFAULT_EPOCH_ORIGIN + NTP_UNIX_EPOCH_DELTA
 
     def test_ntp_epoch_delta_value(self):
         # 70 years including 17 leap days.

@@ -10,6 +10,8 @@ from repro.netsim.middlebox import ECTDropper
 from repro.netsim.queues import BernoulliLoss
 from repro.netsim.sockets import EPHEMERAL_BASE
 
+from wiretap import tap
+
 
 class TestUDPSockets:
     def test_bind_and_echo(self, two_host_net):
@@ -62,22 +64,12 @@ class TestUDPSockets:
         net.scheduler.run()
         assert replies == []
 
-    def test_port_unreachable_when_enabled(self, two_host_net):
-        net, client, server = two_host_net
-        server.respond_port_unreachable = True
-        icmp = []
-        client.on_icmp(lambda m, p, t: icmp.append(m))
-        client.udp_bind(None).send(server.addr, 9999, b"x")
-        net.scheduler.run()
-        assert len(icmp) == 1
-        assert icmp[0].icmp_type == 3
-
 
 class TestECNMarking:
     def test_socket_send_sets_tos(self, two_host_net):
         net, client, server = two_host_net
         seen = []
-        server.add_tap(lambda d, p, t: seen.append(p.ecn))
+        tap(server, lambda d, p, t: seen.append(p.ecn))
         client.udp_bind(None).send(server.addr, 123, b"x", ecn=ECN.ECT_0)
         client.udp_bind(None).send(server.addr, 123, b"y", ecn=ECN.NOT_ECT)
         net.scheduler.run()
@@ -104,7 +96,7 @@ class TestTaps:
     def test_taps_see_both_directions(self, two_host_net):
         net, client, server = two_host_net
         directions = []
-        client.add_tap(lambda d, p, t: directions.append(d))
+        tap(client, lambda d, p, t: directions.append(d))
         server.udp_bind(123, lambda d, p, t: sock_s.send(p.src, d.src_port, b"r"))
         sock_s = server._udp_sockets[123]
         client.udp_bind(None, lambda d, p, t: None).send(server.addr, 123, b"q")
@@ -114,7 +106,7 @@ class TestTaps:
     def test_tap_removal(self, two_host_net):
         net, client, server = two_host_net
         seen = []
-        remove = client.add_tap(lambda d, p, t: seen.append(d))
+        remove = tap(client, lambda d, p, t: seen.append(d))
         remove()
         client.udp_bind(None).send(server.addr, 123, b"x")
         net.scheduler.run()
@@ -147,7 +139,7 @@ class TestFilters:
         net, client, server = two_host_net
         client.outbound_filters.append(ECTDropper())
         seen = []
-        client.add_tap(lambda d, p, t: seen.append(p.ecn))
+        tap(client, lambda d, p, t: seen.append(p.ecn))
         client.udp_bind(None).send(server.addr, 123, b"x", ecn=ECN.ECT_0)
         net.scheduler.run()
         assert seen == [ECN.ECT_0]

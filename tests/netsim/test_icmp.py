@@ -6,13 +6,10 @@ from repro.netsim.ecn import ECN
 from repro.netsim.errors import CodecError
 from repro.netsim.icmp import (
     CLASSIC_QUOTE_PAYLOAD,
-    CODE_PORT_UNREACHABLE,
     CODE_TTL_EXCEEDED,
     ICMPMessage,
-    TYPE_DEST_UNREACHABLE,
     TYPE_ECHO_REQUEST,
     TYPE_TIME_EXCEEDED,
-    port_unreachable,
     quote_datagram,
     time_exceeded,
 )
@@ -102,11 +99,6 @@ class TestConstructors:
         assert message.icmp_type == TYPE_TIME_EXCEEDED
         assert message.code == CODE_TTL_EXCEEDED
         assert message.is_error
-
-    def test_port_unreachable(self):
-        message = port_unreachable(probe_packet())
-        assert message.icmp_type == TYPE_DEST_UNREACHABLE
-        assert message.code == CODE_PORT_UNREACHABLE
 
 
 class _OptionsPacket(IPv4Packet):

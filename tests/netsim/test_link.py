@@ -78,9 +78,9 @@ class TestLinkPair:
         assert backward.loss._clock is None
 
     def test_asymmetric_impairment(self):
-        forward, backward = link_pair(
-            "a", "b", loss=BernoulliLoss(1.0), reverse_loss=BernoulliLoss(0.0)
-        )
+        forward, backward = link_pair("a", "b", loss=BernoulliLoss(1.0))
+        backward.loss = BernoulliLoss(0.0)
         rng = random.Random(0)
         assert not transit(forward, packet(), rng)[0]
         assert transit(backward, packet(), rng)[0]
+

@@ -36,13 +36,11 @@ def build(mode, seed, hops, bleach_at, drop_at, loss_rate, congested_at):
                 f"r{index}",
                 delay=0.002 * index,
                 loss=BernoulliLoss(loss_rate),
-                reverse_loss=BernoulliLoss(0.0),
-                aqm=(
-                    StaticCongestion(0.5, ecn_capable_queue=True)
-                    if congested_at == index
-                    else None
-                ),
             )
+            backward.loss = BernoulliLoss(0.0)
+            if congested_at == index:
+                forward.aqm = StaticCongestion(0.5, ecn_capable_queue=True)
+                backward.aqm = StaticCongestion(0.5, ecn_capable_queue=True)
             topo.add_link_pair(forward, backward)
     if bleach_at is not None and 0 <= bleach_at < hops:
         topo.routers[f"r{bleach_at}"].add_middlebox(ECTBleacher())

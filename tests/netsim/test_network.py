@@ -14,6 +14,8 @@ from repro.netsim.queues import BernoulliLoss
 from repro.netsim.router import Router
 from repro.netsim.topology import Topology
 
+from wiretap import tap
+
 
 def build_chain(mode, hops=4, seed=3, bleach_at=None, drop_at=None, loss_at=None):
     """A straight chain of ``hops`` routers with optional impairments."""
@@ -30,8 +32,8 @@ def build_chain(mode, hops=4, seed=3, bleach_at=None, drop_at=None, loss_at=None
             loss = BernoulliLoss(1.0) if loss_at == index else None
             forward, backward = link_pair(
                 f"r{index - 1}", f"r{index}", delay=0.01, loss=loss,
-                reverse_loss=BernoulliLoss(0.0),
             )
+            backward.loss = BernoulliLoss(0.0)
             topo.add_link_pair(forward, backward)
     if bleach_at is not None:
         topo.routers[f"r{bleach_at}"].add_middlebox(ECTBleacher())
@@ -76,7 +78,7 @@ class TestDelivery:
     def test_ttl_decrements_per_router(self, mode):
         net, client, server = build_chain(mode)
         ttls = []
-        server.add_tap(lambda d, p, t: ttls.append(p.ttl))
+        tap(server, lambda d, p, t: ttls.append(p.ttl))
         client.udp_bind(None).send(server.addr, 123, b"x", ttl=64)
         net.scheduler.run()
         assert ttls == [60]  # four routers on the path
@@ -86,7 +88,7 @@ class TestMiddleboxesInPath:
     def test_bleacher_clears_mark_before_delivery(self, mode):
         net, client, server = build_chain(mode, bleach_at=2)
         marks = []
-        server.add_tap(lambda d, p, t: marks.append(p.ecn))
+        tap(server, lambda d, p, t: marks.append(p.ecn))
         client.udp_bind(None).send(server.addr, 123, b"x", ecn=ECN.ECT_0)
         net.scheduler.run()
         assert marks == [ECN.NOT_ECT]

@@ -33,7 +33,7 @@ class TestPrefixTrie:
 
     def test_lookup_default(self):
         trie = PrefixTrie()
-        assert trie.lookup_default(parse_addr("1.2.3.4"), "none") == "none"
+        assert trie.lookup_default(parse_addr("1.2.3.4")) is None
 
     def test_default_route(self):
         trie = PrefixTrie()

@@ -19,7 +19,7 @@ from repro.obs import (
     parse_events_jsonl,
     render_events_jsonl,
 )
-from repro.obs.events import LEVELS, level_rank
+from repro.obs.events import EVENT_CAPACITY, KIND_LIMIT, LEVELS, level_rank
 
 
 class TestEmission:
@@ -51,20 +51,10 @@ class TestEmission:
         assert event["epoch"] == 3
         assert "nothing" not in event
 
-    def test_min_level_filters(self):
-        log = EventLog(min_level="warning")
-        assert log.emit("quiet", "debug") is None
-        assert log.emit("quiet", "info") is None
-        assert log.emit("loud", "warning") is not None
-        assert log.emit("loud", "alert") is not None
-        assert [e["kind"] for e in log.since(0)] == ["loud", "loud"]
-
     def test_unknown_level_is_loud(self):
         log = EventLog()
         with pytest.raises(ValueError, match="unknown event level"):
             log.emit("x", "catastrophic")
-        with pytest.raises(ValueError, match="unknown event level"):
-            EventLog(min_level="whisper")
 
     def test_level_rank_total_order(self):
         ranks = [level_rank(level) for level in LEVELS]
@@ -78,41 +68,43 @@ class TestEmission:
 
 class TestRateLimit:
     def test_per_kind_cap_counts_drops(self):
-        log = EventLog(kind_limit=3)
-        for _ in range(5):
+        log = EventLog()
+        for _ in range(KIND_LIMIT + 2):
             log.emit("chatty")
         log.emit("other")
-        assert len([e for e in log.since(0) if e["kind"] == "chatty"]) == 3
+        assert len([e for e in log.since(0) if e["kind"] == "chatty"]) == KIND_LIMIT
         assert log.dropped() == {"chatty": 2}
         # Other kinds are unaffected by one kind hitting its cap.
         assert [e["kind"] for e in log.since(0)][-1] == "other"
 
     def test_seq_not_consumed_by_dropped_events(self):
-        log = EventLog(kind_limit=1)
-        log.emit("a")
-        log.emit("a")  # dropped
+        log = EventLog()
+        for _ in range(KIND_LIMIT + 1):
+            log.emit("a")  # the last one is dropped
         event = log.emit("b")
-        assert event["seq"] == 1
+        assert event["seq"] == KIND_LIMIT
 
 
 class TestRingAndCursor:
     def test_ring_bounds_buffer_but_seq_keeps_rising(self):
-        log = EventLog(capacity=4)
-        for i in range(10):
-            log.emit("tick", "info", i=i)
+        log = EventLog()
+        emitted = EVENT_CAPACITY + 6
+        for i in range(emitted):
+            log.emit(f"tick-{i}", "info", i=i)
         window = log.since(0)
-        assert len(window) == 4
-        assert [e["i"] for e in window] == [6, 7, 8, 9]
-        assert log.next_seq == 10
+        assert len(window) == EVENT_CAPACITY
+        assert [e["i"] for e in window] == list(range(6, emitted))
+        assert log.next_seq == emitted
 
     def test_since_cursor_resumes_and_clamps(self):
-        log = EventLog(capacity=4)
-        for i in range(10):
-            log.emit("tick", "info", i=i)
+        log = EventLog()
+        emitted = EVENT_CAPACITY + 6
+        for i in range(emitted):
+            log.emit(f"tick-{i}", "info", i=i)
         # A cursor that fell off the ring returns whatever survives.
-        assert [e["i"] for e in log.since(0)] == [6, 7, 8, 9]
-        assert [e["i"] for e in log.since(8)] == [8, 9]
-        assert log.since(10) == []
+        assert [e["i"] for e in log.since(0)] == list(range(6, emitted))
+        assert [e["i"] for e in log.since(emitted - 2)] == [emitted - 2, emitted - 1]
+        assert log.since(emitted) == []
         assert [e["i"] for e in log.since(6, limit=2)] == [6, 7]
 
     def test_tail(self):
@@ -123,9 +115,9 @@ class TestRingAndCursor:
         assert log.tail(0) == []
 
     def test_clear_resets_everything(self):
-        log = EventLog(kind_limit=1)
-        log.emit("a")
-        log.emit("a")
+        log = EventLog()
+        for _ in range(KIND_LIMIT + 1):
+            log.emit("a")
         log.clear()
         assert log.since(0) == []
         assert log.next_seq == 0
@@ -153,9 +145,10 @@ class TestShardAttribution:
             log.enter_context("trace", "vp-9", 0)
 
     def test_rate_limit_is_per_shard(self):
-        log = EventLog(kind_limit=1, context_map=self.CONTEXT_MAP)
+        log = EventLog(context_map=self.CONTEXT_MAP)
         log.enter_context("trace", "vp-0", 0)
-        assert log.emit("x") is not None
+        for _ in range(KIND_LIMIT):
+            assert log.emit("x") is not None
         assert log.emit("x") is None
         log.enter_context("trace", "vp-1", 0)
         assert log.emit("x") is not None

@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.obs import DEFAULT_EVENT_CAPACITY, EventLog, load_run_artifacts
-from repro.obs.events import FLIGHT_TAIL
+from repro.obs import EventLog, load_run_artifacts
+from repro.obs.events import EVENT_CAPACITY, FLIGHT_TAIL, KIND_LIMIT
 
 #: Any JSON document, serialised: valid syntax of every shape.
 JSON_DOCUMENTS = st.recursive(
@@ -32,19 +32,15 @@ def load_flight_dump(path):
 
 class TestRing:
     def test_bounded_capacity_drops_oldest(self):
-        log = EventLog(capacity=3)
-        for i in range(5):
-            log.emit("tick", "info", i=i)
-        assert len(log.since(0)) == 3
-        assert [e["i"] for e in log.since(0)] == [2, 3, 4]
-        assert log.next_seq == 5
-
-    def test_capacity_must_be_positive(self):
-        with pytest.raises(ValueError, match="capacity"):
-            EventLog(capacity=0)
+        log = EventLog()
+        for i in range(EVENT_CAPACITY + 2):
+            log.emit(f"tick-{i}", "info", i=i)
+        assert len(log.since(0)) == EVENT_CAPACITY
+        assert [e["i"] for e in log.since(0)][:2] == [2, 3]
+        assert log.next_seq == EVENT_CAPACITY + 2
 
     def test_default_capacity(self):
-        assert EventLog().capacity == DEFAULT_EVENT_CAPACITY
+        assert EventLog()._ring.maxlen == EVENT_CAPACITY
 
     def test_truthy_even_when_empty(self):
         assert EventLog()
@@ -53,7 +49,7 @@ class TestRing:
         """Regression: fault payloads carry a ``kind``-like attribute;
         passing it through **fields must never crash the very code path
         that exists to record crashes, and the envelope wins."""
-        log = EventLog(capacity=4)
+        log = EventLog()
         log.emit("span-event", "info", kind="link_flap", target="r1")
         event = log.since(0)[0]
         assert event["kind"] == "span-event"
@@ -68,7 +64,7 @@ class TestRing:
 
 class TestDump:
     def test_dump_and_load_round_trip(self, tmp_path):
-        log = EventLog(capacity=8)
+        log = EventLog()
         log.emit("shard-start", "debug", shard=3)
         log.emit("shard-crash", "alert", shard=3, error="boom")
         path = log.dump(tmp_path, reason="test crash", label="shard-3", attempt=1)
@@ -85,9 +81,9 @@ class TestDump:
         ]
 
     def test_dump_writes_the_documented_keys(self, tmp_path):
-        log = EventLog(kind_limit=1)
-        log.emit("chatty")
-        log.emit("chatty")  # rate-limited: reported under "dropped"
+        log = EventLog()
+        for _ in range(KIND_LIMIT + 1):
+            log.emit("chatty")  # the last one is rate-limited: "dropped"
         with log.span("trace", "t"):
             pass
         document = load_flight_dump(log.dump(tmp_path, "r"))
@@ -99,14 +95,14 @@ class TestDump:
         assert document["capacity"] == FLIGHT_TAIL
         assert document["dropped"] == {"chatty": 1}
         # Span records ride in the same tail.
-        assert [e["kind"] for e in document["events"]] == [
+        assert [e["kind"] for e in document["events"]][-3:] == [
             "chatty", "span-open", "span-close",
         ]
 
     def test_dump_carries_only_the_tail(self, tmp_path):
-        log = EventLog(capacity=FLIGHT_TAIL * 2, kind_limit=FLIGHT_TAIL * 2)
+        log = EventLog()
         for i in range(FLIGHT_TAIL + 5):
-            log.emit("tick", "info", i=i)
+            log.emit(f"tick-{i}", "info", i=i)
         document = load_flight_dump(log.dump(tmp_path, "r"))
         assert len(document["events"]) == FLIGHT_TAIL
         assert document["events"][-1]["i"] == FLIGHT_TAIL + 4

@@ -30,7 +30,7 @@ class TestRunTelemetry:
         telemetry = RunTelemetry()
         for shard_id, elapsed in ((2, 1.0), (0, 1.0), (1, 5.0)):
             telemetry.record_shard(record(shard_id, elapsed=elapsed))
-        slowest = telemetry.slowest_shards(count=3)
+        slowest = telemetry.slowest_shards()
         assert [r.shard_id for r in slowest] == [1, 0, 2]
 
     def test_to_dict_orders_shards_by_id(self):
@@ -61,7 +61,7 @@ class TestRunTelemetry:
         telemetry = RunTelemetry()
         for shard_id in (7, 3, 5, 1):
             telemetry.record_shard(record(shard_id, elapsed=2.0))
-        assert [r.shard_id for r in telemetry.slowest_shards(count=4)] == [1, 3, 5, 7]
+        assert [r.shard_id for r in telemetry.slowest_shards()] == [1, 3, 5, 7]
 
     def test_export_rounds_wall_clock_to_milliseconds(self):
         """Sub-ms timer noise must not churn exported documents."""

@@ -11,6 +11,7 @@ from repro.netsim.network import FAST, EVENT, Network
 from repro.netsim.router import Router
 from repro.netsim.topology import Topology
 from repro.obs import FilterError, PathTracer, parse_filter
+from repro.obs.tracing import EVENT_LIMIT
 
 
 def packet(src="10.0.0.1", dst="10.0.0.2", protocol=PROTO_UDP, ecn=ECN.NOT_ECT, ident=7):
@@ -63,10 +64,10 @@ class TestParseFilter:
 
 class TestRecording:
     def test_limit_counts_dropped(self):
-        tracer = PathTracer(limit=2)
-        for _ in range(5):
+        tracer = PathTracer()
+        for _ in range(EVENT_LIMIT + 3):
             tracer.record(packet(), "r0", "forward", ECN.NOT_ECT, ECN.NOT_ECT)
-        assert len(tracer) == 2
+        assert len(tracer) == EVENT_LIMIT
         assert tracer.dropped == 3
         assert "3 more events" in tracer.dump()
 

@@ -54,7 +54,6 @@ class TestResponse:
         response = HTTPResponse(headers={"Content-Type": "text/html"})
         assert response.header("content-type") == "text/html"
         assert response.header("missing") is None
-        assert response.header("missing", "dflt") == "dflt"
 
     def test_connection_close_added(self):
         assert b"Connection: close" in HTTPResponse().encode()

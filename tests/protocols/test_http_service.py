@@ -24,14 +24,6 @@ class TestFetchPlain:
         assert result.response.header("Location") == REDIRECT_TARGET
         assert web.requests_served == 1
 
-    def test_status_200_variant(self, two_host_net):
-        net, client, server = two_host_net
-        PoolWebServer(server, status=200)
-        results = []
-        fetch(client, server.addr, use_ecn=False, callback=results.append)
-        net.scheduler.run()
-        assert results[0].response.status == 200
-
     def test_no_web_server_with_stack_refused(self, two_host_net):
         net, client, server = two_host_net
         TCPStack(server)  # stack but no listener -> RST
@@ -128,9 +120,10 @@ class TestFetchOverLoss:
         forward.loss = BernoulliLoss(0.15)
         PoolWebServer(server)
         results = []
-        HTTPFetch(
+        fetch = HTTPFetch(
             client, server.addr, use_ecn=False, callback=results.append,
-            deadline=30.0, syn_retries=6,
+            deadline=30.0,
         )
+        fetch.conn.syn_retries = 6
         net.scheduler.run()
         assert results[0].ok

@@ -7,11 +7,13 @@ from repro.netsim.queues import BernoulliLoss
 from repro.protocols.ntp.client import query_server
 from repro.protocols.ntp.server import NTPServer
 
+from wiretap import tap
+
 
 class TestServer:
     def test_responds_to_client_request(self, two_host_net):
         net, client, server = two_host_net
-        ntp = NTPServer(server, stratum=2)
+        ntp = NTPServer(server)
         results = []
         query_server(client, server.addr, ECN.NOT_ECT, results.append)
         net.scheduler.run()
@@ -59,7 +61,7 @@ class TestServer:
         net, client, server = two_host_net
         NTPServer(server)
         marks = []
-        client.add_tap(lambda d, p, t: marks.append(p.ecn) if d == "in" else None)
+        tap(client, lambda d, p, t: marks.append(p.ecn) if d == "in" else None)
         query_server(client, server.addr, ECN.ECT_0, lambda r: None)
         net.scheduler.run()
         assert marks == [ECN.NOT_ECT]
@@ -96,7 +98,7 @@ class TestClientRetries:
         net, client, server = two_host_net
         NTPServer(server)
         marks = []
-        server.add_tap(lambda d, p, t: marks.append(p.ecn) if d == "in" else None)
+        tap(server, lambda d, p, t: marks.append(p.ecn) if d == "in" else None)
         query_server(client, server.addr, ECN.ECT_0, lambda r: None)
         net.scheduler.run()
         assert marks == [ECN.ECT_0]

@@ -57,9 +57,3 @@ class TestZones:
         addrs = [m.addr for m in pool.zone_members("uk.pool.ntp.org")]
         assert addrs == sorted(addrs)
 
-    def test_departed_members_leave_zones(self):
-        pool = NTPPool()
-        m = pool.add(member(1))
-        m.in_pool = False
-        assert pool.zone_members(POOL_DOMAIN) == []
-        assert pool.members(include_departed=True) == [m]

@@ -12,6 +12,8 @@ from repro.protocols.quic.validation import (
     ecn_usable,
 )
 
+from wiretap import tap
+
 
 def probe(client, server_addr, **kwargs):
     results = []
@@ -42,7 +44,7 @@ class TestHandshakeAndCounts:
         net, client, server = two_host_net
         QUICServer(server)
         marks = []
-        client.add_tap(lambda d, p, t: marks.append(p.ecn) if d == "in" else None)
+        tap(client, lambda d, p, t: marks.append(p.ecn) if d == "in" else None)
         probe(client, server.addr, packets=2)
         net.scheduler.run()
         assert marks and all(ecn is ECN.NOT_ECT for ecn in marks)

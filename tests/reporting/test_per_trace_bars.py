@@ -14,13 +14,13 @@ class TestPerTraceBars:
         assert len(inner) == 3 + 1 + 2
 
     def test_height_tracks_value(self):
-        text = per_trace_bars([("v", [90.0, 100.0])], floor=90.0, ceiling=100.0)
+        text = per_trace_bars([("v", [90.0, 100.0])])
         inner = text.splitlines()[0].split("|")[1]
         assert inner[0] == " "  # at the floor
         assert inner[1] == "█"  # at the ceiling
 
     def test_values_clamped(self):
-        text = per_trace_bars([("v", [50.0, 150.0])], floor=90.0, ceiling=100.0)
+        text = per_trace_bars([("v", [50.0, 150.0])])
         inner = text.splitlines()[0].split("|")[1]
         assert inner == " █"
 

@@ -38,7 +38,7 @@ class TestTable:
 
 class TestBarChart:
     def test_basic_rendering(self):
-        text = bar_chart(["one", "two"], [50.0, 100.0], width=10, floor=0, ceiling=100)
+        text = bar_chart(["one", "two"], [50.0, 100.0], floor=0, ceiling=100)
         lines = text.splitlines()
         assert "#####....." in lines[0]
         assert "##########" in lines[1]
@@ -46,11 +46,11 @@ class TestBarChart:
 
     def test_floor_zoom(self):
         """The Figure 2 y-axis starts at 90%."""
-        text = bar_chart(["v"], [95.0], width=10, floor=90, ceiling=100)
+        text = bar_chart(["v"], [95.0], floor=90, ceiling=100)
         assert "#####....." in text
 
     def test_values_clamped(self):
-        text = bar_chart(["v"], [150.0], width=10, floor=0, ceiling=100)
+        text = bar_chart(["v"], [150.0], floor=0, ceiling=100)
         assert "##########" in text
 
     def test_parallel_validation(self):
@@ -67,11 +67,11 @@ class TestSpikePlot:
         of zeros must stay visible (max-pooling, not averaging)."""
         values = [0.0] * 1000
         values[500] = 1.0
-        text = spike_plot(values, width=50)
+        text = spike_plot(values)
         assert "█" in text
 
     def test_zero_everywhere(self):
-        text = spike_plot([0.0] * 100, width=20)
+        text = spike_plot([0.0] * 100)
         assert "█" not in text
 
     def test_height_label(self):
@@ -88,7 +88,7 @@ class TestTimeSeries:
         assert "2000" in text and "2015" in text
 
     def test_y_axis_labels(self):
-        text = time_series([(2000, 0.0, "x")], height=5)
+        text = time_series([(2000, 0.0, "x")])
         assert "100%" in text and "0%" in text
 
     def test_empty(self):
@@ -99,12 +99,12 @@ class TestWorldMap:
     def test_density_shading(self):
         europe = [(50.0, 10.0)] * 50
         lonely = [(-30.0, -60.0)]
-        text = world_map(europe + lonely, width=40, height=12)
+        text = world_map(europe + lonely)
         assert "@" in text or "#" in text  # dense cluster
         assert "." in text  # lonely point
 
     def test_out_of_range_points_ignored(self):
-        text = world_map([(999.0, 999.0)], width=10, height=5)
+        text = world_map([(999.0, 999.0)])
         assert set(text) <= {" ", "\n"}
 
     def test_empty(self):
@@ -119,5 +119,5 @@ class TestTracerouteTree:
 
     def test_truncation_notice(self):
         paths = [[(1, True)]] * 30
-        text = traceroute_tree(paths, max_paths=5)
-        assert "25 more paths" in text
+        text = traceroute_tree(paths)
+        assert "6 more paths" in text

@@ -10,9 +10,7 @@ from repro.runner import (
     MergeError,
     WIRE_FORMAT,
     decode_path,
-    decode_trace,
     encode_path,
-    encode_trace,
     merge_campaign,
     merge_traces,
     plan_shards,
@@ -116,7 +114,7 @@ def _sample_path(vantage_key: str = "ugla-wired") -> PathTrace:
 class TestCodec:
     def test_trace_roundtrip(self):
         trace = _sample_trace()
-        decoded = decode_trace(encode_trace(trace))
+        decoded = Trace.from_dict(trace.to_dict())
         assert decoded == trace
 
     def test_path_roundtrip_keeps_optional_hop_fields(self):
@@ -134,7 +132,7 @@ class TestCodec:
 class TestMerge:
     def _result(self, traces=(), paths=None, fmt=WIRE_FORMAT):
         result = {"format": fmt, "shard_id": 0, "kind": KIND_TRACES}
-        result["traces"] = [encode_trace(t) for t in traces]
+        result["traces"] = [t.to_dict() for t in traces]
         if paths is not None:
             result["kind"] = KIND_TRACEROUTES
             del result["traces"]

@@ -150,7 +150,8 @@ class TestECNCongestionResponse:
         net, client, server, bottleneck = self._red_bottleneck()
         stack_s, accepted = sink_server(server)
         stack = TCPStack(client)
-        conn = stack.connect(server.addr, 80, use_ecn=True, syn_retries=4)
+        conn = stack.connect(server.addr, 80, use_ecn=True)
+        conn.syn_retries = 4
         conn.data_retries = 8
         payload = bytes(200_000)
         conn.on_established = lambda c: (c.send(payload), c.close())

@@ -7,6 +7,8 @@ from repro.netsim.queues import BernoulliLoss
 from repro.tcp.connection import ConnState, ECNServerPolicy, TCPStack
 from repro.tcp.segment import Flags
 
+from wiretap import tap
+
 
 def wire_server(server, ecn_policy=ECNServerPolicy.IGNORE, echo=True):
     """A trivial echo/sink application on port 80."""
@@ -50,7 +52,7 @@ class TestHandshake:
         # No TCP stack on the server at all: SYNs vanish.
         stack = TCPStack(client)
         failures = []
-        conn = stack.connect(server.addr, 80, syn_retries=2)
+        conn = stack.connect(server.addr, 80)
         conn.on_failure = lambda c, reason: failures.append(reason)
         net.scheduler.run()
         assert failures == ["syn-timeout"]
@@ -117,7 +119,8 @@ class TestECNNegotiation:
         wire_server(server, ecn_policy=ECNServerPolicy.DROP_ECN_SYN)
         stack = TCPStack(client)
         failures = []
-        ecn_conn = stack.connect(server.addr, 80, use_ecn=True, syn_retries=1)
+        ecn_conn = stack.connect(server.addr, 80, use_ecn=True)
+        ecn_conn.syn_retries = 1
         ecn_conn.on_failure = lambda c, reason: failures.append(reason)
         net.scheduler.run()
         assert failures == ["syn-timeout"]
@@ -140,7 +143,7 @@ class TestECNNegotiation:
         net, client, server = two_host_net
         wire_server(server, ecn_policy=ECNServerPolicy.NEGOTIATE)
         marks = []
-        client.add_tap(lambda d, p, t: marks.append((d, p.ecn)) if d == "out" else None)
+        tap(client, lambda d, p, t: marks.append((d, p.ecn)) if d == "out" else None)
         stack = TCPStack(client)
         stack.connect(server.addr, 80, use_ecn=True)
         net.scheduler.run()
@@ -206,7 +209,8 @@ class TestRetransmission:
         wire_server(server)
         received = []
         stack = TCPStack(client)
-        conn = stack.connect(server.addr, 80, syn_retries=8)
+        conn = stack.connect(server.addr, 80)
+        conn.syn_retries = 8
         conn.data_retries = 8
         conn.on_established = lambda c: c.send(b"important")
         conn.on_data = lambda c, data: received.append(data)
@@ -218,7 +222,7 @@ class TestRetransmission:
         wire_server(server)
         failures = []
         stack = TCPStack(client)
-        conn = stack.connect(server.addr, 80, syn_retries=2)
+        conn = stack.connect(server.addr, 80)
         conn.on_failure = lambda c, reason: failures.append(reason)
         net.scheduler.run()
         assert failures == ["syn-timeout"]
@@ -226,9 +230,9 @@ class TestRetransmission:
     def test_rto_backs_off_exponentially(self, net_factory):
         net, client, server = self._lossy_net(net_factory, 1.0)
         sent_times = []
-        client.add_tap(lambda d, p, t: sent_times.append(t) if d == "out" else None)
+        tap(client, lambda d, p, t: sent_times.append(t) if d == "out" else None)
         stack = TCPStack(client)
-        stack.connect(server.addr, 80, syn_retries=3, rto_initial=1.0)
+        stack.connect(server.addr, 80).syn_retries = 3
         net.scheduler.run()
         gaps = [b - a for a, b in zip(sent_times, sent_times[1:])]
         assert gaps == pytest.approx([1.0, 2.0, 4.0])

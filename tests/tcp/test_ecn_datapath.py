@@ -7,6 +7,8 @@ from repro.netsim.ipv4 import PROTO_TCP
 from repro.netsim.queues import AQMDecision, AQMModel, StaticCongestion
 from repro.tcp.connection import ECNServerPolicy, TCPStack
 
+from wiretap import tap
+
 
 @dataclass
 class MarkAllECT(AQMModel):
@@ -34,7 +36,7 @@ class TestECTMarking:
         net, client, server = two_host_net
         wire_sink(server)
         marks = []
-        client.add_tap(
+        tap(client, 
             lambda d, p, t: marks.append(p.ecn)
             if d == "out" and p.protocol == PROTO_TCP and len(p.payload) > 20
             else None
@@ -50,7 +52,7 @@ class TestECTMarking:
         net, client, server = two_host_net
         wire_sink(server, policy=ECNServerPolicy.IGNORE)
         marks = set()
-        client.add_tap(lambda d, p, t: marks.add(p.ecn) if d == "out" else None)
+        tap(client, lambda d, p, t: marks.add(p.ecn) if d == "out" else None)
         stack = TCPStack(client)
         conn = stack.connect(server.addr, 80, use_ecn=True)
         conn.on_established = lambda c: c.send(b"data!")
@@ -61,7 +63,7 @@ class TestECTMarking:
         net, client, server = two_host_net
         wire_sink(server)
         ack_marks = []
-        client.add_tap(
+        tap(client, 
             lambda d, p, t: ack_marks.append(p.ecn)
             if d == "out" and p.protocol == PROTO_TCP and len(p.payload) == 20
             else None

@@ -27,8 +27,8 @@ def build_net(seed: int, loss_rate: float):
         "r1",
         delay=0.005,
         loss=BernoulliLoss(loss_rate),
-        reverse_loss=BernoulliLoss(loss_rate / 2),
     )
+    backward.loss = BernoulliLoss(loss_rate / 2)
     topo.add_link_pair(forward, backward)
     client = topo.add_host(Host("c", parse_addr("192.0.2.1"), "r0"))
     server = topo.add_host(Host("s", parse_addr("198.51.100.1"), "r1"))
@@ -55,7 +55,8 @@ def test_payload_delivered_intact_or_explicit_failure(seed, size, loss_rate):
 
     failures = []
     stack_c = TCPStack(client)
-    conn = stack_c.connect(server.addr, 80, syn_retries=8)
+    conn = stack_c.connect(server.addr, 80)
+    conn.syn_retries = 8
     conn.data_retries = 12
     conn.on_established = lambda c: c.send(payload)
     conn.on_failure = lambda c, reason: failures.append(reason)
