@@ -29,12 +29,7 @@ from ..netsim.ecn import ECN
 from ..netsim.engine import Event
 from ..netsim.errors import CodecError
 from ..netsim.host import Host
-from ..netsim.icmp import (
-    CODE_PORT_UNREACHABLE,
-    ICMPMessage,
-    TYPE_DEST_UNREACHABLE,
-    TYPE_TIME_EXCEEDED,
-)
+from ..netsim.icmp import ICMPMessage, TYPE_TIME_EXCEEDED
 from ..netsim.ipv4 import IPv4Packet
 from ..netsim.udp import UDPDatagram
 from ..protocols.http.client import FetchResult, HTTPFetch
@@ -269,23 +264,6 @@ class Traceroute:
                 )
             )
             self._advance(next_ttl=pending.ttl + 1)
-        elif (
-            message.icmp_type == TYPE_DEST_UNREACHABLE
-            and message.code == CODE_PORT_UNREACHABLE
-        ):
-            self._record_hop(
-                HopObservation(
-                    ttl=pending.ttl,
-                    responder=packet.src,
-                    sent_ecn=int(self.ecn),
-                    quoted_ecn=int(quoted.ecn),
-                    rtt=now - pending.sent_at,
-                    quoted_tos=quoted.tos,
-                    quoted_ident=quoted.ident,
-                )
-            )
-            self.path.reached_destination = True
-            self._finish()
 
     def _on_timeout(self) -> None:
         self._timer = None

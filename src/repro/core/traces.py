@@ -366,6 +366,8 @@ class PathTrace:
     dst_addr: int
     sent_ecn: int
     hops: list[HopObservation] = field(default_factory=list)
+    #: Always ``False`` here: simulated servers never answer a
+    #: traceroute probe.  Kept because ``traceroutes.json`` carries it.
     reached_destination: bool = False
 
     def responding_hops(self) -> list[HopObservation]:

@@ -69,6 +69,9 @@ class EventScheduler:
         self._heap: list[tuple[float, int, Event]] = []
         self._seq = 0
         self._dispatched = 0
+        #: Not-yet-cancelled events still queued, kept as a live counter
+        #: (cancelled timers stay in the heap lazily): compaction and
+        #: :meth:`reset_time` read it.
         self._pending = 0
         #: Observability registry (``repro.obs``); falsey when disabled,
         #: so dispatch/schedule pay one predicate per event when off.
@@ -78,17 +81,6 @@ class EventScheduler:
     def now(self) -> float:
         """Current simulation time (delegates to the clock)."""
         return self.clock.now
-
-    @property
-    def pending(self) -> int:
-        """Number of not-yet-cancelled events still queued.
-
-        Maintained as a live counter (updated on schedule, cancel and
-        dispatch) rather than recounted by scanning the heap: probe
-        code reads this on hot paths, and cancelled retransmission
-        timers stay in the heap lazily.
-        """
-        return self._pending
 
     #: Compaction floor: below this heap size, lazily-cancelled entries
     #: are too cheap to be worth a rebuild.

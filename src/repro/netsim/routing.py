@@ -93,11 +93,6 @@ class RoutingTable:
         self._path_cache: dict[tuple[Hashable, Hashable], tuple[Hashable, ...]] = {}
         self._excluded: frozenset[Hashable] = frozenset()
 
-    @property
-    def excluded(self) -> frozenset[Hashable]:
-        """Routers currently withdrawn from path computation."""
-        return self._excluded
-
     def set_excluded(self, excluded: frozenset[Hashable]) -> None:
         """Withdraw a set of routers (blackholes) and recompute lazily.
 

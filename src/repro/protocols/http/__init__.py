@@ -1,6 +1,6 @@
 """HTTP: message framing, pool web server, probe client."""
 
-from .client import DEFAULT_DEADLINE, FetchResult, HTTPFetch, fetch
+from .client import DEFAULT_DEADLINE, FetchResult, HTTPFetch
 from .messages import (
     HTTPRequest,
     HTTPResponse,
@@ -18,6 +18,5 @@ __all__ = [
     "HTTP_PORT",
     "PoolWebServer",
     "REDIRECT_TARGET",
-    "fetch",
     "response_complete",
 ]

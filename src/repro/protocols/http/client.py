@@ -159,14 +159,3 @@ class HTTPFetch:
                 rtt=(scheduler.now - self._started_at) if response is not None else None,
             )
         )
-
-
-def fetch(
-    host: Host,
-    server_addr: int,
-    use_ecn: bool,
-    callback: FetchCallback,
-    deadline: float = DEFAULT_DEADLINE,
-) -> HTTPFetch:
-    """Start a GET probe against ``server_addr``; callback always fires."""
-    return HTTPFetch(host, server_addr, use_ecn, callback, deadline=deadline)

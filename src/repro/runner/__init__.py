@@ -104,9 +104,10 @@ def run_study_parallel(
 
     The parent builds (or receives) the world and the probe-target
     list — discovery runs exactly once, in the parent — then ships
-    only ``(spec, targets, shard)`` to each worker.  ``workers=0``
-    runs the same jobs in this process on ``world`` itself, with the
-    spec's fault plan installed for the run and removed afterwards.
+    only ``(spec, targets, shard)`` to each worker.  ``workers=0`` with
+    no ``pool`` runs the same jobs in this process on ``world`` itself,
+    with the spec's fault plan installed for the run and removed
+    afterwards.
     Returns ``(TraceSet, TracerouteCampaign)``, bit-identical for any
     ``workers`` value.
 
@@ -131,12 +132,14 @@ def run_study_parallel(
     ``faults`` maps shard ids to :class:`FaultSpec` and exists for the
     fault-tolerance tests; production callers never pass it.
 
-    ``pool`` executes the shards on a shared
-    :class:`~repro.runner.pool.SharedWorkerPool` instead of an owned
-    per-campaign executor — the study server's path, where many
+    ``workers=N`` runs the shards on a
+    :class:`~repro.runner.pool.SharedWorkerPool` of
+    ``min(N, shards)`` processes built for this study alone and shut
+    down before it returns or raises.  ``pool`` runs them on a pool
+    the caller owns instead — the study server's path, where many
     concurrent studies multiplex one pool and reuse each worker's
-    per-process world cache across studies with the same world key.
-    ``workers`` is then informational only.
+    per-process world cache across studies with the same world key;
+    ``workers`` then only fills :attr:`~repro.obs.RunTelemetry.workers`.
 
     ``event_log`` is the parent's :class:`~repro.obs.EventLog`: the
     scheduler narrates shard lifecycle into it — dispatch, completions,
@@ -213,8 +216,10 @@ def run_study_parallel(
             )
 
     runner_metrics = MetricsRegistry() if telemetry is not None else None
+    owned = None
+    if pool is None and workers > 0:
+        pool = owned = SharedWorkerPool(min(workers, len(jobs)))
     scheduler = ShardScheduler(
-        workers,
         retry=retry,
         shard_timeout=shard_timeout,
         metrics=runner_metrics,
@@ -223,7 +228,11 @@ def run_study_parallel(
         pool=pool,
     )
     started = time.perf_counter()
-    results = scheduler.run(jobs, on_complete=on_complete, world=world)
+    try:
+        results = scheduler.run(jobs, on_complete=on_complete, world=world)
+    finally:
+        if owned is not None:
+            owned.shutdown()
     if telemetry is not None:
         # Inline execution is one process.
         telemetry.workers = max(workers, 1)

@@ -1,15 +1,14 @@
-"""A process pool shared by many concurrently running studies.
+"""The worker pool every sharded study runs on.
 
-The :class:`~repro.runner.scheduler.ShardScheduler` normally owns its
-executor outright: one study, one pool, torn down when the campaign
-ends.  A long-lived study server inverts that — many studies in flight
-at once, all multiplexed over **one** pool of worker processes so the
-per-process world cache (:mod:`repro.runner.worker`) keeps paying off
-across studies that share a world key
-(:meth:`~repro.spec.StudySpec.world_key`).
-
-:class:`SharedWorkerPool` provides that shared executor with the same
-degradation and recovery semantics the owned path has:
+:class:`SharedWorkerPool` is the one executor lifecycle of
+:mod:`repro.runner`.  :func:`~repro.runner.run_study_parallel` builds
+one for a single study when it is asked for ``workers=N`` and shuts it
+down when the study ends; a long-lived study server builds one at
+start-up and multiplexes **every** study over it, so the per-process
+world cache (:mod:`repro.runner.worker`) keeps paying off across
+studies that share a world key (:meth:`~repro.spec.StudySpec.world_key`).
+Either way the :class:`~repro.runner.scheduler.ShardScheduler` only
+acquires and invalidates; the pool's owner shuts it down.
 
 * creation is lazy and capability-probed — on platforms where worker
   processes cannot start the pool acquires to ``None`` and every
@@ -38,11 +37,9 @@ def _probe_worker() -> bool:
 
 
 class SharedWorkerPool:
-    """One ``ProcessPoolExecutor`` multiplexed across studies.
+    """One ``ProcessPoolExecutor``, shared by every study run on it.
 
-    ``workers`` fixes the pool width for the pool's whole life; unlike
-    the owned path the width is *not* clamped per campaign, because the
-    pool serves many campaigns at once.
+    ``workers`` fixes the pool width for the pool's whole life.
     """
 
     def __init__(self, workers: int) -> None:
@@ -66,7 +63,7 @@ class SharedWorkerPool:
     def acquire(self):
         """Return the live shared executor, or ``None`` when worker
         processes are unavailable on this platform (callers then run
-        inline, exactly as the owned scheduler path degrades)."""
+        inline)."""
         with self._lock:
             if self._closed:
                 raise RuntimeError("shared worker pool is shut down")
@@ -132,7 +129,7 @@ class SharedWorkerPool:
         return document
 
     def shutdown(self) -> None:
-        """Tear the pool down for good (server shutdown path)."""
+        """Tear the pool down for good; the owner calls it once."""
         with self._lock:
             executor, self._executor = self._executor, None
             self._closed = True
@@ -142,18 +139,22 @@ class SharedWorkerPool:
     # ------------------------------------------------------------------
     @staticmethod
     def _context():
-        """A start method whose workers do not inherit the parent's
-        descriptors.
+        """The start method for the calling process.
 
-        The shared pool lives inside a serving process: plain ``fork``
-        would copy every accepted client socket into the workers, which
-        then hold those connections open long after the handler closes
-        them (clients never see EOF), and forking a threaded asyncio
-        process is unsafe anyway.  ``forkserver`` (and ``spawn``) start
-        workers from a freshly exec'd process instead.
+        ``fork`` starts a pool in milliseconds, but it copies only the
+        calling thread and every open descriptor.  A process running one
+        thread (the CLI, library callers, campaigns) has nothing to
+        lose, so it gets the platform default.  A threaded process — the
+        study server, whose studies acquire from ``asyncio.to_thread``
+        threads — would hand its workers half-copied locks and every
+        accepted client socket (peers never see EOF after the handler
+        closes them), so its workers start from a freshly exec'd
+        ``forkserver`` (or ``spawn``) process instead.
         """
         import multiprocessing
 
+        if threading.active_count() == 1:
+            return multiprocessing.get_context()
         try:
             context = multiprocessing.get_context("forkserver")
             # Preload the shard worker so forks start hot.  (As with any
@@ -175,9 +176,9 @@ class SharedWorkerPool:
             executor = ProcessPoolExecutor(
                 max_workers=self.workers, mp_context=self._context()
             )
-            # Same fail-fast capability probe as the owned path: surface
-            # sandboxes without multiprocessing semaphores here, not in
-            # the middle of somebody's campaign.
+            # Fail fast on platforms where pool *creation* succeeds but
+            # workers cannot start (missing semaphores, locked-down
+            # sandboxes): surface it here, not mid-campaign.
             executor.submit(_probe_worker).result(timeout=60)
             return executor
         except Exception as exc:  # noqa: BLE001 - capability probe

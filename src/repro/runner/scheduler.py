@@ -1,18 +1,21 @@
-"""Fault-tolerant shard scheduling over a process pool.
+"""Fault-tolerant shard scheduling over a shared worker pool.
 
-The scheduler owns the lifecycle of a campaign's shards: dispatch to a
-``ProcessPoolExecutor``, collection in completion order, and recovery
-when a shard fails or its worker dies outright.  Failures are retried
-with capped exponential backoff up to a per-shard attempt budget; a
-broken pool (a worker killed hard enough to take the executor down —
-``BrokenProcessPool``) is rebuilt and the affected shards resubmitted.
-Because every shard is a pure function of ``(params, shard)``, a retry
-cannot produce a different result, so recovery never threatens the
-determinism contract — it only threatens wall-clock time.
+The scheduler owns the lifecycle of a campaign's shards, not of the
+processes that run them: it acquires an executor from a
+:class:`~repro.runner.pool.SharedWorkerPool`, dispatches every shard to
+it, collects results in completion order, and recovers when a shard
+fails or its worker dies outright.  Failures are retried with capped
+exponential backoff up to a per-shard attempt budget; a broken pool (a
+worker killed hard enough to take the executor down —
+``BrokenProcessPool``) or a wedged one is invalidated, a fresh executor
+acquired, and every shard still owed resubmitted.  Because every shard
+is a pure function of ``(params, shard)``, a retry cannot produce a
+different result, so recovery never threatens the determinism
+contract — it only threatens wall-clock time.
 
-When ``workers <= 0`` (a sequential study), or the platform cannot
-provide process pools at all (no ``multiprocessing`` semaphores in a
-sandbox, for instance), the scheduler runs the same jobs in-process
+Without a pool (a sequential study), or when the pool cannot start
+worker processes on this platform (no ``multiprocessing`` semaphores in
+a sandbox, for instance), the scheduler runs the same jobs in-process
 with the same retry policy, on the caller's world when it has one —
 the results are the same, just without the parallelism.
 """
@@ -53,11 +56,10 @@ class RetryPolicy:
 
 
 class ShardScheduler:
-    """Run shard jobs across workers, retrying failures."""
+    """Run shard jobs on a worker pool, retrying failures."""
 
     def __init__(
         self,
-        workers: int,
         retry: RetryPolicy | None = None,
         shard_timeout: float | None = None,
         metrics=None,
@@ -65,13 +67,12 @@ class ShardScheduler:
         flight_dir=None,
         pool=None,
     ) -> None:
-        self.workers = workers
         self.retry = retry if retry is not None else RetryPolicy()
-        #: Shared :class:`~repro.runner.pool.SharedWorkerPool` to
-        #: execute on instead of an owned executor.  The scheduler then
-        #: never tears the executor down itself — a dead/wedged pool is
+        #: :class:`~repro.runner.pool.SharedWorkerPool` to execute on;
+        #: ``None`` runs every shard inline.  The scheduler never tears
+        #: the executor down itself — a dead/wedged one is
         #: *invalidated* (one rebuild even if many concurrent studies
-        #: diagnose it) and the pool outlives this campaign.
+        #: diagnose it) and the pool's owner shuts it down.
         self.pool = pool
         #: Seconds of *global* inactivity (no shard completing) after
         #: which the pool is presumed hung, torn down, and all
@@ -108,16 +109,13 @@ class ShardScheduler:
             return []
         if self.metrics:
             self.metrics.incr("runner.shards_dispatched", len(jobs))
+        executor = self.pool.acquire() if self.pool is not None else None
         if self.log:
-            self.log.emit("dispatch", "info", shards=len(jobs), workers=self.workers)
-        if self.pool is not None:
-            return self._run_pooled(jobs, self.pool.acquire, on_complete, world)
-        if self.workers <= 0:
+            width = self.pool.workers if executor is not None else 0
+            self.log.emit("dispatch", "info", shards=len(jobs), workers=width)
+        if executor is None:
             return self._run_inline(jobs, on_complete, world)
-        executor_factory = self._executor_factory(len(jobs))
-        if executor_factory is None:
-            return self._run_inline(jobs, on_complete, world)
-        return self._run_pooled(jobs, executor_factory, on_complete, world)
+        return self._run_pooled(jobs, executor, on_complete)
 
     # ------------------------------------------------------------------
     # Inline path: same jobs, same retry policy, one process
@@ -153,155 +151,107 @@ class ShardScheduler:
     # ------------------------------------------------------------------
     # Pooled path
     # ------------------------------------------------------------------
-    def _executor_factory(self, job_count: int):
-        """Build a zero-arg executor constructor, or None if the
-        platform cannot run process pools at all."""
-        try:
-            from concurrent.futures import ProcessPoolExecutor
-        except ImportError as exc:  # pragma: no cover - exotic platforms
-            logger.warning("process pools unavailable (%s); running inline", exc)
-            return None
-        max_workers = min(self.workers, job_count)
-
-        def factory():
-            try:
-                executor = ProcessPoolExecutor(max_workers=max_workers)
-                # Fail fast on platforms where pool *creation* succeeds
-                # but workers cannot start (missing semaphores, locked-
-                # down sandboxes): surface it here, not mid-campaign.
-                executor.submit(_probe_worker).result(timeout=60)
-                return executor
-            except Exception as exc:  # noqa: BLE001 - capability probe
-                logger.warning(
-                    "cannot start worker processes (%s); running inline", exc
-                )
-                return None
-
-        return factory
-
     def _run_pooled(
         self,
         jobs: Sequence[ShardJob],
-        executor_factory,
+        executor,
         on_complete: CompletionFn | None,
-        world,
     ) -> list[dict]:
         from concurrent.futures import FIRST_COMPLETED, CancelledError, wait
         from concurrent.futures.process import BrokenProcessPool
 
-        executor = executor_factory()
-        if executor is None:
-            return self._run_inline(jobs, on_complete, world)
         results: list[dict] = []
         pending: dict = {}
-        executor = self._submit_batch(
-            executor, executor_factory, pending, list(jobs)
-        )
-        try:
-            while pending:
-                done, _ = wait(
-                    pending, timeout=self.shard_timeout, return_when=FIRST_COMPLETED
+        executor = self._submit_batch(executor, pending, list(jobs))
+        while pending:
+            done, _ = wait(
+                pending, timeout=self.shard_timeout, return_when=FIRST_COMPLETED
+            )
+            if not done:
+                # Nothing completed within the hang budget: the pool is
+                # wedged.  Abandon it and start over with the shards
+                # still owed.
+                executor = self._recover(
+                    executor, pending, [], TimeoutError("no shard completed in time")
                 )
-                if not done:
-                    # Nothing completed within the hang budget: the
-                    # pool is wedged.  Abandon it and start over with
-                    # the shards still owed.
-                    owed = list(pending.values())
-                    pending.clear()
-                    self._discard_executor(executor)
-                    executor = self._require_executor(executor_factory)
-                    pending = self._gang_retry(
-                        executor, owed, TimeoutError("no shard completed in time")
-                    )
-                    continue
-                completed: list[tuple[ShardJob, dict]] = []
-                failed: list[tuple[ShardJob, Exception]] = []
-                crashed: list[ShardJob] = []
-                pool_error: Exception | None = None
-                for future in done:
-                    job = pending.pop(future)
-                    try:
-                        result = future.result()
-                    except BrokenProcessPool as exc:
-                        crashed.append(job)
-                        pool_error = exc
-                    except CancelledError as exc:
-                        # Only a pool teardown cancels in-flight futures
-                        # (this scheduler never cancels its own): on a
-                        # shared pool a sibling study's recovery tore
-                        # the executor down under us.  Same treatment
-                        # as a broken pool — gang retry on a fresh one.
-                        crashed.append(job)
-                        pool_error = exc
-                    except Exception as exc:  # noqa: BLE001 - retry boundary
-                        failed.append((job, exc))
-                    else:
-                        completed.append((job, result))
-                for job, result in completed:
-                    results.append(result)
-                    if on_complete is not None:
-                        on_complete(job, result)
-                if crashed:
-                    # A worker died hard and took the pool with it.  The
-                    # executor cannot say which job it was running, so
-                    # every uncollected shard is charged one attempt and
-                    # resubmitted on a fresh pool: the guilty shard is
-                    # guaranteed to burn budget, and a fault that keeps
-                    # killing workers exhausts everyone and aborts.
-                    owed = crashed + [job for job, _ in failed]
-                    owed.extend(pending.values())
-                    pending.clear()
-                    self._discard_executor(executor)
-                    executor = self._require_executor(executor_factory)
-                    pending = self._gang_retry(executor, owed, pool_error)
+                continue
+            completed: list[tuple[ShardJob, dict]] = []
+            failed: list[tuple[ShardJob, Exception]] = []
+            crashed: list[ShardJob] = []
+            pool_error: Exception | None = None
+            for future in done:
+                job = pending.pop(future)
+                try:
+                    result = future.result()
+                except BrokenProcessPool as exc:
+                    crashed.append(job)
+                    pool_error = exc
+                except CancelledError as exc:
+                    # Only a pool teardown cancels in-flight futures
+                    # (this scheduler never cancels its own): a sibling
+                    # study's recovery tore the shared executor down
+                    # under us.  Same treatment as a broken pool — gang
+                    # retry on a fresh one.
+                    crashed.append(job)
+                    pool_error = exc
+                except Exception as exc:  # noqa: BLE001 - retry boundary
+                    failed.append((job, exc))
                 else:
-                    retries = [
-                        self._next_attempt(job, exc) for job, exc in failed
-                    ]
-                    executor = self._submit_batch(
-                        executor, executor_factory, pending, retries
-                    )
-        finally:
-            if self.pool is None:
-                executor.shutdown(wait=False, cancel_futures=True)
+                    completed.append((job, result))
+            for job, result in completed:
+                results.append(result)
+                if on_complete is not None:
+                    on_complete(job, result)
+            if crashed:
+                # A worker died hard and took the pool with it.  The
+                # executor cannot say which job it was running, so every
+                # uncollected shard is charged one attempt and
+                # resubmitted on a fresh pool: the guilty shard is
+                # guaranteed to burn budget, and a fault that keeps
+                # killing workers exhausts everyone and aborts.
+                owed = crashed + [job for job, _ in failed]
+                executor = self._recover(executor, pending, owed, pool_error)
+            else:
+                retries = [self._next_attempt(job, exc) for job, exc in failed]
+                executor = self._submit_batch(executor, pending, retries)
         return results
 
-    def _submit_batch(self, executor, executor_factory, pending, batch):
-        """Submit jobs, surviving a shared executor dying mid-submit.
+    def _submit_batch(self, executor, pending, batch):
+        """Submit jobs, surviving the shared executor dying mid-submit.
 
-        On an owned pool ``submit`` cannot fail this way; on a shared
-        pool a sibling study's recovery may shut the executor down
-        between our ``wait`` and this submit, which raises
-        ``RuntimeError``.  The unsubmitted remainder plus everything
-        already in flight is then gang-retried on a fresh executor.
-        Returns the (possibly replaced) executor.
+        A sibling study's recovery may shut the executor down between
+        our ``wait`` and this submit, which raises ``RuntimeError``; the
+        unsubmitted remainder plus everything already in flight is then
+        gang-retried on a fresh executor.  Returns the (possibly
+        replaced) executor.
         """
         for index, job in enumerate(batch):
             try:
                 pending[executor.submit(execute_shard, job)] = job
             except RuntimeError as exc:
-                owed = batch[index:] + list(pending.values())
-                pending.clear()
-                self._discard_executor(executor)
-                executor = self._require_executor(executor_factory)
-                pending.update(self._gang_retry(executor, owed, exc))
-                break
+                return self._recover(executor, pending, batch[index:], exc)
         return executor
 
-    def _discard_executor(self, executor) -> None:
-        """Retire a dead executor: owned pools are shut down, shared
-        pools are invalidated (one rebuild across all users)."""
-        if self.pool is not None:
-            self.pool.invalidate(executor)
-        else:
-            executor.shutdown(wait=False, cancel_futures=True)
-
-    def _gang_retry(self, executor, owed, cause: Exception):
-        """Charge one attempt to every shard still owed and resubmit.
+    def _recover(self, executor, pending: dict, owed: list, cause: Exception):
+        """Retire a dead executor and gang-retry on a fresh one.
 
         Used when failure cannot be attributed to a single shard (dead
-        pool, global hang): one shared backoff, then all back in.
+        pool, global hang): every shard still owed — ``owed`` plus all
+        of ``pending`` — is charged one attempt, and after one shared
+        backoff all are resubmitted.  Refills ``pending`` in place and
+        returns the fresh executor.
         """
+        owed = owed + list(pending.values())
+        pending.clear()
+        self.pool.invalidate(executor)
+        if self.metrics:
+            self.metrics.incr("runner.pool_rebuilds")
+        if self.log:
+            self.log.emit("pool-rebuild", "warning")
+        executor = self.pool.acquire()
+        if executor is None:
+            self._dump_flight("worker pool died and could not be rebuilt")
+            raise ShardExecutionError("worker pool died and could not be rebuilt")
         if self.log:
             self.log.emit(
                 "gang-recovery",
@@ -318,19 +268,9 @@ class ShardScheduler:
         )
         if delay > 0:
             time.sleep(delay)
-        return {executor.submit(execute_shard, retry): retry for retry in retries}
-
-    def _require_executor(self, executor_factory):
-        if self.metrics:
-            self.metrics.incr("runner.pool_rebuilds")
-        if self.log:
-            self.log.emit("pool-rebuild", "warning")
-        executor = executor_factory()
-        if executor is None:
-            self._dump_flight("worker pool died and could not be rebuilt")
-            raise ShardExecutionError(
-                "worker pool died and could not be rebuilt"
-            )
+        pending.update(
+            (executor.submit(execute_shard, retry), retry) for retry in retries
+        )
         return executor
 
     def _dump_flight(self, reason: str) -> None:
@@ -381,8 +321,3 @@ class ShardScheduler:
         if sleep and delay > 0:
             time.sleep(delay)
         return dataclasses.replace(job, attempt=attempt)
-
-
-def _probe_worker() -> bool:
-    """Trivial task proving worker processes actually start."""
-    return True

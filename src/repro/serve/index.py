@@ -168,9 +168,7 @@ def migrate_results_root(root: str | Path) -> tuple[StudyIndex, list[str]]:
             continue
         campaign_path = child / "campaign.json"
         if campaign_path.is_file():
-            added.extend(
-                _migrate_campaign(index, indexed_dirs, child, campaign_path)
-            )
+            added.extend(_migrate_campaign(index, child, campaign_path))
             continue
         manifest_path = child / "manifest.json"
         if not manifest_path.is_file():
@@ -192,17 +190,13 @@ def migrate_results_root(root: str | Path) -> tuple[StudyIndex, list[str]]:
     return index, added
 
 
-def _migrate_campaign(
-    index: StudyIndex,
-    indexed_dirs: set[str],
-    child: Path,
-    campaign_path: Path,
-) -> list[str]:
+def _migrate_campaign(index: StudyIndex, child: Path, campaign_path: Path) -> list[str]:
     """Index one campaign archive directory and its member epochs.
 
-    Re-runs are additive: an already-indexed campaign only gains
-    entries for epochs that appeared since the last migration (a
-    resumed/extended archive), never losing or rewriting existing ones.
+    Re-runs are additive (:func:`register_campaign` with ``adopt``): an
+    already-indexed campaign only gains entries for epochs that appeared
+    since the last migration (a resumed/extended archive), never losing
+    or rewriting existing ones.
     """
     try:
         document = json.loads(campaign_path.read_text())
@@ -215,7 +209,6 @@ def _migrate_campaign(
     spec = document.get("spec", {}) if isinstance(document.get("spec"), dict) else {}
     scale = spec.get("scale", 0.0)
     seed = spec.get("seed", 0)
-    added: list[str] = []
     epochs_root = child / "epochs"
     epoch_names = (
         sorted(
@@ -228,35 +221,45 @@ def _migrate_campaign(
         if epochs_root.is_dir()
         else []
     )
-    epoch_ids = [f"{child.name}/{name}" for name in epoch_names]
-    existing = index.get(child.name)
-    if (
-        existing is None
-        or existing.get("kind") != "campaign"
-        or existing.get("epochs") != epoch_ids
+    return register_campaign(
+        index, child, epoch_names, adopt=True, scale=scale, seed=seed, status=STATUS_COMPLETE
+    )
+
+
+def register_campaign(
+    index: StudyIndex, directory: Path, epoch_names: list[str], *, adopt: bool, **entry
+) -> list[str]:
+    """Index a campaign archive and its member epochs; returns new ids.
+
+    The campaign gets a ``kind: campaign`` entry naming its epochs, and
+    each epoch archive a ``campaign:`` entry, so ``ecnudp studies`` and
+    ``report --run-id`` can address individual epochs.  ``entry`` holds
+    the fields every one of them shares.  A served campaign
+    (``adopt=False``) writes every entry.  Adopting an archive found on
+    disk (``adopt=True``) is additive: an already-indexed epoch keeps
+    its entry, and the campaign's own entry is written only when it is
+    missing or names other epochs, and not at all when its directory is
+    already indexed under another run id.
+    """
+    epoch_ids = [f"{directory.name}/{name}" for name in epoch_names]
+    existing = index.get(directory.name)
+    added: list[str] = []
+    if not adopt or (
+        (
+            existing is None
+            or existing.get("kind") != "campaign"
+            or existing.get("epochs") != epoch_ids
+        )
+        and (existing is not None or directory not in map(index.directory, index.entries()))
     ):
-        if str(child) not in indexed_dirs or existing is not None:
-            index.register(
-                child.name,
-                child,
-                scale=scale,
-                seed=seed,
-                status=STATUS_COMPLETE,
-                kind="campaign",
-                epochs=epoch_ids,
-            )
-            if existing is None:
-                added.append(child.name)
+        index.register(directory.name, directory, **entry, kind="campaign", epochs=epoch_ids)
+        if existing is None:
+            added.append(directory.name)
     for name, epoch_id in zip(epoch_names, epoch_ids):
-        if epoch_id in index:
+        if adopt and epoch_id in index:
             continue
         index.register(
-            epoch_id,
-            epochs_root / name,
-            scale=scale,
-            seed=seed,
-            status=STATUS_COMPLETE,
-            campaign=child.name,
+            epoch_id, directory / "epochs" / name, **entry, campaign=directory.name
         )
         added.append(epoch_id)
     return added

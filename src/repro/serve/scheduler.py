@@ -20,9 +20,9 @@ Two caches make the multi-tenant case cheap:
   (:mod:`repro.runner.worker`), shared across studies because the pool
   itself is shared.
 
-Sequential execution (``study_workers == 0``) takes a per-world lock —
-a world is mutated while a sequential study runs on it, so same-key
-studies serialise; pooled studies only read the parent world and run
+Sequential execution (no pool) takes a per-world lock — a world is
+mutated while a sequential study runs on it, so same-key studies
+serialise; pooled studies only read the parent world and run
 lock-free.
 """
 
@@ -47,6 +47,7 @@ from .index import (
     STATUS_QUEUED,
     STATUS_RUNNING,
     StudyIndex,
+    register_campaign,
 )
 from .queue import StudyQueue, Submission
 
@@ -197,7 +198,6 @@ class StudyScheduler:
         index: StudyIndex,
         studies_dir: str | Path,
         pool=None,
-        study_workers: int = 0,
         max_concurrent: int = 2,
         metrics: MetricsRegistry | None = None,
         events=None,
@@ -210,7 +210,6 @@ class StudyScheduler:
         #: Shared :class:`~repro.runner.SharedWorkerPool`; ``None``
         #: runs every study sequentially in its thread.
         self.pool = pool
-        self.study_workers = study_workers
         self.max_concurrent = max_concurrent
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         #: Server-wide live :class:`~repro.obs.EventLog` (wall-clock
@@ -346,24 +345,10 @@ class StudyScheduler:
                 tenant=submission.tenant,
             )
             if outcome is not None and outcome.get("kind") == "campaign":
-                # A campaign gets two kinds of entries: one for the
-                # campaign itself (naming its member epochs) and one
-                # per epoch archive, so `ecnudp studies` and
-                # `report --run-id` can address individual epochs.
                 campaign_dir = Path(outcome["directory"])
-                epoch_ids = [
-                    f"{campaign_dir.name}/{name}" for name in outcome["epochs"]
-                ]
-                self.index.register(
-                    campaign_dir.name, campaign_dir, **entry, kind="campaign", epochs=epoch_ids
+                register_campaign(
+                    self.index, campaign_dir, outcome["epochs"], adopt=False, **entry
                 )
-                for name, epoch_id in zip(outcome["epochs"], epoch_ids):
-                    self.index.register(
-                        epoch_id,
-                        campaign_dir / "epochs" / name,
-                        **entry,
-                        campaign=campaign_dir.name,
-                    )
                 if campaign_dir.name != submission.run_id:
                     # The submission itself still resolves: point the
                     # minted run id at the campaign archive too.
@@ -417,17 +402,14 @@ class StudyScheduler:
         )
         if self.pool is not None:
             study = Study.run(
-                workers=max(self.study_workers, 1),
-                pool=self.pool,
-                event_log=self._run_events(submission),
-                **common,
+                pool=self.pool, event_log=self._run_events(submission), **common
             )
         else:
             # Sequential runs mutate the world: same-world studies
             # serialise on the world's lock, distinct worlds
             # run concurrently.
             with entry.lock:
-                study = Study.run(workers=0, **common)
+                study = Study.run(**common)
         # _run_one registers the completed archive through the
         # server's index instance (the root's single writer).
         study.save(run_dir)
@@ -453,7 +435,6 @@ class StudyScheduler:
 
         spec = submission.campaign
         directory = self.studies_dir / (submission.campaign_id or submission.run_id)
-        workers = max(self.study_workers, 1) if self.pool is not None else 0
         if (directory / "campaign.json").exists():
             existing = CampaignArchive.load(directory)
             if existing.spec != spec:
@@ -464,7 +445,6 @@ class StudyScheduler:
             driver = CampaignDriver.resume(
                 directory,
                 target_epochs=existing.target_epochs + submission.epochs,
-                workers=workers,
                 pool=self.pool,
                 progress=progress,
                 events=self._run_events(submission),
@@ -474,7 +454,6 @@ class StudyScheduler:
                 directory,
                 spec,
                 target_epochs=submission.epochs,
-                workers=workers,
                 pool=self.pool,
                 progress=progress,
                 events=self._run_events(submission),

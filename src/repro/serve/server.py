@@ -97,7 +97,6 @@ class StudyServer:
             index=self.index,
             studies_dir=self.data_dir,
             pool=self.pool,
-            study_workers=config.workers,
             max_concurrent=config.max_concurrent,
             metrics=self.metrics,
             events=self.events,

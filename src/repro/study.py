@@ -124,8 +124,9 @@ class Study:
         Every study runs as shards through
         :func:`repro.runner.run_study_parallel`: ``workers=0`` (the
         default) runs them one after another in this process, on this
-        study's world; ``workers=N`` spreads them across ``N`` worker
-        processes.  The results are bit-identical — hermetic
+        study's world; ``workers=N`` spreads them across a pool of
+        ``N`` worker processes built for this study and shut down when
+        it ends.  The results are bit-identical — hermetic
         measurement epochs make every trace a pure function of
         ``(params, trace id)``.  Progress is reported per shard.
 
@@ -135,7 +136,8 @@ class Study:
         registry, and :attr:`metrics` is their merge.
         ``trace_filter`` installs a :class:`~repro.obs.PathTracer` for
         matching packets; tracing records per-packet event streams
-        that have no wire encoding, so it requires ``workers=0``.
+        that have no wire encoding, so it requires ``workers=0`` and no
+        ``pool``.
 
         ``faults`` turns on the chaos layer (:mod:`repro.faults`): pass
         a chaos-profile name (``"light"`` / ``"default"`` / ``"heavy"``
@@ -155,9 +157,11 @@ class Study:
         second discovery sees a different rotation).  Callers reusing a
         world must therefore also pass ``targets`` captured from the
         first run's discovery; the study server caches the pair.
-        ``pool`` runs a sharded study's shards on a shared
-        :class:`~repro.runner.SharedWorkerPool` rather than an owned
-        per-study executor (requires ``workers > 0``).
+        ``pool`` runs the shards on a caller-owned
+        :class:`~repro.runner.SharedWorkerPool` (the study server's,
+        shared by every study it runs) instead of one built for this
+        study; a passed pool always means pooled execution, whatever
+        ``workers`` says.
 
         ``record`` turns on the study's :class:`~repro.obs.EventLog`
         at a span detail level — ``"epoch"`` (study, shard, trace and
@@ -204,13 +208,11 @@ class Study:
         )
         if profile and obs_dir is None:
             raise ValueError("profile=True needs obs_dir to write profiles into")
-        if pool is not None and workers <= 0:
-            raise ValueError("pool= requires workers > 0 (sharded execution)")
-        if trace_filter is not None and workers > 0:
+        if trace_filter is not None and (workers > 0 or pool is not None):
             raise ValueError(
                 "packet tracing is sequential-only: trace_filter requires "
-                "workers=0 (per-packet event streams are not shipped back "
-                "from shard workers)"
+                "workers=0 and no pool (per-packet event streams are not "
+                "shipped back from shard workers)"
             )
         if world is None:
             world = spec.build_world()

@@ -11,7 +11,7 @@ from repro.netsim.ipv4 import PROTO_ICMP, PROTO_TCP, PROTO_UDP
 from repro.netsim.udp import UDPDatagram
 from repro.obs import tracing
 from repro.obs.tracing import PathTracer
-from repro.protocols.http.client import fetch
+from repro.protocols.http.client import HTTPFetch
 from repro.protocols.http.server import PoolWebServer
 from repro.protocols.ntp.client import query_server
 from repro.protocols.ntp.server import NTPServer
@@ -52,7 +52,7 @@ class TestCaptureBasics:
         net, client, server = two_host_net
         PoolWebServer(server)
         frames, _ = capture(client)
-        fetch(client, server.addr, use_ecn=True, callback=lambda r: None)
+        HTTPFetch(client, server.addr, use_ecn=True, callback=lambda r: None)
         net.scheduler.run()
         segments = [
             TCPSegment.decode(packet.payload)

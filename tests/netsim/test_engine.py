@@ -79,7 +79,7 @@ class TestCancellation:
         keep = sched.schedule(1.0, lambda: None)
         drop = sched.schedule(2.0, lambda: None)
         drop.cancel()
-        assert sched.pending == 1
+        assert sched._pending == 1
         assert not keep.cancelled
 
 
@@ -181,7 +181,7 @@ class TestHeapCompaction:
             event.cancel()
         # Dead entries outnumber live ones, so the heap compacts down
         # to (roughly) the live population instead of holding all 510.
-        assert sched.pending == 10
+        assert sched._pending == 10
         assert len(sched._heap) < 64
         ran = []
         for event in keep:
@@ -206,4 +206,4 @@ class TestHeapCompaction:
         for _ in range(10_000):
             sched.schedule(1.0, lambda: None).cancel()
         assert len(sched._heap) <= 128
-        assert sched.pending == 0
+        assert sched._pending == 0

@@ -5,7 +5,7 @@ import pytest
 from repro.netsim.ipv4 import PROTO_TCP
 from repro.netsim.middlebox import ECTDropper
 from repro.netsim.queues import BernoulliLoss
-from repro.protocols.http.client import HTTPFetch, fetch
+from repro.protocols.http.client import HTTPFetch
 from repro.protocols.http.server import PoolWebServer, REDIRECT_TARGET
 from repro.tcp.connection import ECNServerPolicy, TCPStack
 from repro.tcp.segment import Flags
@@ -16,7 +16,7 @@ class TestFetchPlain:
         net, client, server = two_host_net
         web = PoolWebServer(server)
         results = []
-        fetch(client, server.addr, use_ecn=False, callback=results.append)
+        HTTPFetch(client, server.addr, use_ecn=False, callback=results.append)
         net.scheduler.run()
         result = results[0]
         assert result.ok
@@ -28,7 +28,7 @@ class TestFetchPlain:
         net, client, server = two_host_net
         TCPStack(server)  # stack but no listener -> RST
         results = []
-        fetch(client, server.addr, use_ecn=False, callback=results.append)
+        HTTPFetch(client, server.addr, use_ecn=False, callback=results.append)
         net.scheduler.run()
         assert not results[0].ok
         assert results[0].failure == "refused"
@@ -36,7 +36,7 @@ class TestFetchPlain:
     def test_no_stack_times_out(self, two_host_net):
         net, client, server = two_host_net
         results = []
-        fetch(client, server.addr, use_ecn=False, callback=results.append, deadline=5.0)
+        HTTPFetch(client, server.addr, use_ecn=False, callback=results.append, deadline=5.0)
         net.scheduler.run()
         assert not results[0].ok
         assert results[0].failure in ("syn-timeout", "deadline")
@@ -44,7 +44,7 @@ class TestFetchPlain:
     def test_deadline_caps_duration(self, two_host_net):
         net, client, server = two_host_net
         results = []
-        fetch(client, server.addr, use_ecn=False, callback=results.append, deadline=3.0)
+        HTTPFetch(client, server.addr, use_ecn=False, callback=results.append, deadline=3.0)
         net.scheduler.run()
         assert net.scheduler.now <= 8.0
 
@@ -62,7 +62,7 @@ class TestFetchECN:
         net, client, server = two_host_net
         PoolWebServer(server, ecn_policy=policy)
         results = []
-        fetch(client, server.addr, use_ecn=True, callback=results.append)
+        HTTPFetch(client, server.addr, use_ecn=True, callback=results.append)
         net.scheduler.run()
         result = results[0]
         assert result.ok  # page fetched regardless of ECN outcome
@@ -72,7 +72,7 @@ class TestFetchECN:
         net, client, server = two_host_net
         PoolWebServer(server, ecn_policy=ECNServerPolicy.NEGOTIATE)
         results = []
-        fetch(client, server.addr, use_ecn=True, callback=results.append)
+        HTTPFetch(client, server.addr, use_ecn=True, callback=results.append)
         net.scheduler.run()
         flags = results[0].synack_flags
         assert flags & Flags.SYN and flags & Flags.ACK and flags & Flags.ECE
@@ -82,7 +82,7 @@ class TestFetchECN:
         net, client, server = two_host_net
         PoolWebServer(server, ecn_policy=ECNServerPolicy.NEGOTIATE)
         results = []
-        fetch(client, server.addr, use_ecn=False, callback=results.append)
+        HTTPFetch(client, server.addr, use_ecn=False, callback=results.append)
         net.scheduler.run()
         assert not results[0].ecn_negotiated
 
@@ -90,9 +90,9 @@ class TestFetchECN:
         net, client, server = two_host_net
         PoolWebServer(server, ecn_policy=ECNServerPolicy.DROP_ECN_SYN)
         plain, with_ecn = [], []
-        fetch(client, server.addr, use_ecn=False, callback=plain.append)
+        HTTPFetch(client, server.addr, use_ecn=False, callback=plain.append)
         net.scheduler.run()
-        fetch(client, server.addr, use_ecn=True, callback=with_ecn.append, deadline=5.0)
+        HTTPFetch(client, server.addr, use_ecn=True, callback=with_ecn.append, deadline=5.0)
         net.scheduler.run()
         assert plain[0].ok
         assert not with_ecn[0].ok
@@ -106,7 +106,7 @@ class TestFetchECN:
         PoolWebServer(server, ecn_policy=ECNServerPolicy.NEGOTIATE)
         server.inbound_filters.append(ECTDropper(protocols=frozenset({PROTO_TCP})))
         results = []
-        fetch(client, server.addr, use_ecn=True, callback=results.append, deadline=6.0)
+        HTTPFetch(client, server.addr, use_ecn=True, callback=results.append, deadline=6.0)
         net.scheduler.run()
         result = results[0]
         assert result.ecn_negotiated  # SYN/SYN-ACK are not-ECT

@@ -1,8 +1,22 @@
-"""Tests for the shared worker pool behind the study server."""
+"""Tests for the worker pool every sharded study runs on."""
+
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
 
 import pytest
 
-from repro.runner import SharedWorkerPool
+from repro.runner import (
+    FAULT_RAISE,
+    FaultSpec,
+    RetryPolicy,
+    ShardExecutionError,
+    SharedWorkerPool,
+    run_study_parallel,
+)
+from repro.spec import StudySpec
 from repro.study import Study
 
 
@@ -27,12 +41,36 @@ class TestPoolLifecycle:
     def test_shutdown_before_build_is_clean(self):
         SharedWorkerPool(2).shutdown()
 
-    def test_context_avoids_fork(self):
-        # Workers must not inherit the serving process's descriptors:
-        # plain fork would keep accepted client sockets open in the
-        # workers (peers never see EOF after close).
-        context = SharedWorkerPool._context()
-        assert context.get_start_method() in ("forkserver", "spawn")
+    def test_single_threaded_process_uses_the_platform_default(self):
+        # The CLI, library callers and campaigns run one thread, so the
+        # pool starts with the platform default (fork where it exists).
+        probe = (
+            "import multiprocessing\n"
+            "from repro.runner import SharedWorkerPool\n"
+            "method = SharedWorkerPool._context().get_start_method()\n"
+            "print(method == multiprocessing.get_start_method())\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        done = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+            check=True, timeout=60,
+        )
+        assert done.stdout.strip() == "True"
+
+    def test_threaded_process_avoids_fork(self):
+        # Workers must not inherit a threaded process's descriptors:
+        # plain fork would keep the server's accepted client sockets
+        # open in the workers (peers never see EOF after close).
+        methods = []
+        thread = threading.Thread(
+            target=lambda: methods.append(
+                SharedWorkerPool._context().get_start_method()
+            )
+        )
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert methods[0] in ("forkserver", "spawn")
 
 
 @pytest.mark.slow
@@ -79,10 +117,29 @@ class TestSharedExecution:
         finally:
             pool.shutdown()
 
-    def test_pool_with_workers_zero_is_rejected(self):
-        pool = SharedWorkerPool(1)
-        try:
-            with pytest.raises(ValueError):
-                Study.run(scale=0.002, seed=3, workers=0, pool=pool)
-        finally:
-            pool.shutdown()
+
+@pytest.mark.slow
+@pytest.mark.chaos
+class TestOneStudyPool:
+    """``run_study_parallel(workers=N)`` shuts the pool it builds down on
+    every exit path: no worker process it started outlives the call.
+    (Children that earlier tests left behind, such as a hung worker
+    still sleeping off its fault, are not this call's.)"""
+
+    SPEC = StudySpec(scale=0.002, seed=3)
+
+    def test_no_worker_outlives_a_completed_study(self):
+        before = set(multiprocessing.active_children())
+        run_study_parallel(self.SPEC, workers=2)
+        assert set(multiprocessing.active_children()) - before == set()
+
+    def test_no_worker_outlives_an_exhausted_retry_budget(self):
+        before = set(multiprocessing.active_children())
+        with pytest.raises(ShardExecutionError, match="failed after 3 attempts"):
+            run_study_parallel(
+                self.SPEC,
+                workers=2,
+                retry=RetryPolicy(max_attempts=3, backoff=0.01, backoff_cap=0.05),
+                faults={0: FaultSpec(kind=FAULT_RAISE, attempts=99)},
+            )
+        assert set(multiprocessing.active_children()) - before == set()

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.netsim.errors import CodecError
-from repro.protocols.http.client import fetch
+from repro.protocols.http.client import HTTPFetch
 from repro.protocols.http.messages import HTTPRequest
 from repro.protocols.http.server import PoolWebServer
 from repro.tcp.connection import ConnState, TCPStack
@@ -86,7 +86,7 @@ class TestHTTPFetchAgainstOfflineWeb:
         target = next(s for s in world.servers if s.web is None)
         host = world.vantage_hosts["ec2-sydney"]
         results = []
-        fetch(host, target.addr, use_ecn=True, callback=results.append, deadline=6.0)
+        HTTPFetch(host, target.addr, use_ecn=True, callback=results.append, deadline=6.0)
         world.network.scheduler.run()
         assert len(results) == 1
         assert not results[0].ok

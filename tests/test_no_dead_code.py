@@ -7,7 +7,9 @@ top-level class, must be referenced somewhere in ``src``,
 count, and neither does an ``__all__`` entry: code that no study,
 server, campaign, benchmark or example runs is dead even while a test
 calls it.  The scan is by name, so any use of a name keeps every
-definition that shares it.
+definition that shares it, except a bare name that an enclosing
+function or comprehension binds as a local: a parameter, loop
+variable or nested def named ``fetch`` is not a use of ``fetch()``.
 
 Every defaulted parameter of those functions and methods must also be
 set by some call in the same trees, or its default is the only value
@@ -84,14 +86,64 @@ def _definitions(path: Path):
                     yield item.name, qualname, item.lineno, item.end_lineno
 
 
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+_COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def _local_names(scope) -> set[str]:
+    """Names a function or comprehension binds in its own scope:
+    parameters, comprehension targets, and every assignment, ``for``,
+    ``with``, ``except`` and nested ``def``/``class`` target in its
+    body, less what it declares ``global`` or ``nonlocal``.  An import
+    binds a local too, but its name is the definition's own, so uses
+    after it still count."""
+    if isinstance(scope, _COMPREHENSIONS):
+        return {
+            node.id
+            for generator in scope.generators
+            for node in ast.walk(generator.target)
+            if isinstance(node, ast.Name)
+        }
+    args = scope.args
+    names = {
+        arg.arg
+        for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg)
+        if arg is not None
+    }
+    declared = set()
+    body = list(scope.body) if isinstance(scope.body, list) else [scope.body]
+    while body:
+        node = body.pop()
+        if isinstance(node, (*_FUNCTIONS[:2], ast.ClassDef)):
+            names.add(node.name)
+            continue
+        if isinstance(node, (ast.Lambda, *_COMPREHENSIONS)):
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            names.add(node.name)
+        elif isinstance(node, (ast.Global, ast.Nonlocal)):
+            declared.update(node.names)
+        body.extend(ast.iter_child_nodes(node))
+    return names - declared
+
+
 def _references(path: Path):
-    """``(name, line)`` of every Name and Attribute."""
-    tree = ast.parse(path.read_text(encoding="utf-8"))
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+    """``(name, line)`` of every Attribute, and of every Name that no
+    enclosing function or comprehension binds as a local."""
+
+    def visit(node, local: frozenset):
+        if isinstance(node, (*_FUNCTIONS, *_COMPREHENSIONS)):
+            local = local | _local_names(node)
+        if isinstance(node, ast.Name) and node.id not in local:
             yield node.id, node.lineno
         elif isinstance(node, ast.Attribute):
             yield node.attr, node.lineno
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, local)
+
+    yield from visit(ast.parse(path.read_text(encoding="utf-8")), frozenset())
 
 
 def _all_definitions() -> dict[str, tuple[Path, str, int, int]]:
