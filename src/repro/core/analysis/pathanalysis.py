@@ -17,8 +17,10 @@ IP→AS mapping exactly as the paper cautions).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Protocol
+from types import SimpleNamespace
+from typing import Protocol, cast
 
 from ...asmap.boundaries import classify_hop
 from ...asmap.mapping import UNKNOWN_ASN
@@ -30,7 +32,7 @@ DOWNSTREAM = "downstream"
 
 
 class ASLookup(Protocol):
-    """Anything that maps an address to an ASN (ASMap, NoisyASMap)."""
+    """Anything that maps an address to one fixed ASN (ASMap, NoisyASMap)."""
 
     def lookup(self, addr: int) -> int:  # pragma: no cover - protocol
         ...
@@ -159,8 +161,11 @@ def analyze_campaign(campaign: TracerouteCampaign, as_map: ASLookup) -> PathAnal
     """Run the §4.2 analysis over a whole traceroute campaign."""
     hops: list[ClassifiedHop] = []
     paths_with_strip = 0
+    # A campaign asks about the same few responders thousands of times;
+    # answers are fixed per address, so one pass looks each up once.
+    cached = cast(ASLookup, SimpleNamespace(lookup=functools.cache(as_map.lookup)))
     for path in campaign:
-        classified = classify_path(path, as_map)
+        classified = classify_path(path, cached)
         hops.extend(classified)
         if any(hop.status == STRIP for hop in classified):
             paths_with_strip += 1

@@ -21,21 +21,8 @@ def internet_checksum(data: bytes) -> int:
     Odd-length input is implicitly zero-padded on the right, per
     RFC 1071.  The returned value is the checksum to *place in the
     header* (i.e. already complemented).
-
-    The one's-complement sum is byte-order independent (RFC 1071 §2):
-    summing native-endian 16-bit words and byte-swapping the folded
-    result equals summing big-endian words directly, so the hot path
-    reads words through a zero-copy ``memoryview`` cast instead of a
-    per-byte Python loop.
     """
-    if len(data) & 1:
-        data = data + b"\x00"
-    total = sum(memoryview(data).cast("H"))
-    while total >> 16:
-        total = (total & 0xFFFF) + (total >> 16)
-    if _LITTLE_ENDIAN:
-        total = ((total & 0xFF) << 8) | (total >> 8)
-    return (~total) & 0xFFFF
+    return ~data_sum16(data) & 0xFFFF
 
 
 def data_sum16(data: bytes) -> int:
@@ -46,6 +33,11 @@ def data_sum16(data: bytes) -> int:
     variable-length tail, fold, and complement — skipping the
     concatenate-then-sweep of a full :func:`internet_checksum` call.
     Odd-length input is implicitly zero-padded, per RFC 1071.
+
+    The one's-complement sum is byte-order independent (RFC 1071 §2):
+    summing native-endian 16-bit words and byte-swapping the folded
+    result equals summing big-endian words directly, so words are read
+    through a zero-copy ``memoryview`` cast, not a per-byte loop.
     """
     if len(data) & 1:
         data = data + b"\x00"

@@ -147,7 +147,7 @@ class IPv4Packet:
         self.dont_fragment = dont_fragment
 
     def __eq__(self, other: object) -> bool:
-        if other.__class__ is not IPv4Packet:
+        if not isinstance(other, IPv4Packet):
             return NotImplemented
         return (
             self.src == other.src

@@ -1,12 +1,7 @@
 """HTTP: message framing, pool web server, probe client."""
 
 from .client import DEFAULT_DEADLINE, FetchResult, HTTPFetch
-from .messages import (
-    HTTPRequest,
-    HTTPResponse,
-    HTTP_PORT,
-    response_complete,
-)
+from .messages import HTTP_PORT, HTTPRequest, HTTPResponse
 from .server import PoolWebServer, REDIRECT_TARGET
 
 __all__ = [
@@ -18,5 +13,4 @@ __all__ = [
     "HTTP_PORT",
     "PoolWebServer",
     "REDIRECT_TARGET",
-    "response_complete",
 ]

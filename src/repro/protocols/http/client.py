@@ -17,8 +17,8 @@ from ...netsim.engine import Event
 from ...netsim.errors import CodecError
 from ...netsim.host import Host
 from ...tcp.connection import TCPConnection, TCPStack
-from ...tcp.segment import Flags
-from .messages import HTTPResponse, HTTP_PORT, response_complete
+from ...tcp.segment import ACK, CWR, ECE, SYN
+from .messages import HEADER_END, HTTP_PORT, HTTPResponse
 
 DEFAULT_DEADLINE = 8.0
 
@@ -33,7 +33,7 @@ class FetchResult:
     response: HTTPResponse | None
     failure: str | None
     #: Flags seen on the server's SYN-ACK (None if none arrived).
-    synack_flags: Flags | None
+    synack_flags: int | None
     #: True iff the SYN-ACK was a valid ECN-setup SYN-ACK (RFC 3168).
     ecn_negotiated: bool
     rtt: float | None = None
@@ -65,7 +65,6 @@ class HTTPFetch:
         self.finished = False
         self._buffer = b""
         self._connected = False
-        self._started_at = 0.0
         stack = host.tcp if isinstance(host.tcp, TCPStack) else TCPStack(host)
         self._started_at = stack.scheduler.now
         self.conn = stack.connect(server_addr, HTTP_PORT, use_ecn=use_ecn)
@@ -73,9 +72,7 @@ class HTTPFetch:
         self.conn.on_data = self._on_data
         self.conn.on_close = self._on_close
         self.conn.on_failure = self._on_failure
-        self._deadline_timer: Event = stack.scheduler.schedule(
-            deadline, self._on_deadline
-        )
+        self._deadline_timer: Event = stack.scheduler.schedule(deadline, self._on_deadline)
 
     # ------------------------------------------------------------------
     # Connection callbacks
@@ -95,8 +92,8 @@ class HTTPFetch:
         if self.finished:
             return
         self._buffer += data
-        if response_complete(self._buffer):
-            self._complete()
+        if HEADER_END in self._buffer:
+            self._complete(final=False)
 
     def _on_close(self, conn: TCPConnection, reason: str) -> None:
         if self.finished:
@@ -122,13 +119,19 @@ class HTTPFetch:
     # ------------------------------------------------------------------
     # Completion
     # ------------------------------------------------------------------
-    def _complete(self) -> None:
+    def _complete(self, final: bool = True) -> None:
+        """Finish with the buffered response.  While the connection is
+        still up (``final=False``) a response is complete once its
+        Content-Length bytes of body are in, or at its headers when it
+        has no usable length."""
         try:
             response = HTTPResponse.decode(self._buffer)
         except CodecError:
             self._finish(failure="bad-response")
             return
-        self._finish(response=response)
+        length = response.header("content-length")
+        if final or length is None or not length.isdigit() or len(response.body) >= int(length):
+            self._finish(response=response)
 
     def _finish(self, response: HTTPResponse | None = None, failure: str | None = None) -> None:
         if self.finished:
@@ -137,13 +140,11 @@ class HTTPFetch:
         self._deadline_timer.cancel()
         scheduler = self.host.network.scheduler
         synack = self.conn.peer_syn_flags
-        negotiated = bool(
+        # An ECN-setup SYN-ACK: SYN, ACK and ECE set, CWR clear.
+        negotiated = (
             self.use_ecn
             and synack is not None
-            and (synack & Flags.SYN)
-            and (synack & Flags.ACK)
-            and (synack & Flags.ECE)
-            and not (synack & Flags.CWR)
+            and (synack & (SYN | ACK | ECE | CWR)) == (SYN | ACK | ECE)
         )
         if self.conn.state.value not in ("closed", "failed", "time-wait"):
             self.conn.abort("probe-finished")

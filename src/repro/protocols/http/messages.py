@@ -107,18 +107,3 @@ def _parse_headers(lines: list[bytes]) -> dict[str, str]:
             raise CodecError(f"bad header line: {raw!r}")
         headers[name.strip()] = value.strip()
     return headers
-
-
-def response_complete(data: bytes) -> bool:
-    """True once ``data`` holds a full response (per Content-Length)."""
-    head, sep, body = data.partition(HEADER_END)
-    if not sep:
-        return False
-    try:
-        response = HTTPResponse.decode(data)
-    except CodecError:
-        return True  # malformed: treat as complete so the caller can fail it
-    length = response.header("content-length")
-    if length is None or not length.isdigit():
-        return True
-    return len(body) >= int(length)

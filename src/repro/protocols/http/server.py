@@ -12,6 +12,8 @@ web servers among 2500 pool hosts.
 
 from __future__ import annotations
 
+import functools
+
 from ...netsim.errors import CodecError
 from ...netsim.host import Host
 from ...tcp.connection import ECNServerPolicy, TCPConnection, TCPStack
@@ -56,26 +58,24 @@ class PoolWebServer:
         self._buffers[conn.key] = buffer
         if b"\r\n\r\n" not in buffer:
             return
-        try:
-            request = HTTPRequest.decode(buffer)
-        except CodecError:
-            response = HTTPResponse(status=400, reason="Bad Request")
-        else:
-            response = self._respond(request)
         self.requests_served += 1
-        conn.send(response.encode())
+        conn.send(_response(buffer))
         conn.close()
         self._buffers.pop(conn.key, None)
 
-    def _respond(self, request: HTTPRequest) -> HTTPResponse:
-        if request.method != "GET":
-            return HTTPResponse(status=405, reason="Method Not Allowed")
-        return HTTPResponse(
-            status=302,
-            reason="Found",
-            headers={"Location": REDIRECT_TARGET, "Server": "ntppool/1.0"},
-            body=_REDIRECT_BODY,
-        )
-
     def _on_close(self, conn: TCPConnection, reason: str) -> None:
         self._buffers.pop(conn.key, None)
+
+
+@functools.lru_cache(maxsize=64)
+def _response(request: bytes) -> bytes:
+    """The answer to one request's bytes.  Every server answers alike and
+    probes repeat a few requests, so each is parsed and answered once."""
+    try:
+        method = HTTPRequest.decode(request).method
+    except CodecError:
+        return HTTPResponse(status=400, reason="Bad Request").encode()
+    if method != "GET":
+        return HTTPResponse(status=405, reason="Method Not Allowed").encode()
+    headers = {"Location": REDIRECT_TARGET, "Server": "ntppool/1.0"}
+    return HTTPResponse(302, "Found", headers=headers, body=_REDIRECT_BODY).encode()

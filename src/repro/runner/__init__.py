@@ -134,8 +134,9 @@ def run_study_parallel(
 
     ``workers=N`` runs the shards on a
     :class:`~repro.runner.pool.SharedWorkerPool` of
-    ``min(N, shards)`` processes built for this study alone and shut
-    down before it returns or raises.  ``pool`` runs them on a pool
+    ``min(N, shards)`` processes built for this study alone: shut down
+    before it returns, and killed before it raises, so an error or a
+    Ctrl-C never waits on shards still running.  ``pool`` runs them on a pool
     the caller owns instead — the study server's path, where many
     concurrent studies multiplex one pool and reuse each worker's
     per-process world cache across studies with the same world key;
@@ -230,9 +231,14 @@ def run_study_parallel(
     started = time.perf_counter()
     try:
         results = scheduler.run(jobs, on_complete=on_complete, world=world)
-    finally:
+    except BaseException:
+        # A failed or interrupted study does not wait for its running
+        # shards: their results have no one left to go to.
         if owned is not None:
-            owned.shutdown()
+            owned.terminate()
+        raise
+    if owned is not None:
+        owned.shutdown()
     if telemetry is not None:
         # Inline execution is one process.
         telemetry.workers = max(workers, 1)

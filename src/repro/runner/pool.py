@@ -130,11 +130,26 @@ class SharedWorkerPool:
 
     def shutdown(self) -> None:
         """Tear the pool down for good; the owner calls it once."""
+        executor = self._close()
+        if executor is not None:
+            executor.shutdown(wait=True, cancel_futures=True)
+
+    def terminate(self) -> None:
+        """:meth:`shutdown` for the owner's error path: kill the workers
+        instead of waiting for the shards they run."""
+        executor = self._close()
+        if executor is not None:
+            # `_processes` as in describe().  The executor's manager
+            # thread reaps the killed workers; shutdown() waits for it.
+            for process in list((getattr(executor, "_processes", None) or {}).values()):
+                process.terminate()
+            executor.shutdown(wait=True, cancel_futures=True)
+
+    def _close(self):
         with self._lock:
             executor, self._executor = self._executor, None
             self._closed = True
-        if executor is not None:
-            executor.shutdown(wait=True, cancel_futures=True)
+        return executor
 
     # ------------------------------------------------------------------
     @staticmethod

@@ -10,8 +10,6 @@ from .connection import (
 )
 from .segment import (
     DEFAULT_MSS,
-    ECN_SETUP_SYN,
-    ECN_SETUP_SYNACK,
     Flags,
     TCPSegment,
 )
@@ -21,8 +19,6 @@ __all__ = [
     "DEFAULT_MSS",
     "ECNServerPolicy",
     "ECNStats",
-    "ECN_SETUP_SYN",
-    "ECN_SETUP_SYNACK",
     "Flags",
     "TCPConnection",
     "TCPListener",

@@ -28,8 +28,8 @@ from typing import TYPE_CHECKING, Callable
 from ..netsim.ecn import ECN
 from ..netsim.engine import Event
 from ..netsim.errors import CodecError, SocketError
-from ..netsim.ipv4 import IPv4Packet, PROTO_TCP, format_addr
-from .segment import ACK, CWR, DEFAULT_MSS, ECE, FIN, PSH, RST, SYN, TCPSegment
+from ..netsim.ipv4 import IPv4Packet, format_addr
+from .segment import ACK, CWR, DEFAULT_MSS, ECE, FIN, PSH, RST, SYN, TCPPacket, TCPSegment
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..netsim.host import Host
@@ -103,6 +103,7 @@ class TCPConnection:
         use_ecn: bool = False,
     ) -> None:
         self.stack = stack
+        self._scheduler = stack.scheduler
         self.local_port = local_port
         self.remote_addr = remote_addr
         self.remote_port = remote_port
@@ -161,14 +162,6 @@ class TCPConnection:
     @property
     def key(self) -> tuple[int, int, int]:
         return (self.local_port, self.remote_addr, self.remote_port)
-
-    def open_active(self) -> None:
-        """Send the (possibly ECN-setup) SYN and enter SYN_SENT."""
-        flags = SYN
-        if self.use_ecn:
-            flags |= ECE | CWR
-        self.state = ConnState.SYN_SENT
-        self._send_and_track(flags, b"", syn_or_fin=True)
 
     def send(self, data: bytes) -> None:
         """Queue application data for reliable, window-gated delivery."""
@@ -248,7 +241,7 @@ class TCPConnection:
         self._arm_retx_timer()
 
     def _emit(self, flags: int, payload: bytes, seq: int | None = None) -> None:
-        """Encode and hand one segment to the IP layer."""
+        """Build one segment and hand it to the IP layer."""
         if seq is None:
             seq = self.snd_nxt
         if self._ece_pending and (flags & ACK):
@@ -259,13 +252,13 @@ class TCPConnection:
             self._cwr_pending = False
             self.ecn_stats.cwr_sent += 1
         segment = TCPSegment(
-            src_port=self.local_port,
-            dst_port=self.remote_port,
-            seq=seq,
-            ack=self.rcv_nxt if (flags & ACK) else 0,
-            flags=flags,
-            mss=DEFAULT_MSS if (flags & SYN) else None,
+            self.local_port,
+            self.remote_port,
+            seq,
+            self.rcv_nxt if (flags & ACK) else 0,
+            flags,
             payload=payload,
+            mss=DEFAULT_MSS if (flags & SYN) else None,
         )
         # RFC 3168: only data segments of an ECN-negotiated connection
         # are ECT-marked; SYNs, pure ACKs and retransmissions of the
@@ -277,14 +270,14 @@ class TCPConnection:
             if self.force_ce_once:
                 ecn_mark = ECN.CE
                 self.force_ce_once = False
-        self.stack.transmit(self, segment, ecn_mark)
+        self.stack.transmit(self.remote_addr, segment, ecn_mark)
 
     # ------------------------------------------------------------------
     # Retransmission
     # ------------------------------------------------------------------
     def _arm_retx_timer(self) -> None:
         if self._retx_timer is None and self._retx_queue:
-            self._retx_timer = self.stack.scheduler.schedule(self._rto, self._on_retx_timeout)
+            self._retx_timer = self._scheduler.schedule(self._rto, self._on_retx_timeout)
 
     def _cancel_retx_timer(self) -> None:
         if self._retx_timer is not None:
@@ -306,7 +299,7 @@ class TCPConnection:
             self._congestion_reduce(to_one=True)
         seq, payload, flags = self._retx_queue[0]
         self._emit(flags, payload, seq)
-        self._retx_timer = self.stack.scheduler.schedule(self._rto, self._on_retx_timeout)
+        self._retx_timer = self._scheduler.schedule(self._rto, self._on_retx_timeout)
 
     def _ack_retx_queue(self, ack: int) -> None:
         """Drop fully acknowledged segments; reset backoff on progress."""
@@ -350,18 +343,12 @@ class TCPConnection:
             self._ece_pending = False
 
         if segment.flags & RST:
-            self._handle_rst()
+            self._teardown("refused" if self.state is ConnState.SYN_SENT else "reset")
             return
 
         handler = _STATE_HANDLERS.get(self.state)
         if handler is not None:
             handler(self, segment)
-
-    def _handle_rst(self) -> None:
-        if self.state is ConnState.SYN_SENT:
-            self._teardown("refused")
-        else:
-            self._teardown("reset")
 
     def _handle_syn_sent(self, segment: TCPSegment) -> None:
         if not segment.is_synack:
@@ -402,11 +389,7 @@ class TCPConnection:
             self._ack_retx_queue(segment.ack)
             if not self._retx_queue:
                 self.state = ConnState.FIN_WAIT_2
-        self._absorb_payload(segment)
-        if segment.flags & FIN and segment.seq == self.rcv_nxt:
-            self.rcv_nxt = (self.rcv_nxt + 1) & 0xFFFFFFFF
-            self._emit(ACK, b"")
-            self._enter_time_wait()
+        self._handle_fin_wait_2(segment)
 
     def _handle_fin_wait_2(self, segment: TCPSegment) -> None:
         self._absorb_payload(segment)
@@ -433,14 +416,14 @@ class TCPConnection:
     def _absorb_payload(self, segment: TCPSegment) -> None:
         if not segment.payload:
             return
-        if segment.seq == self.rcv_nxt:
+        in_order = segment.seq == self.rcv_nxt
+        if in_order:
             self.rcv_nxt = (self.rcv_nxt + len(segment.payload)) & 0xFFFFFFFF
-            self._emit(ACK, b"")
-            if self.on_data is not None:
-                self.on_data(self, segment.payload)
-        else:
-            # Out of order or duplicate: re-ACK what we have.
-            self._emit(ACK, b"")
+        # ACK every data segment: out of order or duplicate, that re-ACKs
+        # what we already have.
+        self._emit(ACK, b"")
+        if in_order and self.on_data is not None:
+            self.on_data(self, segment.payload)
 
     # ------------------------------------------------------------------
     # Teardown
@@ -448,13 +431,15 @@ class TCPConnection:
     def _enter_time_wait(self) -> None:
         self.state = ConnState.TIME_WAIT
         self._cancel_retx_timer()
-        self.stack.scheduler.schedule(1.0, self._time_wait_expired)
+        self._scheduler.schedule(1.0, self._time_wait_expired)
         if self.on_close is not None:
             self.on_close(self, "closed")
 
     def _time_wait_expired(self) -> None:
         if self.state is ConnState.TIME_WAIT:
-            self._teardown_quiet()
+            self.state = ConnState.CLOSED
+            self._cancel_retx_timer()
+            self.stack.forget(self)
 
     def _teardown(self, reason: str) -> None:
         failed = self.state is ConnState.SYN_SENT or reason in (
@@ -471,11 +456,6 @@ class TCPConnection:
             self.on_failure(self, reason)
         elif was_closed_cleanly and self.on_close is not None:
             self.on_close(self, reason)
-
-    def _teardown_quiet(self) -> None:
-        self.state = ConnState.CLOSED
-        self._cancel_retx_timer()
-        self.stack.forget(self)
 
     def __repr__(self) -> str:
         return (
@@ -546,7 +526,8 @@ class TCPStack:
         remote_port: int,
         use_ecn: bool = False,
     ) -> TCPConnection:
-        """Open an active connection; wire callbacks before events run."""
+        """Open an active connection: send its (possibly ECN-setup) SYN.
+        Replies arrive as later events, so callbacks set on return are in time."""
         local_port = self._allocate_port()
         conn = TCPConnection(
             stack=self,
@@ -557,9 +538,8 @@ class TCPStack:
             use_ecn=use_ecn,
         )
         self.connections[conn.key] = conn
-        # The SYN goes out on the next scheduler tick so the caller can
-        # attach callbacks after connect() returns.
-        self.scheduler.schedule(0.0, conn.open_active)
+        conn.state = ConnState.SYN_SENT
+        conn._send_and_track(SYN | ECE | CWR if use_ecn else SYN, b"", syn_or_fin=True)
         return conn
 
     def _allocate_port(self) -> int:
@@ -597,27 +577,20 @@ class TCPStack:
     # ------------------------------------------------------------------
     # IP interface
     # ------------------------------------------------------------------
-    def transmit(self, conn: TCPConnection, segment: TCPSegment, ecn_mark: ECN) -> None:
-        """Encode a segment into an IP packet and send it."""
-        self._next_ident = (self._next_ident + 1) & 0xFFFF
-        packet = IPv4Packet(
-            src=self.host.addr,
-            dst=conn.remote_addr,
-            protocol=PROTO_TCP,
-            payload=segment.encode(self.host.addr, conn.remote_addr),
-            # tos_byte(0, ecn) is just the codepoint (DSCP 0 on every
-            # stack-originated segment).
-            tos=int(ecn_mark),
-            ident=self._next_ident,
-        )
-        self.host.send_ip(packet)
+    def transmit(self, dst: int, segment: TCPSegment, ecn_mark: ECN) -> None:
+        """Send a segment in an IP packet that carries it unencoded (TOS: DSCP 0)."""
+        self._next_ident = ident = (self._next_ident + 1) & 0xFFFF
+        self.host.send_ip(TCPPacket(self.host.addr, dst, segment, int(ecn_mark), ident))
 
     def deliver(self, packet: IPv4Packet, now: float) -> None:
         """Demux an arriving TCP/IP packet."""
-        try:
-            segment = TCPSegment.decode(packet.payload)
-        except CodecError:
-            return
+        if packet.__class__ is TCPPacket:
+            segment = packet.segment
+        else:
+            try:
+                segment = TCPSegment.decode(packet.payload)
+            except CodecError:
+                return
         key = (segment.dst_port, packet.src, segment.src_port)
         conn = self.connections.get(key)
         if conn is not None:
@@ -661,18 +634,6 @@ class TCPStack:
     def _send_rst(self, segment: TCPSegment, packet: IPv4Packet) -> None:
         seg_len = len(segment.payload) + (1 if segment.flags & (SYN | FIN) else 0)
         rst = TCPSegment(
-            src_port=segment.dst_port,
-            dst_port=segment.src_port,
-            seq=segment.ack,
-            ack=(segment.seq + seg_len) & 0xFFFFFFFF,
-            flags=RST | ACK,
+            segment.dst_port, segment.src_port, segment.ack, segment.seq + seg_len, RST | ACK
         )
-        self._next_ident = (self._next_ident + 1) & 0xFFFF
-        reply = IPv4Packet(
-            src=self.host.addr,
-            dst=packet.src,
-            protocol=PROTO_TCP,
-            payload=rst.encode(self.host.addr, packet.src),
-            ident=self._next_ident,
-        )
-        self.host.send_ip(reply)
+        self.transmit(packet.src, rst, ECN.NOT_ECT)

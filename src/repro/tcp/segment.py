@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import enum
 import struct
-from dataclasses import dataclass
 
 from ..netsim.checksum import data_sum16, internet_checksum, pseudo_header
 from ..netsim.errors import CodecError
-from ..netsim.ipv4 import PROTO_TCP
+from ..netsim.ipv4 import DEFAULT_TTL, PROTO_TCP, IPv4Packet
 
 _HEADER = struct.Struct("!HHIIBBHHH")
 HEADER_LEN = _HEADER.size  # 20 bytes without options
@@ -46,43 +45,44 @@ class Flags(enum.IntFlag):
 #: every segment is tested against half a dozen masks — so the segment
 #: stores its flags as a plain ``int`` and the hot paths combine these
 #: constants with native int arithmetic instead.
-FIN = 0x01
-SYN = 0x02
-RST = 0x04
-PSH = 0x08
-ACK = 0x10
-URG = 0x20
-ECE = 0x40
-CWR = 0x80
-
-#: The flag combination of an ECN-setup SYN (RFC 3168 §6.1.1).
-ECN_SETUP_SYN = Flags.SYN | Flags.ECE | Flags.CWR
-#: The flag combination of an ECN-setup SYN-ACK.
-ECN_SETUP_SYNACK = Flags.SYN | Flags.ACK | Flags.ECE
+FIN, SYN, RST, PSH, ACK, URG, ECE, CWR = (int(flag) for flag in Flags)
 
 
-@dataclass
 class TCPSegment:
-    """A parsed TCP segment.
-
-    ``flags`` is normalised to a plain ``int`` (``Flags`` members are
-    accepted — they are ints — and converted), so per-segment flag
-    tests run as native integer masking.
+    """A TCP segment.  Construction masks ``seq``/``ack`` to 32 bits and
+    ``flags`` to a plain ``int`` (``Flags`` members accepted), as the
+    wire would: a segment equals ``decode(encode(...))`` of itself, so
+    :class:`TCPPacket` can carry the object, and flag tests stay int-fast.
     """
 
-    src_port: int
-    dst_port: int
-    seq: int = 0
-    ack: int = 0
-    flags: int = 0
-    window: int = 65535
-    payload: bytes = b""
-    mss: int | None = None
+    __slots__ = ("src_port", "dst_port", "seq", "ack", "flags", "window", "payload", "mss")
 
-    def __post_init__(self) -> None:
-        # Strip any IntFlag wrapper so downstream `&`/`|` stay int-fast.
-        if type(self.flags) is not int:
-            self.flags = int(self.flags)
+    def __init__(
+        self,
+        src_port: int,
+        dst_port: int,
+        seq: int = 0,
+        ack: int = 0,
+        flags: int = 0,
+        window: int = 65535,
+        payload: bytes = b"",
+        mss: int | None = None,
+    ) -> None:
+        self.src_port = src_port
+        self.dst_port = dst_port
+        self.seq = seq & 0xFFFFFFFF
+        self.ack = ack & 0xFFFFFFFF
+        self.flags = int(flags) & 0xFF
+        self.window = window
+        self.payload = payload
+        self.mss = mss
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not TCPSegment:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
+
+    __hash__ = None  # type: ignore[assignment]  # mutable
 
     # ------------------------------------------------------------------
     # Flag conveniences
@@ -220,6 +220,50 @@ class TCPSegment:
             f"seq={self.seq}, ack={self.ack}, flags={'|'.join(names) or '-'}, "
             f"len={len(self.payload)})"
         )
+
+
+class TCPPacket(IPv4Packet):
+    """An IPv4 packet that carries its TCP segment as an object.
+
+    The receiving stack reads :attr:`segment`; the bytes are encoded only
+    when something reads :attr:`payload` (an ICMP quote, a capture,
+    ``==``, :attr:`total_length`), then kept.  They equal an eager
+    encode at send time: nothing on a path rewrites the addresses the
+    checksum covers, and the payload cannot be reassigned.
+    """
+
+    __slots__ = ("segment", "_wire")
+
+    def __init__(self, src: int, dst: int, segment: TCPSegment, tos: int, ident: int) -> None:
+        self.src = src
+        self.dst = dst
+        self.protocol = PROTO_TCP
+        self.segment = segment
+        self._wire: bytes | None = None
+        self.ttl = DEFAULT_TTL
+        self.tos = tos
+        self.ident = ident
+        self.dont_fragment = True
+
+    @property  # type: ignore[override]
+    def payload(self) -> bytes:  # type: ignore[override]
+        wire = self._wire
+        if wire is None:
+            wire = self._wire = self.segment.encode(self.src, self.dst)
+        return wire
+
+    def copy(self) -> "TCPPacket":
+        new = TCPPacket.__new__(TCPPacket)
+        new.src = self.src
+        new.dst = self.dst
+        new.protocol = PROTO_TCP
+        new.segment = self.segment
+        new._wire = self._wire
+        new.ttl = self.ttl
+        new.tos = self.tos
+        new.ident = self.ident
+        new.dont_fragment = self.dont_fragment
+        return new
 
 
 def _parse_mss(options: bytes) -> int | None:

@@ -8,12 +8,23 @@ and the in-place ECN rewrite produces bytes identical to a
 fresh-object rewrite.
 """
 
-from hypothesis import given, settings
+import struct
+from types import SimpleNamespace
+
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.netsim.checksum import internet_checksum, pseudo_header
 from repro.netsim.ecn import ECN
-from repro.netsim.icmp import quote_datagram, time_exceeded
-from repro.netsim.ipv4 import HEADER_LEN, IPv4Packet, PROTO_UDP
+from repro.netsim.icmp import (
+    CLASSIC_QUOTE_PAYLOAD,
+    FULL_QUOTE_LIMIT,
+    quote_datagram,
+    time_exceeded,
+)
+from repro.netsim.ipv4 import HEADER_LEN, IPv4Packet, PROTO_TCP, PROTO_UDP
+from repro.tcp.connection import TCPStack
+from repro.tcp.segment import Flags, TCPPacket, TCPSegment
 
 addrs = st.integers(1, 0xFFFFFFFE)
 packets = st.builds(
@@ -121,7 +132,7 @@ def test_udp_probe_bytes_stable_under_replace():
     addrs,
     addrs,
     st.builds(
-        __import__("repro.tcp.segment", fromlist=["TCPSegment"]).TCPSegment,
+        TCPSegment,
         src_port=st.integers(0, 0xFFFF),
         dst_port=st.integers(0, 0xFFFF),
         seq=st.integers(0, 0xFFFFFFFF),
@@ -136,12 +147,6 @@ def test_tcp_arithmetic_checksum_matches_reference(src, dst, segment):
     # encode() sums header fields arithmetically instead of packing a
     # zero-checksum header and sweeping bytes; the result must verify
     # against the RFC 1071 reference and round-trip every field.
-    import struct
-
-    from repro.netsim.checksum import internet_checksum, pseudo_header
-    from repro.netsim.ipv4 import PROTO_TCP
-    from repro.tcp.segment import TCPSegment
-
     wire = segment.encode(src, dst)
     pseudo = pseudo_header(src, dst, PROTO_TCP, len(wire))
     assert internet_checksum(pseudo + wire) == 0
@@ -192,3 +197,108 @@ def test_socket_incremental_udp_checksum_matches_encode(
     if csum == 0:
         csum = 0xFFFF
     assert _HEADER.pack(src_port, dst_port, length, csum) + payload == want
+
+
+# ----------------------------------------------------------------------
+# Structured TCP segments: a TCPStack hands the network TCPPackets that
+# carry the segment object and encode it only when the bytes are read.
+# ----------------------------------------------------------------------
+
+
+def _reference_tcp_wire(src, dst, sport, dport, seq, ack, flags, window, payload, mss):
+    """A TCP segment's bytes from struct packing and the RFC 1071 sum:
+    what an eager encode at send time put on the wire."""
+    options = b"" if mss is None else struct.pack("!BBH", 2, 4, mss)
+    header = struct.pack(
+        "!HHIIBBHHH",
+        sport,
+        dport,
+        seq & 0xFFFFFFFF,
+        ack & 0xFFFFFFFF,
+        (20 + len(options)) // 4 << 4,
+        int(flags) & 0xFF,
+        window,
+        0,
+        0,
+    ) + options
+    csum = internet_checksum(
+        pseudo_header(src, dst, PROTO_TCP, len(header) + len(payload)) + header + payload
+    )
+    return header[:16] + struct.pack("!H", csum) + header[18:] + payload
+
+
+def _stack(addr):
+    """A TCPStack on a bare host that keeps what it sends."""
+    host = SimpleNamespace(addr=addr, tcp=None, sent=[])
+    host.send_ip = host.sent.append
+    return TCPStack(host)
+
+
+class _Recorder:
+    """Stands in for a connection: keeps the segments it is handed."""
+
+    def __init__(self):
+        self.segments = []
+
+    def handle_segment(self, segment, packet):
+        self.segments.append(segment)
+
+
+tcp_fields = st.tuples(
+    st.integers(0, 0xFFFF),  # src port
+    st.integers(0, 0xFFFF),  # dst port
+    # seq and ack: snd_nxt may pass 2**32 before anything masks it.
+    st.integers(0, 2**33),
+    st.integers(0, 2**33),
+    st.one_of(st.integers(0, 0xFF), st.integers(0, 0xFF).map(Flags)),
+    st.integers(0, 0xFFFF),  # window
+    st.binary(max_size=64),
+    st.one_of(st.none(), st.integers(0, 0xFFFF)),  # mss
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(addrs, addrs, tcp_fields, st.sampled_from([0, 2, 3]))
+def test_structured_segment_matches_the_wire(src, dst, fields, tos):
+    sender, receiver = _stack(src), _stack(dst)
+    sender.transmit(dst, TCPSegment(*fields), tos)
+    (packet,) = sender.host.sent
+    assert packet.__class__ is TCPPacket
+    # The receiving stack hands its connection exactly what it would
+    # have parsed from the bytes.
+    recorder = receiver.connections[fields[1], src, fields[0]] = _Recorder()
+    receiver.deliver(packet, 0.0)
+    wire = packet.payload
+    assert recorder.segments == [TCPSegment.decode(wire)]
+    # The lazily encoded bytes are the eager ones, and so is the datagram.
+    assert wire == _reference_tcp_wire(src, dst, *fields)
+    eager = IPv4Packet(src, dst, PROTO_TCP, wire, packet.ttl, tos, packet.ident)
+    assert packet == eager and eager == packet
+    assert packet.encode() == eager.encode()
+    assert packet.copy() == eager
+    assert packet.with_ecn(ECN.CE).encode() == eager.with_ecn(ECN.CE).encode()
+
+
+@settings(
+    max_examples=50, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(tcp_fields, st.sampled_from([CLASSIC_QUOTE_PAYLOAD, FULL_QUOTE_LIMIT]))
+def test_structured_segment_quotes_like_an_eager_one(net_factory, fields, quote_payload):
+    # A TCP packet whose TTL runs out in a router is quoted in the ICMP
+    # time-exceeded error byte for byte as its eagerly encoded twin.
+    quotes = []
+    for structured in (True, False):
+        net, client, server = net_factory()
+        net.topology.routers["r0"].icmp_quote_payload = quote_payload
+        client.on_icmp(lambda message, packet, now: quotes.append(message.body))
+        segment = TCPSegment(*fields)
+        if structured:
+            packet = TCPPacket(client.addr, server.addr, segment, 2, 7)
+        else:
+            wire = segment.encode(client.addr, server.addr)
+            packet = IPv4Packet(client.addr, server.addr, PROTO_TCP, wire, tos=2, ident=7)
+        packet.ttl = 1
+        client.send_ip(packet)
+        net.scheduler.run()
+    structured_quote, eager_quote = quotes
+    assert structured_quote == eager_quote

@@ -3,11 +3,9 @@
 import pytest
 
 from repro.netsim.errors import CodecError
-from repro.protocols.http.messages import (
-    HTTPRequest,
-    HTTPResponse,
-    response_complete,
-)
+from repro.protocols.http.client import HTTPFetch
+from repro.protocols.http.messages import HTTP_PORT, HTTPRequest, HTTPResponse
+from repro.tcp.connection import TCPStack
 
 
 class TestRequest:
@@ -64,17 +62,48 @@ class TestResponse:
 
 
 class TestCompleteness:
-    def test_incomplete_headers(self):
-        assert not response_complete(b"HTTP/1.1 200 OK\r\n")
+    """A fetch finishes as soon as its response is complete per
+    Content-Length, and otherwise only at its deadline."""
 
-    def test_complete_with_full_body(self):
+    DEADLINE = 5.0
+
+    def fetch(self, two_host_net, wire):
+        """Serve ``wire`` (connection left open); return the fetch's
+        result and the sim time it arrived."""
+        net, client, server = two_host_net
+
+        def on_connection(conn):
+            conn.on_data = lambda conn, _request: conn.send(wire)
+
+        TCPStack(server).listen(HTTP_PORT, on_connection)
+        done = []
+        HTTPFetch(
+            client,
+            server.addr,
+            use_ecn=False,
+            callback=lambda result: done.append((result, net.scheduler.now)),
+            deadline=self.DEADLINE,
+        )
+        net.scheduler.run()
+        return done[0]
+
+    def test_incomplete_headers(self, two_host_net):
+        result, at = self.fetch(two_host_net, b"HTTP/1.1 200 OK\r\n")
+        assert at == pytest.approx(self.DEADLINE)
+        assert result.failure == "bad-response"
+
+    def test_complete_with_full_body(self, two_host_net):
+        result, at = self.fetch(two_host_net, HTTPResponse(body=b"12345").encode())
+        assert at < 1.0
+        assert result.response.body == b"12345"
+
+    def test_incomplete_body(self, two_host_net):
         wire = HTTPResponse(body=b"12345").encode()
-        assert response_complete(wire)
+        result, at = self.fetch(two_host_net, wire[:-2])
+        assert at == pytest.approx(self.DEADLINE)
+        assert result.response.body == b"123"
 
-    def test_incomplete_body(self):
-        wire = HTTPResponse(body=b"12345").encode()
-        assert not response_complete(wire[:-2])
-
-    def test_no_content_length_is_complete_at_header_end(self):
-        raw = b"HTTP/1.1 200 OK\r\n\r\n"
-        assert response_complete(raw)
+    def test_no_content_length_is_complete_at_header_end(self, two_host_net):
+        result, at = self.fetch(two_host_net, b"HTTP/1.1 200 OK\r\n\r\n")
+        assert at < 1.0
+        assert result.ok and result.response.body == b""

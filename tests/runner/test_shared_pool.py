@@ -5,14 +5,17 @@ import os
 import subprocess
 import sys
 import threading
+import time
 
 import pytest
 
 from repro.runner import (
+    FAULT_HANG,
     FAULT_RAISE,
     FaultSpec,
     RetryPolicy,
     ShardExecutionError,
+    ShardScheduler,
     SharedWorkerPool,
     run_study_parallel,
 )
@@ -142,4 +145,36 @@ class TestOneStudyPool:
                 retry=RetryPolicy(max_attempts=3, backoff=0.01, backoff_cap=0.05),
                 faults={0: FaultSpec(kind=FAULT_RAISE, attempts=99)},
             )
+        assert set(multiprocessing.active_children()) - before == set()
+
+    def test_error_does_not_wait_for_a_hung_sibling(self):
+        # Shard 0 fails for good while shard 1 sleeps 8 s in its worker:
+        # the error reaches the caller at once and the sleeper is killed.
+        before = set(multiprocessing.active_children())
+        started = time.monotonic()
+        with pytest.raises(ShardExecutionError, match="failed after 2 attempts"):
+            run_study_parallel(
+                self.SPEC,
+                workers=2,
+                retry=RetryPolicy(max_attempts=2, backoff=0.01, backoff_cap=0.05),
+                faults={
+                    0: FaultSpec(kind=FAULT_RAISE, attempts=99),
+                    1: FaultSpec(kind=FAULT_HANG, attempts=1, hang_seconds=8.0),
+                },
+            )
+        assert time.monotonic() - started < 4.0
+        assert set(multiprocessing.active_children()) - before == set()
+
+    def test_interrupt_kills_running_workers(self, monkeypatch):
+        # Ctrl-C while a shard runs: no worker outlives the call.
+        def interrupted(scheduler, jobs, on_complete, world=None):
+            scheduler.pool.acquire().submit(time.sleep, 30)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(ShardScheduler, "run", interrupted)
+        before = set(multiprocessing.active_children())
+        started = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            run_study_parallel(self.SPEC, workers=2)
+        assert time.monotonic() - started < 10.0
         assert set(multiprocessing.active_children()) - before == set()

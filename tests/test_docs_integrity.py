@@ -1,5 +1,6 @@
 """Documentation integrity: the docs reference things that exist."""
 
+import importlib
 import re
 from pathlib import Path
 
@@ -30,6 +31,14 @@ class TestReferencedArtifactsExist:
                 continue
             assert (ROOT / ref).exists(), f"{doc} references missing {ref}"
 
+    @pytest.mark.parametrize("doc", ["README.md", "DESIGN.md", "EXPERIMENTS.md"])
+    def test_dotted_names_resolve(self, doc):
+        """Every backticked ``repro.<dotted>`` name is a module or an
+        attribute of one."""
+        text = (ROOT / doc).read_text()
+        for name in set(re.findall(r"`(repro(?:\.\w+)+)", text)):
+            assert _resolves(name), f"{doc} names missing {name}"
+
     def test_design_experiment_index_covers_bench_files(self):
         """Every experiment row's bench target exists; every bench file
         is mentioned somewhere in the docs."""
@@ -48,6 +57,23 @@ class TestReferencedArtifactsExist:
             assert example.name in readme or example.stem in readme, (
                 f"{example.name} missing from README"
             )
+
+
+def _resolves(dotted: str) -> bool:
+    """Import the longest module prefix of ``dotted``, then look the
+    rest up as attributes."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        for attr in parts[cut:]:
+            if not hasattr(obj, attr):
+                return False
+            obj = getattr(obj, attr)
+        return True
+    return False
 
 
 class TestPaperNumbersQuoted:
