@@ -81,13 +81,19 @@ class FaultInjector:
                     )
         if blackholed:
             self._set_excluded(frozenset(blackholed))
-        if installed and metrics:
-            metrics.incr("faults.epochs_impaired")
+        if installed:
+            # A compiled lane assumes no middlebox and no link fault.
+            self.world.network._drop_lanes()
+            if metrics:
+                metrics.incr("faults.epochs_impaired")
 
     def revert(self) -> None:
         """Restore the pristine world (idempotent)."""
+        if not self._reverts:
+            return
         while self._reverts:
             self._reverts.pop()()
+        self.world.network._drop_lanes()
 
     # ------------------------------------------------------------------
     # Installation per kind

@@ -9,6 +9,14 @@ often than they fire.  When dead entries come to dominate (more than
 half the heap, above a small floor) the scheduler compacts in place,
 so a workload that schedules-and-cancels in a loop stays O(live)
 rather than O(ever-scheduled).
+
+Packet deliveries carry no :class:`Event`: nothing cancels a delivery,
+so the network pushes ``(time, seq, None, deliver, packet)`` straight
+onto the heap (:meth:`EventScheduler._push`), with the same ``(time,
+seq)`` a scheduled event would get, and dispatch calls
+``deliver(packet, time)``.  A timer's entry is ``(time, seq, event)``,
+and the event stays authoritative at dispatch: its ``callback`` and
+``args`` are read when it fires, not when it is queued.
 """
 
 from __future__ import annotations
@@ -63,10 +71,11 @@ class EventScheduler:
 
     def __init__(self) -> None:
         self.clock = SimClock()
-        #: Heap of ``(time, seq, event)`` entries: ordering compares
-        #: plain tuples in C, and the unique ``seq`` breaks time ties
-        #: by insertion order, so events themselves are never compared.
-        self._heap: list[tuple[float, int, Event]] = []
+        #: Heap of ``(time, seq, event)`` timer entries and ``(time,
+        #: seq, None, deliver, packet)`` delivery entries: ordering
+        #: compares plain tuples in C, and the unique ``seq`` breaks
+        #: time ties by insertion order, so nothing past it is compared.
+        self._heap: list[tuple] = []
         self._seq = 0
         self._dispatched = 0
         #: Not-yet-cancelled events still queued, kept as a live counter
@@ -86,11 +95,6 @@ class EventScheduler:
     #: are too cheap to be worth a rebuild.
     _COMPACT_MIN = 64
 
-    def _note_removed(self, event: Event) -> None:
-        """A queued event left the pending set (cancel or dispatch)."""
-        self._pending -= 1
-        event._scheduler = None
-
     def _note_cancelled(self, event: Event) -> None:
         """A queued event was cancelled (still physically in the heap)."""
         self._pending -= 1
@@ -102,7 +106,7 @@ class EventScheduler:
         # references to the heap list, so its identity must survive).
         heap = self._heap
         if len(heap) > self._COMPACT_MIN and self._pending * 2 < len(heap):
-            heap[:] = [entry for entry in heap if not entry[2].cancelled]
+            heap[:] = [e for e in heap if e[2] is None or not e[2].cancelled]
             heapq.heapify(heap)
             if self.metrics:
                 self.metrics.incr("engine.compactions")
@@ -136,25 +140,39 @@ class EventScheduler:
             self.metrics.gauge_max("engine.heap_peak", len(self._heap))
         return event
 
-    def _pop_runnable(self) -> Event | None:
-        while self._heap:
-            event = heapq.heappop(self._heap)[2]
-            if not event.cancelled:
-                return event
-        return None
+    def _push(self, delay: float, deliver: Callable[[Any, float], None], packet: Any) -> None:
+        """Queue the uncancellable ``deliver(packet, time)`` with no
+        :class:`Event`; ``delay`` is non-negative by construction."""
+        time = self.clock._now + delay
+        seq = self._seq
+        self._seq = seq + 1
+        self._pending += 1
+        heapq.heappush(self._heap, (time, seq, None, deliver, packet))
+        if self.metrics:
+            self.metrics.incr("engine.scheduled")
+            self.metrics.gauge_max("engine.heap_peak", len(self._heap))
 
     def step(self) -> bool:
         """Dispatch the single next event.  Returns False if none remain."""
-        event = self._pop_runnable()
-        if event is None:
-            return False
-        self.clock.advance_to(event.time)
-        self._dispatched += 1
-        self._note_removed(event)
-        if self.metrics:
-            self.metrics.incr("engine.dispatched")
-        event.callback(*event.args)
-        return True
+        heap = self._heap
+        while heap:
+            entry = heapq.heappop(heap)
+            event = entry[2]
+            if event is None:  # a delivery
+                callback, args = entry[3], (entry[4], entry[0])
+            elif event.cancelled:
+                continue
+            else:
+                event._scheduler = None
+                callback, args = event.callback, event.args
+            self.clock.advance_to(entry[0])
+            self._dispatched += 1
+            self._pending -= 1
+            if self.metrics:
+                self.metrics.incr("engine.dispatched")
+            callback(*args)
+            return True
+        return False
 
     def run(self, max_events: int | None = None) -> int:
         """Run until the event queue drains.
@@ -173,19 +191,29 @@ class EventScheduler:
         count = 0
         if max_events is None:
             # Unbounded drain: the common case, with the pop/dispatch
-            # cycle inlined (no per-event ``step`` + ``_pop_runnable``
-            # call pair).  ``heap`` aliases ``self._heap`` — safe
-            # because compaction rebuilds that list in place.
+            # cycle inlined (no per-event ``step`` call).  ``heap``
+            # aliases ``self._heap`` — safe because compaction rebuilds
+            # that list in place.
             heap = self._heap
             pop = heapq.heappop
             clock = self.clock
             metrics = self.metrics
             while heap:
-                event = pop(heap)[2]
-                if event.cancelled:
-                    continue
                 # Heap pops are time-ordered, so the monotonicity check
                 # in ``advance_to`` is redundant here.
+                entry = pop(heap)
+                event = entry[2]
+                if event is None:  # a delivery
+                    clock._now = now = entry[0]
+                    self._dispatched += 1
+                    self._pending -= 1
+                    if metrics:
+                        metrics.incr("engine.dispatched")
+                    entry[3](entry[4], now)
+                    count += 1
+                    continue
+                if event.cancelled:
+                    continue
                 clock._now = event.time
                 self._dispatched += 1
                 self._pending -= 1
@@ -220,21 +248,25 @@ class EventScheduler:
         while heap:
             entry = heap[0]
             event = entry[2]
-            if event.cancelled:
+            if event is not None and event.cancelled:
                 pop(heap)
                 continue
             if entry[0] > deadline:
                 break
             pop(heap)
+            if event is None:  # a delivery
+                callback, args = entry[3], (entry[4], entry[0])
+            else:
+                event._scheduler = None
+                callback, args = event.callback, event.args
             # Time-ordered pops: monotonicity holds by construction.
             clock._now = entry[0]
             self._dispatched += 1
             self._pending -= 1
-            event._scheduler = None
             if metrics:
                 metrics.incr("engine.dispatched")
             count += 1
-            event.callback(*event.args)
+            callback(*args)
         if deadline > clock._now:
             clock._now = deadline
         return count

@@ -20,7 +20,7 @@ from .icmp import ICMPMessage
 from .ipv4 import IPv4Packet, PROTO_ICMP, PROTO_TCP, PROTO_UDP, format_addr
 from .middlebox import Middlebox
 from .sockets import EPHEMERAL_BASE, EPHEMERAL_LIMIT, UDPHandler, UDPSocket
-from .udp import UDPDatagram
+from .udp import UDPDatagram, UDPPacket
 from ..obs.metrics import proto_name
 
 #: Pre-built counter names for the protocols every study sends
@@ -236,10 +236,13 @@ class Host:
             self._deliver_icmp(packet, now)
 
     def _deliver_udp(self, packet: IPv4Packet, now: float) -> None:
-        try:
-            datagram = UDPDatagram.decode(packet.payload)
-        except CodecError:
-            return
+        if packet.__class__ is UDPPacket:
+            datagram = packet.datagram
+        else:
+            try:
+                datagram = UDPDatagram.decode(packet.payload)
+            except CodecError:
+                return
         sock = self._udp_sockets.get(datagram.dst_port)
         if sock is not None:
             sock.deliver(datagram, packet, now)

@@ -101,12 +101,13 @@ class IPv4Packet:
     code uses to correlate ICMP quotations with the probes that
     elicited them.
 
-    Ownership contract: callers hand a packet to the network, which
-    takes one :meth:`copy` at the boundary and thereafter mutates that
-    simulator-owned copy **in place** (:attr:`ttl` decrements,
-    :meth:`set_ecn` CE marks) instead of allocating a fresh object per
-    hop.  Host-side filters and caller-visible rewrites keep
-    copy-on-write semantics via :meth:`replace` / :meth:`with_ecn`.
+    Ownership contract: a packet handed to the network belongs to it.
+    The network mutates it **in place** (:attr:`ttl` decrements,
+    :meth:`set_ecn` CE marks) instead of copying it at the boundary or
+    allocating a fresh object per hop, so a sender builds a new packet
+    for every send and does not read it afterwards.  Middlebox and
+    host-filter rewrites keep copy-on-write semantics via
+    :meth:`replace` / :meth:`with_ecn`.
 
     The header checksum never requires serialising the header:
     :meth:`encode` folds the nine 16-bit header words arithmetically
@@ -163,7 +164,7 @@ class IPv4Packet:
     __hash__ = None  # type: ignore[assignment]  # mutable, like the old dataclass
 
     def copy(self) -> "IPv4Packet":
-        """Fast field-for-field copy (the network-boundary clone)."""
+        """Fast field-for-field copy (behind :meth:`replace` / :meth:`with_ecn`)."""
         new = IPv4Packet.__new__(IPv4Packet)
         new.src = self.src
         new.dst = self.dst

@@ -12,6 +12,19 @@ middleboxes, TTL, link AQM/loss — see :mod:`repro.netsim.router` and
   event bookkeeping is folded.  This is what makes probing 2500
   servers from 13 vantage points tractable in pure Python.
 
+Most fast-mode packets take a *lane*, which the route table compiles
+with a route when no router on it has middleboxes, no link has a
+``fault``, every link is clean (uncongested queue, no or Bernoulli
+loss) and the destination's access loss is none or Bernoulli: the
+router count and the destination host with its access ``(delay, p)``.
+A packet rides it when no tracer or metrics registry is installed and
+its TTL exceeds the router count; :meth:`Network.send` then draws
+jitter then loss per link in the per-hop loop's order, lowers the TTL
+once and queues the delivery itself.  Everything else takes the
+per-hop loop.  Whatever installs or reverts a middlebox or a link
+fault (:meth:`Router.add_middlebox`, the fault injector) empties the
+route table, as :meth:`Network.set_excluded_routers` does.
+
 ICMP errors generated mid-path (TTL expiry — the traceroute mechanism)
 are routed back to the original source along the reverse path, subject
 to that path's loss, because real traceroutes lose ICMP responses too.
@@ -25,7 +38,7 @@ from dataclasses import dataclass, field
 from heapq import heappush
 
 from .ecn import ECN, ECT_CAPABLE
-from .engine import Event, EventScheduler
+from .engine import EventScheduler
 from .errors import NetSimError, RoutingError
 from .host import Host
 from .ipv4 import IPv4Packet, PROTO_ICMP
@@ -86,10 +99,13 @@ class Network:
         self.tracer = None
         self._hop_cache: dict[tuple[str, str], tuple[tuple[Router, Link], ...]] = {}
         #: Destination route table: ``(src_router, dst_addr)`` straight
-        #: to the hop sequence (or ``None`` for unroutable), skipping
-        #: the per-send prefix-trie walk and hop-cache lookup.  Shares
-        #: the hop cache's invalidation (topology change, blackhole set).
-        self._route_cache: dict[tuple[str, int], tuple | None] = {}
+        #: to ``(hops, lane)`` (see :meth:`_route_to`), skipping the
+        #: per-send prefix-trie walk and hop-cache lookup.  Shares the
+        #: hop cache's invalidation (topology change, blackhole set);
+        #: every router holds it too, so a new middlebox can empty it.
+        self._route_cache: dict[tuple[str, int], tuple] = {}
+        for router in topology.routers.values():
+            router._routes = self._route_cache
         #: Reverse-path link sequences for ICMP returns, same lifecycle.
         self._icmp_return_cache: dict[tuple[str, str], tuple[Link, ...] | None] = {}
         #: Measurement epochs this network has begun (telemetry only;
@@ -159,6 +175,11 @@ class Network:
         self._route_cache.clear()
         self._icmp_return_cache.clear()
 
+    def _drop_lanes(self) -> None:
+        """Forget every compiled lane (a middlebox or link fault was
+        installed or reverted); routes rebuild from the hop cache."""
+        self._route_cache.clear()
+
     def begin_epoch(self) -> None:
         """Mark a measurement-epoch boundary for route-table bookkeeping.
 
@@ -170,41 +191,59 @@ class Network:
         excluded set covers.  Epochs that share an excluded set
         therefore reuse fully warmed tables instead of rebuilding them
         — strictly cheaper than a per-epoch rebuild, with the same
-        invalidation guarantee.  The counter feeds telemetry and tests.
+        invalidation guarantee (a fault install or revert only rebuilds
+        :attr:`_route_cache` from the hop cache).  The counter feeds
+        telemetry and tests.
         """
         self.epoch_index += 1
 
     def _route_to(self, src_router: str, dst_addr: int):
-        """Fast-hop sequence from ``src_router`` to the host owning
-        ``dst_addr``, or ``None`` when unroutable (cached either way).
+        """``(hops, lane)`` from ``src_router`` to the host owning
+        ``dst_addr`` (cached); ``hops`` is ``None`` when unroutable and
+        ``lane`` is ``None`` when the route has none (see :meth:`_lane`).
 
-        Entries are ``(router, link, l_clean, delay, jitter, p)``:
+        Hops are ``(router, link, l_clean, delay, jitter, p)``:
         the link's static cleanliness (uncongested queue, trivially
         sampled loss) and its sampling parameters are resolved once at
         route-build time, so the per-packet loop reads tuple slots
         instead of chasing ``link.aqm.__class__``-style attribute
         chains.  Safe to precompute because AQM/loss *models* are fixed
-        at topology build; the only post-build mutation is
-        ``link.fault`` (the chaos layer), which the send loop reads
-        live.  Cache lifecycle matches :attr:`_hop_cache`.
+        at topology build; the only post-build mutations are
+        ``link.fault`` and middleboxes (the chaos layer), which the
+        per-hop loop reads live and whose installs empty this table.
         """
         key = (src_router, dst_addr)
-        cache = self._route_cache
-        hit = cache.get(key, _MISSING)
-        if hit is not _MISSING:
-            return hit
+        route = self._route_cache.get(key)
+        if route is not None:
+            return route
+        hops = lane = None
         dst_router = self.topology.router_for_addr(dst_addr)
-        if dst_router is None:
-            hops = None
-        else:
+        if dst_router is not None:
             try:
                 raw = self.hops_between(src_router, dst_router)
             except RoutingError:
-                hops = None
+                pass
             else:
                 hops = tuple(self._fast_hop(router, link) for router, link in raw)
-        cache[key] = hops
-        return hops
+                lane = self._lane(hops, dst_addr)
+        route = self._route_cache[key] = (hops, lane)
+        return route
+
+    def _lane(self, hops: tuple[tuple, ...], dst_addr: int):
+        """``(router count, host, access delay, access p)`` for a clean
+        fast-mode route (see the module docstring), else ``None``."""
+        host = self.topology.hosts.get(dst_addr)
+        if self.mode != FAST or host is None:
+            return None
+        for router, link, l_clean, _, _, _ in hops:
+            if router.middleboxes or (link is not None and (link.fault is not None or not l_clean)):
+                return None
+        loss = host.access.loss
+        if loss is None or loss.__class__ is NoLoss:
+            return (len(hops), host, host.access.delay, 0.0)
+        if loss.__class__ is BernoulliLoss:
+            return (len(hops), host, host.access.delay, loss.probability)
+        return None
 
     @staticmethod
     def _fast_hop(router: Router, link: Link | None):
@@ -228,23 +267,25 @@ class Network:
     def send(self, packet: IPv4Packet, src_host: Host) -> None:
         """Inject a packet from ``src_host`` into the network.
 
-        The caller keeps ownership of ``packet``: the network clones it
-        once at this boundary and every downstream rewrite (TTL
-        decrement, CE mark, bleaching) happens on — or replaces — the
-        simulator-owned clone, never the caller's object.  That single
-        copy is what lets the per-hop machinery mutate in place.
+        The network owns ``packet`` from here on: every downstream
+        rewrite (TTL decrement, CE mark) happens on it in place, and
+        middlebox rewrites replace it with a fresh object.  Callers
+        build a new packet per send and do not read it afterwards.
         """
         counters = self.counters
         counters.sent += 1
         # Inline the route-table hit; misses take the full lookup.
-        hops = self._route_cache.get((src_host.router_id, packet.dst), _MISSING)
-        if hops is _MISSING:
-            hops = self._route_to(src_host.router_id, packet.dst)
+        route = self._route_cache.get((src_host.router_id, packet.dst))
+        if route is None:
+            route = self._route_to(src_host.router_id, packet.dst)
+        hops, lane = route
         if hops is None:
             counters.dropped_no_route += 1
             counters.note("no-route")
             return
-        packet = packet.copy()
+        if lane is not None and (packet.ttl <= lane[0] or self.metrics or self.tracer):
+            lane = None
+        rng = self.rng
         access = src_host.access
         loss = access.loss
         loss_cls = None if loss is None else loss.__class__
@@ -254,27 +295,51 @@ class Network:
             # Clean-ish access link (no upstream AQM, trivially sampled
             # loss): inline the draw — order and count matching
             # ``_cross_access`` exactly.
-            access_delay = access.delay
+            elapsed = access.delay
             if loss_cls is BernoulliLoss:
                 p = loss.probability
-                if p > 0 and self.rng.random() < p:
+                if p > 0 and rng.random() < p:
                     if self.metrics:
                         self.metrics.incr("link.loss")
                     counters.dropped_loss += 1
                     counters.note("access-loss")
                     return
         else:
-            survived, packet, access_delay = self._cross_access(
-                src_host, packet, outbound=True
-            )
+            survived, packet, elapsed = self._cross_access(src_host, packet, outbound=True)
             if not survived:
                 return
-        if self.mode == FAST:
-            self._send_fast(packet, src_host, hops, access_delay)
+        if lane is not None:
+            # The compiled route: the per-hop loop's draws, float sums
+            # and counters, with no router, fault or observer checks.
+            routers, host, host_delay, host_p = lane
+            # The last hop's zero delay, jitter and loss leave ``elapsed``
+            # and the draws unchanged, so it needs no special case.
+            for _, _, _, delay, jitter, p in hops:
+                if jitter > 0.0:
+                    delay += rng.random() * jitter
+                elapsed += delay
+                if p > 0.0 and rng.random() < p:
+                    counters.dropped_loss += 1
+                    counters.note("loss")
+                    return
+            packet.ttl -= routers
+            if host_p > 0 and rng.random() < host_p:
+                counters.dropped_loss += 1
+                counters.note("access-loss")
+                return
+            counters.delivered += 1
+            scheduler = self.scheduler
+            when = scheduler.clock._now + (elapsed + host_delay)
+            seq = scheduler._seq
+            scheduler._seq = seq + 1
+            scheduler._pending += 1
+            heappush(scheduler._heap, (when, seq, None, host.deliver, packet))
+        elif self.mode == FAST:
+            self._send_fast(packet, src_host, hops, elapsed)
         else:
             self.scheduler.schedule(
-                access_delay, self._send_event, packet, src_host, hops, 0, access_delay
-            ) if access_delay > 0 else self._send_event(
+                elapsed, self._send_event, packet, src_host, hops, 0, elapsed
+            ) if elapsed > 0 else self._send_event(
                 packet, src_host, hops, index=0, elapsed=0.0
             )
 
@@ -284,8 +349,8 @@ class Network:
         """Sample a host's access link; returns (survived, packet, delay).
 
         ``packet`` is simulator-owned by the time it crosses an access
-        link (cloned in :meth:`send`, or a delivered/ICMP reply
-        object), so the upstream CE mark rewrites it in place.
+        link (handed over in :meth:`send`, or an ICMP reply object), so
+        the upstream CE mark rewrites it in place.
         """
         access = host.access
         metrics = self.metrics
@@ -336,60 +401,30 @@ class Network:
         tracer = self.tracer
         counters = self.counters
         elapsed = access_delay
-        for router, link, l_clean, delay, jitter, p in hops:
-            # Clean router hop (no middleboxes, no tracer, TTL fine):
-            # one in-place decrement, no call.  The rng draw order is
-            # untouched — this path never samples.
-            if packet.ttl > 1 and not router.middleboxes and not tracer:
-                packet.ttl -= 1
-                if metrics:
-                    metrics.incr("router.forwarded")
-            else:
-                verdict, packet, icmp, reason = router._transit(
-                    packet, rng, metrics, tracer
-                )
-                if verdict:  # anything but TRANSIT_FORWARD (0)
-                    if verdict == TRANSIT_DROP:
-                        counters.dropped_middlebox += 1
-                        counters.note(reason)
-                    else:
-                        counters.ttl_expired += 1
-                        if icmp is not None:
-                            self._return_icmp(
-                                router, icmp, packet, src_host, elapsed
-                            )
-                    return
+        # The per-hop loop, for routes without a lane (and packets that
+        # cannot ride one): every hop through the transit code.
+        for router, link, _, _, _, _ in hops:
+            verdict, packet, icmp, reason = router._transit(packet, rng, metrics, tracer)
+            if verdict:  # anything but TRANSIT_FORWARD (0)
+                if verdict == TRANSIT_DROP:
+                    counters.dropped_middlebox += 1
+                    counters.note(reason)
+                else:
+                    counters.ttl_expired += 1
+                    if icmp is not None:
+                        self._return_icmp(router, icmp, packet, src_host, elapsed)
+                return
             if link is None:
                 break
-            # Clean link hop: uncongested queue, no active fault, no
-            # tracer, trivially-sampled loss.  Draw order matches
-            # ``Link._transit`` exactly: jitter first, then loss (and
-            # the fault check before the draws never samples rng).
-            fault = link.fault
-            if l_clean and not tracer and (fault is None or not fault.active()):
-                if jitter > 0.0:
-                    delay += rng.random() * jitter
-                if metrics:
-                    metrics.incr("queue.pass")
-                elapsed += delay
-                if p > 0.0 and rng.random() < p:
-                    if metrics:
-                        metrics.incr("link.loss")
+            delivered, delay, reason = link._transit(packet, rng, metrics, tracer)
+            elapsed += delay
+            if not delivered:
+                if reason == "aqm-drop":
+                    counters.dropped_aqm += 1
+                else:
                     counters.dropped_loss += 1
-                    counters.note("loss")
-                    return
-            else:
-                delivered, delay, reason = link._transit(
-                    packet, rng, metrics, tracer
-                )
-                elapsed += delay
-                if not delivered:
-                    if reason == "aqm-drop":
-                        counters.dropped_aqm += 1
-                    else:
-                        counters.dropped_loss += 1
-                    counters.note(reason)
-                    return
+                counters.note(reason)
+                return
         self._deliver_to_host(packet, elapsed)
 
     # ------------------------------------------------------------------
@@ -451,44 +486,11 @@ class Network:
             self.counters.dropped_no_route += 1
             self.counters.note("no-host")
             return
-        access = host.access
-        loss = access.loss
-        loss_cls = None if loss is None else loss.__class__
-        if loss is None or loss_cls is NoLoss or loss_cls is BernoulliLoss:
-            # Inbound crossings only sample loss (AQM is upstream-only);
-            # inline the trivial models, draw order matching
-            # ``_cross_access`` exactly.
-            if loss_cls is BernoulliLoss:
-                p = loss.probability
-                if p > 0 and self.rng.random() < p:
-                    if self.metrics:
-                        self.metrics.incr("link.loss")
-                    self.counters.dropped_loss += 1
-                    self.counters.note("access-loss")
-                    return
-            delay += access.delay
-        else:
-            survived, packet, access_delay = self._cross_access(
-                host, packet, outbound=False
-            )
-            if not survived:
-                return
-            delay += access_delay
-        self.counters.delivered += 1
-        # Inlined ``scheduler.schedule`` (this is the single hottest
-        # schedule site; ``delay`` is a sum of non-negative link
-        # delays, so the negative-delay guard is statically satisfied).
-        scheduler = self.scheduler
-        when = scheduler.clock._now + delay
-        seq = scheduler._seq
-        event = Event(when, seq, host.deliver, (packet, when), scheduler)
-        scheduler._seq = seq + 1
-        scheduler._pending += 1
-        heappush(scheduler._heap, (when, seq, event))
-        metrics = scheduler.metrics
-        if metrics:
-            metrics.incr("engine.scheduled")
-            metrics.gauge_max("engine.heap_peak", len(scheduler._heap))
+        survived, packet, access_delay = self._cross_access(host, packet, outbound=False)
+        if survived:
+            self.counters.delivered += 1
+            # A sum of non-negative delays: ``schedule``'s guard holds.
+            self.scheduler._push(delay + access_delay, host.deliver, packet)
 
     def _icmp_return_links(
         self, origin_router: str, dst_router: str
@@ -551,13 +553,8 @@ class Network:
         if not survived:
             self.counters.note("icmp-return-loss")
             return
-        elapsed += access_delay
-        self.scheduler.schedule(
-            max(elapsed, 0.0),
-            src_host.deliver,
-            reply,
-            self.scheduler.now + max(elapsed, 0.0),
-        )
+        elapsed = max(elapsed + access_delay, 0.0)
+        self.scheduler._push(elapsed, src_host.deliver, reply)
 
     def __repr__(self) -> str:
         return f"Network(mode={self.mode}, {self.topology!r})"

@@ -57,10 +57,16 @@ class Router:
     sends_icmp_errors: bool = True
     icmp_quote_payload: int = CLASSIC_QUOTE_PAYLOAD
     icmp_response_rate: float = 1.0
+    #: The route table of the network this router is part of, set when
+    #: the :class:`~repro.netsim.network.Network` is built.  Its lanes
+    #: assume no middleboxes on their routers, so adding one empties it.
+    _routes: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     def add_middlebox(self, box: Middlebox) -> None:
         """Append a policy to the transit chain."""
         self.middleboxes.append(box)
+        if self._routes is not None:
+            self._routes.clear()
 
     def _transit(
         self,
@@ -87,27 +93,8 @@ class Router:
         :mod:`repro.obs` hooks, falsey when disabled, and never draw
         from ``rng``.
         """
-        if self.middleboxes or tracer:
+        if self.middleboxes or tracer or packet.ttl <= 1:
             return self._transit_slow(packet, rng, metrics, tracer)
-        if packet.ttl <= 1:
-            icmp = None
-            if self.sends_icmp_errors and (
-                self.icmp_response_rate >= 1.0
-                or rng.random() < self.icmp_response_rate
-            ):
-                # The quotation must show TTL 0 (the value on the wire
-                # when the counter expired).  Flip it just for the
-                # immediate encode inside time_exceeded, then restore,
-                # so observers of the live object see the arrival TTL.
-                saved_ttl = packet.ttl
-                packet.ttl = 0
-                icmp = time_exceeded(packet, self.icmp_quote_payload)
-                packet.ttl = saved_ttl
-            if metrics:
-                metrics.incr("router.ttl_expired")
-                if icmp is not None:
-                    metrics.incr("router.icmp_generated")
-            return TRANSIT_TTL_EXPIRED, packet, icmp, "ttl expired"
         packet.ttl -= 1
         if metrics:
             metrics.incr("router.forwarded")
@@ -120,7 +107,7 @@ class Router:
         metrics,
         tracer,
     ):
-        """Full transit path: middlebox chain and/or packet tracing."""
+        """Full transit path: middlebox chain, TTL expiry, packet tracing."""
         traced = tracer and tracer.wants(packet)
         for box in self.middleboxes:
             before = packet.ecn
@@ -157,6 +144,10 @@ class Router:
                 self.icmp_response_rate >= 1.0
                 or rng.random() < self.icmp_response_rate
             ):
+                # The quotation must show TTL 0 (the value on the wire
+                # when the counter expired).  Flip it just for the
+                # immediate encode inside time_exceeded, then restore,
+                # so observers of the live object see the arrival TTL.
                 saved_ttl = packet.ttl
                 packet.ttl = 0
                 icmp = time_exceeded(packet, self.icmp_quote_payload)

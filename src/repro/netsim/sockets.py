@@ -9,15 +9,13 @@ TTL-limited traceroute probes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
-from .checksum import internet_checksum, pseudo_header
 from .ecn import ECN, tos_byte
 from .errors import CodecError, SocketError
-from .ipv4 import DEFAULT_TTL, IPv4Packet, PROTO_UDP
-from .udp import _HEADER as _UDP_HEADER
-from .udp import UDPDatagram
+from .ipv4 import DEFAULT_TTL, IPv4Packet
+from .udp import UDPDatagram, UDPPacket
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .host import Host
@@ -37,14 +35,6 @@ class UDPSocket:
     port: int
     handler: UDPHandler | None = None
     closed: bool = False
-    #: One-slot memo of the folded checksum base for the last
-    #: ``(dst_addr, payload)`` pair.  The UDP checksum of a probe is
-    #: that base plus ``dst_port`` (one's-complement add) — so a
-    #: traceroute, which walks ``dst_port`` across TTLs while keeping
-    #: destination and payload fixed, sums the datagram bytes once per
-    #: flow instead of once per probe.
-    _csum_key: tuple | None = field(default=None, repr=False, compare=False)
-    _csum_base: int = field(default=0, repr=False, compare=False)
 
     def send(
         self,
@@ -55,56 +45,28 @@ class UDPSocket:
         dscp: int = 0,
         ttl: int = DEFAULT_TTL,
         ident: int = 0,
-    ) -> IPv4Packet:
-        """Send a datagram; returns the IP packet handed to the network.
+    ) -> None:
+        """Send a datagram.
 
         ``ecn`` and ``dscp`` set the TOS byte exactly as the real
         client's ``setsockopt(IP_TOS)`` did; ``ttl`` and ``ident``
-        support the traceroute probes.
+        support the traceroute probes.  The network is handed a
+        :class:`~repro.netsim.udp.UDPPacket` and owns it from then on.
         """
         if self.closed:
             raise SocketError(f"socket on port {self.port} is closed")
         if not 0 <= dst_port <= 0xFFFF:
             raise CodecError(f"UDP dst port out of range: {dst_port}")
-        key = (dst_addr, payload)
-        if key == self._csum_key:
-            base = self._csum_base
+        if not 0 <= self.port <= 0xFFFF:
+            raise CodecError(f"UDP src port out of range: {self.port}")
+        # Inline tos_byte for the in-range case; the helper keeps the
+        # range checks (and error messages) for bad DSCP/ECN.
+        if 0 <= dscp <= 0x3F and 0 <= ecn <= 0b11:
+            tos = (dscp << 2) | ecn
         else:
-            if not 0 <= self.port <= 0xFFFF:
-                raise CodecError(f"UDP src port out of range: {self.port}")
-            length = 8 + len(payload)
-            header = _UDP_HEADER.pack(self.port, 0, length, 0)
-            pseudo = pseudo_header(self.host.addr, dst_addr, PROTO_UDP, length)
-            # internet_checksum returns ~fold(S); recover the folded
-            # one's-complement sum so dst_port can be added per probe.
-            base = 0xFFFF - internet_checksum(pseudo + header + payload)
-            self._csum_key = key
-            self._csum_base = base
-        total = base + dst_port
-        total = (total & 0xFFFF) + (total >> 16)
-        csum = 0xFFFF - total
-        if csum == 0:
-            csum = 0xFFFF  # RFC 768: transmitted zero means "no checksum"
-        wire = (
-            _UDP_HEADER.pack(self.port, dst_port, 8 + len(payload), csum) + payload
-        )
-        packet = IPv4Packet(
-            src=self.host.addr,
-            dst=dst_addr,
-            protocol=PROTO_UDP,
-            payload=wire,
-            ttl=ttl,
-            # Inline tos_byte for the in-range case; the helper keeps
-            # the range checks (and error messages) for bad DSCP/ECN.
-            tos=(
-                ((dscp << 2) | ecn)
-                if 0 <= dscp <= 0x3F and 0 <= ecn <= 0b11
-                else tos_byte(dscp, ecn)
-            ),
-            ident=ident,
-        )
-        self.host.send_ip(packet)
-        return packet
+            tos = tos_byte(dscp, ecn)
+        datagram = UDPDatagram(self.port, dst_port, payload)
+        self.host.send_ip(UDPPacket(self.host.addr, dst_addr, datagram, ttl, tos, ident))
 
     def deliver(self, datagram: UDPDatagram, packet: IPv4Packet, now: float) -> None:
         """Called by the host demux when a datagram arrives."""

@@ -1,18 +1,23 @@
 """Tests for the network: delivery, TTL, ICMP return, mode parity."""
 
+from types import SimpleNamespace
+
 import pytest
 
+from repro.faults.events import BLEACH_ON, LINK_FLAP, FaultEvent, FaultPlan
+from repro.faults.injector import FaultInjector
 from repro.netsim.ecn import ECN
 from repro.netsim.errors import NetSimError
 from repro.netsim.host import AccessLink, Host
 from repro.netsim.icmp import TYPE_TIME_EXCEEDED
-from repro.netsim.ipv4 import parse_addr
+from repro.netsim.ipv4 import IPv4Packet, parse_addr
 from repro.netsim.link import link_pair
 from repro.netsim.middlebox import ECTBleacher, ECTDropper
 from repro.netsim.network import EVENT, FAST, Network
 from repro.netsim.queues import BernoulliLoss
 from repro.netsim.router import Router
 from repro.netsim.topology import Topology
+from repro.obs import MetricsRegistry, PathTracer
 
 from wiretap import tap
 
@@ -206,3 +211,143 @@ class TestModeValidation:
         topo.add_router(Router("r0", asn=1, interface_addr=1))
         with pytest.raises(NetSimError):
             Network(topo, mode="warp")
+
+
+# ----------------------------------------------------------------------
+# Compiled lanes: a clean route compiles on its first packet; whatever
+# changes the route afterwards must change the next packets exactly as
+# the per-hop loop would.
+# ----------------------------------------------------------------------
+def build_lane_chain(per_hop):
+    """A four-router chain with jitter and loss on every link and on
+    the server's access link; ``per_hop`` forbids lanes."""
+    topo = Topology()
+    for index in range(4):
+        topo.add_router(
+            Router(f"r{index}", asn=100 + index, interface_addr=parse_addr(f"10.0.{index}.1"))
+        )
+        if index:
+            topo.add_link_pair(
+                *link_pair(
+                    f"r{index - 1}",
+                    f"r{index}",
+                    delay=0.01,
+                    jitter=0.003,
+                    loss=BernoulliLoss(0.1),
+                )
+            )
+    client = topo.add_host(Host("client", parse_addr("192.0.2.1"), "r0"))
+    server = topo.add_host(Host("server", parse_addr("198.51.100.1"), "r3"))
+    server.access = AccessLink(delay=0.002, loss=BernoulliLoss(0.1))
+    net = Network(topo, seed=5)
+    if per_hop:
+        net._lane = lambda hops, dst_addr: None
+    return net, client, server
+
+
+def run_with_changes(*changes, ttl=64):
+    """Send a burst, then apply each change followed by another burst,
+    on a laned and a per-hop network; both must see the same thing."""
+    runs = []
+    for per_hop in (False, True):
+        net, client, server = build_lane_chain(per_hop)
+        got, quotes, bursts = [], [], []
+        server.udp_bind(123, lambda d, p, t: got.append((p.encode(), t)))
+        client.on_icmp(lambda m, p, t: quotes.append((m.encode(), p.src, t)))
+        sock = client.udp_bind(None)
+
+        def burst(ttl=64):
+            for index in range(20):
+                sock.send(server.addr, 123, b"probe", ecn=ECN.ECT_0, ttl=ttl, ident=index)
+            net.scheduler.run()
+            bursts.append(len(got))
+
+        burst()
+        if not per_hop:
+            assert any(lane is not None for _, lane in net._route_cache.values())
+        for change in changes:
+            change(net, client, server)
+            burst(ttl)
+        runs.append(
+            (got, quotes, bursts, net.rng.getstate(), vars(net.counters), net.scheduler.now)
+        )
+    laned, per_hop_run = runs
+    assert laned == per_hop_run
+    return laned
+
+
+def delivered_ecn(got, start, stop):
+    return {IPv4Packet.decode(wire).ecn for wire, _ in got[start:stop]}
+
+
+class TestLanes:
+    def test_added_middlebox_reaches_the_next_packet(self):
+        def bleach(net, client, server):
+            net.topology.routers["r2"].add_middlebox(ECTBleacher())
+
+        got, _, bursts, *_ = run_with_changes(bleach)
+        assert delivered_ecn(got, 0, bursts[0]) == {ECN.ECT_0}
+        assert delivered_ecn(got, bursts[0], bursts[1]) == {ECN.NOT_ECT}
+
+    def test_injected_faults_and_their_revert_reach_the_next_packet(self):
+        plan = FaultPlan(
+            (
+                FaultEvent(BLEACH_ON, epoch=1, target="r1"),
+                FaultEvent(LINK_FLAP, epoch=2, target="r1->r2", magnitude=1.0),
+            )
+        )
+        injectors = {}
+
+        def epoch(index):
+            def begin(net, client, server):
+                if net not in injectors:
+                    world = SimpleNamespace(topology=net.topology, network=net, log=None)
+                    injectors[net] = FaultInjector(world, plan)
+                injectors[net].begin_epoch(index, net.scheduler.now)
+                # Installs and reverts alike forget every compiled lane.
+                assert not net._route_cache
+
+            return begin
+
+        got, _, bursts, *_ = run_with_changes(epoch(1), epoch(2), epoch(3))
+        assert delivered_ecn(got, bursts[0], bursts[1]) == {ECN.NOT_ECT}
+        assert bursts[2] == bursts[1]  # the flapped link lost every packet
+        assert delivered_ecn(got, bursts[2], bursts[3]) == {ECN.ECT_0}
+
+    def test_installed_tracer_sees_the_next_packet(self):
+        tracers = []
+
+        def trace(net, client, server):
+            tracers.append(PathTracer())
+            net.set_tracer(tracers[-1])
+
+        run_with_changes(trace)
+        laned, per_hop = tracers
+        assert len(laned) and laned.events == per_hop.events
+
+    def test_installed_metrics_count_the_next_packet(self):
+        registries = []
+
+        def observe(net, client, server):
+            registries.append(MetricsRegistry())
+            net.set_metrics(registries[-1])
+
+        run_with_changes(observe)
+        laned, per_hop = registries
+        assert laned.snapshot()["counters"]["router.forwarded"] > 0
+        assert laned.snapshot() == per_hop.snapshot()
+
+    def test_ttl_expiring_mid_route_quotes_the_same(self):
+        _, quotes, *_ = run_with_changes(lambda net, client, server: None, ttl=2)
+        assert quotes and all(src == parse_addr("10.0.1.1") for _, src, _ in quotes)
+
+    def test_wiretap_sees_every_lane_delivery(self):
+        seen = []
+
+        def wiretap(net, client, server):
+            seen.append([])
+            tap(server, lambda d, p, t, log=seen[-1]: log.append(p.encode()))
+
+        got, _, bursts, *_ = run_with_changes(wiretap)
+        assert seen[0] == [wire for wire, _ in got[bursts[0]:]]
+        assert len(seen[0]) == bursts[1] - bursts[0] > 0

@@ -22,7 +22,11 @@ from repro.netsim.icmp import (
     quote_datagram,
     time_exceeded,
 )
+from repro.netsim.host import Host
 from repro.netsim.ipv4 import HEADER_LEN, IPv4Packet, PROTO_TCP, PROTO_UDP
+from repro.netsim.sockets import UDPSocket
+from repro.netsim.udp import _HEADER as _UDP_HEADER
+from repro.netsim.udp import UDPDatagram, UDPPacket
 from repro.tcp.connection import TCPStack
 from repro.tcp.segment import Flags, TCPPacket, TCPSegment
 
@@ -165,6 +169,24 @@ def test_tcp_arithmetic_checksum_matches_reference(src, dst, segment):
     assert 0 <= csum <= 0xFFFF
 
 
+def _reference_udp_wire(src, dst, src_port, dst_port, payload):
+    """The datagram bytes ``UDPSocket.send`` produced eagerly: the
+    checksum base is summed with ``dst_port`` zeroed, then ``dst_port``
+    is folded in, and a computed zero goes out as 0xFFFF."""
+    length = 8 + len(payload)
+    base = 0xFFFF - internet_checksum(
+        pseudo_header(src, dst, PROTO_UDP, length)
+        + _UDP_HEADER.pack(src_port, 0, length, 0)
+        + payload
+    )
+    total = base + dst_port
+    total = (total & 0xFFFF) + (total >> 16)
+    csum = 0xFFFF - total
+    if csum == 0:
+        csum = 0xFFFF
+    return _UDP_HEADER.pack(src_port, dst_port, length, csum) + payload
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     addrs,
@@ -176,27 +198,13 @@ def test_tcp_arithmetic_checksum_matches_reference(src, dst, segment):
 def test_socket_incremental_udp_checksum_matches_encode(
     src, dst, src_port, dst_port, payload
 ):
-    # UDPSocket.send folds dst_port into a cached checksum base
-    # instead of re-summing the datagram per probe; the bytes must be
-    # identical to a full UDPDatagram.encode for every input.
-    from repro.netsim.checksum import internet_checksum, pseudo_header
-    from repro.netsim.udp import _HEADER, UDPDatagram
-
+    # The eager reference folds dst_port into a checksum base instead
+    # of summing the whole datagram; its bytes must be identical to a
+    # full UDPDatagram.encode for every input.
     want = UDPDatagram(
         src_port=src_port, dst_port=dst_port, payload=payload
     ).encode(src, dst)
-    length = 8 + len(payload)
-    base = 0xFFFF - internet_checksum(
-        pseudo_header(src, dst, PROTO_UDP, length)
-        + _HEADER.pack(src_port, 0, length, 0)
-        + payload
-    )
-    total = base + dst_port
-    total = (total & 0xFFFF) + (total >> 16)
-    csum = 0xFFFF - total
-    if csum == 0:
-        csum = 0xFFFF
-    assert _HEADER.pack(src_port, dst_port, length, csum) + payload == want
+    assert _reference_udp_wire(src, dst, src_port, dst_port, payload) == want
 
 
 # ----------------------------------------------------------------------
@@ -298,6 +306,98 @@ def test_structured_segment_quotes_like_an_eager_one(net_factory, fields, quote_
             wire = segment.encode(client.addr, server.addr)
             packet = IPv4Packet(client.addr, server.addr, PROTO_TCP, wire, tos=2, ident=7)
         packet.ttl = 1
+        client.send_ip(packet)
+        net.scheduler.run()
+    structured_quote, eager_quote = quotes
+    assert structured_quote == eager_quote
+
+
+# ----------------------------------------------------------------------
+# Structured UDP datagrams: a UDPSocket hands the network UDPPackets
+# that carry the datagram object and encode it only when the bytes are
+# read.
+# ----------------------------------------------------------------------
+udp_fields = st.tuples(
+    st.integers(0, 0xFFFF),  # src port
+    st.integers(0, 0xFFFF),  # dst port
+    st.binary(max_size=64),
+    st.integers(0, 0x3F),  # dscp
+    st.integers(0, 3),  # ecn
+    st.integers(1, 255),  # ttl
+    st.integers(0, 0xFFFF),  # ident
+)
+
+
+def _send_udp(src, dst, fields):
+    """The packet a UDPSocket on a bare host hands its host."""
+    src_port, dst_port, payload, dscp, ecn, ttl, ident = fields
+    host = SimpleNamespace(addr=src, sent=[])
+    host.send_ip = host.sent.append
+    UDPSocket(host=host, port=src_port).send(
+        dst, dst_port, payload, ecn=ECN(ecn), dscp=dscp, ttl=ttl, ident=ident
+    )
+    (packet,) = host.sent
+    return packet
+
+
+@settings(max_examples=200, deadline=None)
+@given(addrs, addrs, udp_fields)
+def test_structured_datagram_matches_the_wire(src, dst, fields):
+    src_port, dst_port, payload, dscp, ecn, ttl, ident = fields
+    packet = _send_udp(src, dst, fields)
+    assert packet.__class__ is UDPPacket
+    # The receiving host hands its socket exactly what it would have
+    # parsed from the bytes.
+    receiver = Host("receiver", dst, "r0")
+    got = []
+    receiver.udp_bind(dst_port, lambda datagram, p, now: got.append(datagram))
+    receiver.deliver(packet, 0.0)
+    wire = packet.payload
+    assert got == [UDPDatagram.decode(wire)]
+    assert packet.datagram == UDPDatagram.decode(wire)
+    # The lazily encoded bytes are the eager ones, and so is the datagram.
+    assert wire == _reference_udp_wire(src, dst, src_port, dst_port, payload)
+    eager = IPv4Packet(src, dst, PROTO_UDP, wire, ttl, (dscp << 2) | ecn, ident)
+    assert packet == eager and eager == packet
+    assert packet.total_length == eager.total_length
+    assert packet.encode() == eager.encode()
+    assert packet.copy() == eager and packet.copy().__class__ is UDPPacket
+    assert packet.with_ecn(ECN.CE).encode() == eager.with_ecn(ECN.CE).encode()
+
+
+@given(addrs, addrs, st.integers(0, 0xFFFF), st.integers(0, 0xFFFF))
+@settings(max_examples=50, deadline=None)
+def test_structured_datagram_sends_a_zero_checksum_as_ffff(src, dst, src_port, dst_port):
+    # A two-byte payload equal to the checksum of a zero payload makes
+    # the computed checksum 0, which RFC 768 transmits as 0xFFFF.
+    zero = _reference_udp_wire(src, dst, src_port, dst_port, b"\0\0")
+    payload = zero[6:8] if zero[6:8] != b"\xff\xff" else b"\0\0"
+    fields = (src_port, dst_port, payload, 0, 0, 64, 0)
+    wire = _send_udp(src, dst, fields).payload
+    assert wire == _reference_udp_wire(src, dst, src_port, dst_port, payload)
+    assert wire[6:8] == b"\xff\xff"
+
+
+@settings(
+    max_examples=50, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(udp_fields, st.sampled_from([CLASSIC_QUOTE_PAYLOAD, FULL_QUOTE_LIMIT]))
+def test_structured_datagram_quotes_like_an_eager_one(net_factory, fields, quote_payload):
+    # A UDP packet whose TTL runs out in a router is quoted in the ICMP
+    # time-exceeded error byte for byte as its eagerly encoded twin.
+    src_port, dst_port, payload, dscp, ecn, _, ident = fields
+    quotes = []
+    for structured in (True, False):
+        net, client, server = net_factory()
+        net.topology.routers["r0"].icmp_quote_payload = quote_payload
+        client.on_icmp(lambda message, packet, now: quotes.append(message.body))
+        tos = (dscp << 2) | ecn
+        datagram = UDPDatagram(src_port, dst_port, payload)
+        if structured:
+            packet = UDPPacket(client.addr, server.addr, datagram, 1, tos, ident)
+        else:
+            wire = datagram.encode(client.addr, server.addr)
+            packet = IPv4Packet(client.addr, server.addr, PROTO_UDP, wire, 1, tos, ident)
         client.send_ip(packet)
         net.scheduler.run()
     structured_quote, eager_quote = quotes
