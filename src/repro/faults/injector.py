@@ -81,19 +81,13 @@ class FaultInjector:
                     )
         if blackholed:
             self._set_excluded(frozenset(blackholed))
-        if installed:
-            # A compiled lane assumes no middlebox and no link fault.
-            self.world.network._drop_lanes()
-            if metrics:
-                metrics.incr("faults.epochs_impaired")
+        if installed and metrics:
+            metrics.incr("faults.epochs_impaired")
 
     def revert(self) -> None:
         """Restore the pristine world (idempotent)."""
-        if not self._reverts:
-            return
         while self._reverts:
             self._reverts.pop()()
-        self.world.network._drop_lanes()
 
     # ------------------------------------------------------------------
     # Installation per kind
@@ -133,9 +127,12 @@ class FaultInjector:
             link.fault = LinkFault(window=window, loss_probability=event.magnitude)
         else:
             link.fault = LinkFault(window=window, extra_delay=event.magnitude)
+        network = self.world.network
+        network.invalidate_routes()
 
         def undo() -> None:
             link.fault = None
+            network.invalidate_routes()
 
         self._reverts.append(undo)
         return True
@@ -151,11 +148,10 @@ class FaultInjector:
             ),
             window=window,
         )
-        router.middleboxes.append(box)
+        router.add_middlebox(box)
 
         def undo() -> None:
-            if box in router.middleboxes:
-                router.middleboxes.remove(box)
+            router.remove_middlebox(box)
 
         self._reverts.append(undo)
         return True
@@ -164,6 +160,8 @@ class FaultInjector:
         router = self.world.topology.routers.get(str(event.target))
         if router is None:
             return False
+        # Swaps boxes in place: the chain stays non-empty, so no lane
+        # crosses this router before, during or after the window.
         original = list(router.middleboxes)
         replaced = False
         for position, box in enumerate(original):

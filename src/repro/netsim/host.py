@@ -17,10 +17,10 @@ from typing import TYPE_CHECKING, Callable, Protocol
 from .errors import CodecError, SocketError
 from .queues import AQMModel, LossModel
 from .icmp import ICMPMessage
-from .ipv4 import IPv4Packet, PROTO_ICMP, PROTO_TCP, PROTO_UDP, format_addr
+from .ipv4 import IPv4Packet, PROTO_ICMP, PROTO_TCP, PROTO_UDP, TransportPacket, format_addr
 from .middlebox import Middlebox
 from .sockets import EPHEMERAL_BASE, EPHEMERAL_LIMIT, UDPHandler, UDPSocket
-from .udp import UDPDatagram, UDPPacket
+from .udp import UDPDatagram
 from ..obs.metrics import proto_name
 
 #: Pre-built counter names for the protocols every study sends
@@ -236,8 +236,8 @@ class Host:
             self._deliver_icmp(packet, now)
 
     def _deliver_udp(self, packet: IPv4Packet, now: float) -> None:
-        if packet.__class__ is UDPPacket:
-            datagram = packet.datagram
+        if packet.__class__ is TransportPacket:
+            datagram = packet.body
         else:
             try:
                 datagram = UDPDatagram.decode(packet.payload)

@@ -304,3 +304,51 @@ class IPv4Packet:
             f"proto={self.protocol}, ttl={self.ttl}, ecn={self.ecn.describe()}, "
             f"len={self.total_length})"
         )
+
+
+class TransportPacket(IPv4Packet):
+    """An IPv4 packet that carries its transport message as an object.
+
+    ``body`` is the TCP segment or UDP datagram (anything with
+    ``encode(src, dst)``), and the receiving stack reads it directly.
+    The bytes are encoded only when something reads :attr:`payload` (an
+    ICMP quote, a capture, ``==``, :attr:`total_length`), then kept.
+    They equal an eager encode at send time: nothing on a path rewrites
+    the addresses the checksum covers, and the payload cannot be
+    reassigned.
+    """
+
+    __slots__ = ("body", "_wire")
+
+    def __init__(
+        self, src: int, dst: int, protocol: int, body, ttl: int, tos: int, ident: int
+    ) -> None:
+        self.src = src
+        self.dst = dst
+        self.protocol = protocol
+        self.body = body
+        self._wire: bytes | None = None
+        self.ttl = ttl
+        self.tos = tos
+        self.ident = ident
+        self.dont_fragment = True
+
+    @property  # type: ignore[override]
+    def payload(self) -> bytes:  # type: ignore[override]
+        wire = self._wire
+        if wire is None:
+            wire = self._wire = self.body.encode(self.src, self.dst)
+        return wire
+
+    def copy(self) -> "TransportPacket":
+        new = TransportPacket.__new__(TransportPacket)
+        new.src = self.src
+        new.dst = self.dst
+        new.protocol = self.protocol
+        new.body = self.body
+        new._wire = self._wire
+        new.ttl = self.ttl
+        new.tos = self.tos
+        new.ident = self.ident
+        new.dont_fragment = self.dont_fragment
+        return new

@@ -12,18 +12,16 @@ middleboxes, TTL, link AQM/loss — see :mod:`repro.netsim.router` and
   event bookkeeping is folded.  This is what makes probing 2500
   servers from 13 vantage points tractable in pure Python.
 
-Most fast-mode packets take a *lane*, which the route table compiles
-with a route when no router on it has middleboxes, no link has a
-``fault``, every link is clean (uncongested queue, no or Bernoulli
-loss) and the destination's access loss is none or Bernoulli: the
-router count and the destination host with its access ``(delay, p)``.
-A packet rides it when no tracer or metrics registry is installed and
-its TTL exceeds the router count; :meth:`Network.send` then draws
-jitter then loss per link in the per-hop loop's order, lowers the TTL
-once and queues the delivery itself.  Everything else takes the
-per-hop loop.  Whatever installs or reverts a middlebox or a link
-fault (:meth:`Router.add_middlebox`, the fault injector) empties the
-route table, as :meth:`Network.set_excluded_routers` does.
+Most fast-mode packets ride a *lane*.  When no router on a route has
+middleboxes, no link a ``fault``, every link is clean and the
+destination's access loss is none or Bernoulli, the route table keeps
+a lane with the route: the router count, the destination host and its
+access ``(delay, p)``.  With no tracer or metrics registry installed
+and a TTL above the router count, :meth:`Network.send` walks it: the
+per-hop loop's jitter-then-loss draws, one TTL decrement, the delivery
+queued directly.  Everything else takes the per-hop loop.  Whatever
+installs or removes a middlebox or a link fault calls
+:meth:`Network.invalidate_routes`, which drops every lane.
 
 ICMP errors generated mid-path (TTL expiry — the traceroute mechanism)
 are routed back to the original source along the reverse path, subject
@@ -100,12 +98,10 @@ class Network:
         self._hop_cache: dict[tuple[str, str], tuple[tuple[Router, Link], ...]] = {}
         #: Destination route table: ``(src_router, dst_addr)`` straight
         #: to ``(hops, lane)`` (see :meth:`_route_to`), skipping the
-        #: per-send prefix-trie walk and hop-cache lookup.  Shares the
-        #: hop cache's invalidation (topology change, blackhole set);
-        #: every router holds it too, so a new middlebox can empty it.
+        #: per-send prefix-trie walk and hop-cache lookup.  Emptied with
+        #: the hop cache (topology change, blackhole set) and by
+        #: :meth:`invalidate_routes`.
         self._route_cache: dict[tuple[str, int], tuple] = {}
-        for router in topology.routers.values():
-            router._routes = self._route_cache
         #: Reverse-path link sequences for ICMP returns, same lifecycle.
         self._icmp_return_cache: dict[tuple[str, str], tuple[Link, ...] | None] = {}
         #: Measurement epochs this network has begun (telemetry only;
@@ -116,6 +112,8 @@ class Network:
         self.excluded_routers: frozenset[str] = frozenset()
         for index, host in enumerate(topology.hosts.values()):
             host.attach(self, rng_seed=seed ^ (0x9E3779B1 * (index + 1) & 0xFFFFFFFF))
+        for router in topology.routers.values():
+            router.network = self
 
     def set_metrics(self, metrics) -> None:
         """(Un)install the metrics registry; ``None`` restores the
@@ -172,12 +170,13 @@ class Network:
         self.excluded_routers = excluded
         self.routing.set_excluded(excluded)
         self._hop_cache.clear()
-        self._route_cache.clear()
         self._icmp_return_cache.clear()
+        self.invalidate_routes()
 
-    def _drop_lanes(self) -> None:
-        """Forget every compiled lane (a middlebox or link fault was
-        installed or reverted); routes rebuild from the hop cache."""
+    def invalidate_routes(self) -> None:
+        """Forget every compiled route and lane: call after installing or
+        removing a middlebox or link fault on a live network.  Routes
+        rebuild from the hop cache, so no path is recomputed."""
         self._route_cache.clear()
 
     def begin_epoch(self) -> None:
@@ -191,9 +190,9 @@ class Network:
         excluded set covers.  Epochs that share an excluded set
         therefore reuse fully warmed tables instead of rebuilding them
         — strictly cheaper than a per-epoch rebuild, with the same
-        invalidation guarantee (a fault install or revert only rebuilds
-        :attr:`_route_cache` from the hop cache).  The counter feeds
-        telemetry and tests.
+        invalidation guarantee (a middlebox or link fault install or
+        revert only rebuilds :attr:`_route_cache` from the hop cache).
+        The counter feeds telemetry and tests.
         """
         self.epoch_index += 1
 
@@ -239,11 +238,11 @@ class Network:
             if router.middleboxes or (link is not None and (link.fault is not None or not l_clean)):
                 return None
         loss = host.access.loss
-        if loss is None or loss.__class__ is NoLoss:
-            return (len(hops), host, host.access.delay, 0.0)
-        if loss.__class__ is BernoulliLoss:
-            return (len(hops), host, host.access.delay, loss.probability)
-        return None
+        loss_cls = loss.__class__
+        if loss is not None and loss_cls is not NoLoss and loss_cls is not BernoulliLoss:
+            return None
+        p = loss.probability if loss_cls is BernoulliLoss else 0.0
+        return (len(hops), host, host.access.delay, p)
 
     @staticmethod
     def _fast_hop(router: Router, link: Link | None):
@@ -401,30 +400,60 @@ class Network:
         tracer = self.tracer
         counters = self.counters
         elapsed = access_delay
-        # The per-hop loop, for routes without a lane (and packets that
-        # cannot ride one): every hop through the transit code.
-        for router, link, _, _, _, _ in hops:
-            verdict, packet, icmp, reason = router._transit(packet, rng, metrics, tracer)
-            if verdict:  # anything but TRANSIT_FORWARD (0)
-                if verdict == TRANSIT_DROP:
-                    counters.dropped_middlebox += 1
-                    counters.note(reason)
-                else:
-                    counters.ttl_expired += 1
-                    if icmp is not None:
-                        self._return_icmp(router, icmp, packet, src_host, elapsed)
-                return
+        for router, link, l_clean, delay, jitter, p in hops:
+            # Clean router hop (no middleboxes, no tracer, TTL fine):
+            # one in-place decrement, no call.  The rng draw order is
+            # untouched — this path never samples.
+            if packet.ttl > 1 and not router.middleboxes and not tracer:
+                packet.ttl -= 1
+                if metrics:
+                    metrics.incr("router.forwarded")
+            else:
+                verdict, packet, icmp, reason = router._transit(
+                    packet, rng, metrics, tracer
+                )
+                if verdict:  # anything but TRANSIT_FORWARD (0)
+                    if verdict == TRANSIT_DROP:
+                        counters.dropped_middlebox += 1
+                        counters.note(reason)
+                    else:
+                        counters.ttl_expired += 1
+                        if icmp is not None:
+                            self._return_icmp(
+                                router, icmp, packet, src_host, elapsed
+                            )
+                    return
             if link is None:
                 break
-            delivered, delay, reason = link._transit(packet, rng, metrics, tracer)
-            elapsed += delay
-            if not delivered:
-                if reason == "aqm-drop":
-                    counters.dropped_aqm += 1
-                else:
+            # Clean link hop: uncongested queue, no active fault, no
+            # tracer, trivially-sampled loss.  Draw order matches
+            # ``Link._transit`` exactly: jitter first, then loss (and
+            # the fault check before the draws never samples rng).
+            fault = link.fault
+            if l_clean and not tracer and (fault is None or not fault.active()):
+                if jitter > 0.0:
+                    delay += rng.random() * jitter
+                if metrics:
+                    metrics.incr("queue.pass")
+                elapsed += delay
+                if p > 0.0 and rng.random() < p:
+                    if metrics:
+                        metrics.incr("link.loss")
                     counters.dropped_loss += 1
-                counters.note(reason)
-                return
+                    counters.note("loss")
+                    return
+            else:
+                delivered, delay, reason = link._transit(
+                    packet, rng, metrics, tracer
+                )
+                elapsed += delay
+                if not delivered:
+                    if reason == "aqm-drop":
+                        counters.dropped_aqm += 1
+                    else:
+                        counters.dropped_loss += 1
+                    counters.note(reason)
+                    return
         self._deliver_to_host(packet, elapsed)
 
     # ------------------------------------------------------------------
@@ -486,11 +515,32 @@ class Network:
             self.counters.dropped_no_route += 1
             self.counters.note("no-host")
             return
-        survived, packet, access_delay = self._cross_access(host, packet, outbound=False)
-        if survived:
-            self.counters.delivered += 1
-            # A sum of non-negative delays: ``schedule``'s guard holds.
-            self.scheduler._push(delay + access_delay, host.deliver, packet)
+        access = host.access
+        loss = access.loss
+        loss_cls = None if loss is None else loss.__class__
+        if loss is None or loss_cls is NoLoss or loss_cls is BernoulliLoss:
+            # Inbound crossings only sample loss (AQM is upstream-only);
+            # inline the trivial models, draw order matching
+            # ``_cross_access`` exactly.
+            if loss_cls is BernoulliLoss:
+                p = loss.probability
+                if p > 0 and self.rng.random() < p:
+                    if self.metrics:
+                        self.metrics.incr("link.loss")
+                    self.counters.dropped_loss += 1
+                    self.counters.note("access-loss")
+                    return
+            delay += access.delay
+        else:
+            survived, packet, access_delay = self._cross_access(
+                host, packet, outbound=False
+            )
+            if not survived:
+                return
+            delay += access_delay
+        self.counters.delivered += 1
+        # A sum of non-negative delays: ``schedule``'s guard holds.
+        self.scheduler._push(delay, host.deliver, packet)
 
     def _icmp_return_links(
         self, origin_router: str, dst_router: str

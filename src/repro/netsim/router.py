@@ -12,10 +12,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from .icmp import CLASSIC_QUOTE_PAYLOAD, time_exceeded
 from .ipv4 import IPv4Packet
 from .middlebox import Middlebox
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from .network import Network
 
 #: Hop verdicts returned by :meth:`Router._transit`.
 TRANSIT_FORWARD = 0
@@ -57,16 +61,22 @@ class Router:
     sends_icmp_errors: bool = True
     icmp_quote_payload: int = CLASSIC_QUOTE_PAYLOAD
     icmp_response_rate: float = 1.0
-    #: The route table of the network this router is part of, set when
-    #: the :class:`~repro.netsim.network.Network` is built.  Its lanes
-    #: assume no middleboxes on their routers, so adding one empties it.
-    _routes: dict | None = field(default=None, init=False, repr=False, compare=False)
+    #: The network this router forwards for (set when that is built);
+    #: its compiled routes depend on the middlebox chain.
+    network: Network | None = field(default=None, init=False, repr=False, compare=False)
 
     def add_middlebox(self, box: Middlebox) -> None:
         """Append a policy to the transit chain."""
         self.middleboxes.append(box)
-        if self._routes is not None:
-            self._routes.clear()
+        if self.network is not None:
+            self.network.invalidate_routes()
+
+    def remove_middlebox(self, box: Middlebox) -> None:
+        """Take a policy out of the transit chain, if it is there."""
+        if box in self.middleboxes:
+            self.middleboxes.remove(box)
+            if self.network is not None:
+                self.network.invalidate_routes()
 
     def _transit(
         self,

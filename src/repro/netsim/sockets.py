@@ -14,8 +14,8 @@ from typing import TYPE_CHECKING, Callable
 
 from .ecn import ECN, tos_byte
 from .errors import CodecError, SocketError
-from .ipv4 import DEFAULT_TTL, IPv4Packet
-from .udp import UDPDatagram, UDPPacket
+from .ipv4 import DEFAULT_TTL, PROTO_UDP, IPv4Packet, TransportPacket
+from .udp import UDPDatagram
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .host import Host
@@ -51,7 +51,7 @@ class UDPSocket:
         ``ecn`` and ``dscp`` set the TOS byte exactly as the real
         client's ``setsockopt(IP_TOS)`` did; ``ttl`` and ``ident``
         support the traceroute probes.  The network is handed a
-        :class:`~repro.netsim.udp.UDPPacket` and owns it from then on.
+        :class:`~repro.netsim.ipv4.TransportPacket` and owns it from then on.
         """
         if self.closed:
             raise SocketError(f"socket on port {self.port} is closed")
@@ -66,7 +66,9 @@ class UDPSocket:
         else:
             tos = tos_byte(dscp, ecn)
         datagram = UDPDatagram(self.port, dst_port, payload)
-        self.host.send_ip(UDPPacket(self.host.addr, dst_addr, datagram, ttl, tos, ident))
+        self.host.send_ip(
+            TransportPacket(self.host.addr, dst_addr, PROTO_UDP, datagram, ttl, tos, ident)
+        )
 
     def deliver(self, datagram: UDPDatagram, packet: IPv4Packet, now: float) -> None:
         """Called by the host demux when a datagram arrives."""

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .checksum import internet_checksum, pseudo_header
 from .errors import CodecError
-from .ipv4 import IPv4Packet, PROTO_UDP
+from .ipv4 import PROTO_UDP
 
 _HEADER = struct.Struct("!HHHH")
 HEADER_LEN = _HEADER.size  # 8
@@ -82,50 +82,3 @@ class UDPDatagram:
             f"UDPDatagram({self.src_port} -> {self.dst_port}, "
             f"len={self.length})"
         )
-
-
-class UDPPacket(IPv4Packet):
-    """An IPv4 packet that carries its UDP datagram as an object.
-
-    The receiving host reads :attr:`datagram`; the bytes are encoded
-    only when something reads :attr:`payload` (an ICMP quote, a
-    capture, ``==``, :attr:`total_length`), then kept.  They equal an
-    eager encode at send time, a computed checksum of 0 going out as
-    0xFFFF: nothing on a path rewrites the addresses the checksum
-    covers, and the payload cannot be reassigned.
-    """
-
-    __slots__ = ("datagram", "_wire")
-
-    def __init__(
-        self, src: int, dst: int, datagram: UDPDatagram, ttl: int, tos: int, ident: int
-    ) -> None:
-        self.src = src
-        self.dst = dst
-        self.protocol = PROTO_UDP
-        self.datagram = datagram
-        self._wire: bytes | None = None
-        self.ttl = ttl
-        self.tos = tos
-        self.ident = ident
-        self.dont_fragment = True
-
-    @property  # type: ignore[override]
-    def payload(self) -> bytes:  # type: ignore[override]
-        wire = self._wire
-        if wire is None:
-            wire = self._wire = self.datagram.encode(self.src, self.dst)
-        return wire
-
-    def copy(self) -> "UDPPacket":
-        new = UDPPacket.__new__(UDPPacket)
-        new.src = self.src
-        new.dst = self.dst
-        new.protocol = PROTO_UDP
-        new.datagram = self.datagram
-        new._wire = self._wire
-        new.ttl = self.ttl
-        new.tos = self.tos
-        new.ident = self.ident
-        new.dont_fragment = self.dont_fragment
-        return new

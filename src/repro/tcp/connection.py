@@ -28,8 +28,8 @@ from typing import TYPE_CHECKING, Callable
 from ..netsim.ecn import ECN
 from ..netsim.engine import Event
 from ..netsim.errors import CodecError, SocketError
-from ..netsim.ipv4 import IPv4Packet, format_addr
-from .segment import ACK, CWR, DEFAULT_MSS, ECE, FIN, PSH, RST, SYN, TCPPacket, TCPSegment
+from ..netsim.ipv4 import DEFAULT_TTL, PROTO_TCP, IPv4Packet, TransportPacket, format_addr
+from .segment import ACK, CWR, DEFAULT_MSS, ECE, FIN, PSH, RST, SYN, TCPSegment
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..netsim.host import Host
@@ -580,12 +580,15 @@ class TCPStack:
     def transmit(self, dst: int, segment: TCPSegment, ecn_mark: ECN) -> None:
         """Send a segment in an IP packet that carries it unencoded (TOS: DSCP 0)."""
         self._next_ident = ident = (self._next_ident + 1) & 0xFFFF
-        self.host.send_ip(TCPPacket(self.host.addr, dst, segment, int(ecn_mark), ident))
+        packet = TransportPacket(
+            self.host.addr, dst, PROTO_TCP, segment, DEFAULT_TTL, int(ecn_mark), ident
+        )
+        self.host.send_ip(packet)
 
     def deliver(self, packet: IPv4Packet, now: float) -> None:
         """Demux an arriving TCP/IP packet."""
-        if packet.__class__ is TCPPacket:
-            segment = packet.segment
+        if packet.__class__ is TransportPacket:
+            segment = packet.body
         else:
             try:
                 segment = TCPSegment.decode(packet.payload)

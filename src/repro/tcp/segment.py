@@ -14,7 +14,7 @@ import struct
 
 from ..netsim.checksum import data_sum16, internet_checksum, pseudo_header
 from ..netsim.errors import CodecError
-from ..netsim.ipv4 import DEFAULT_TTL, PROTO_TCP, IPv4Packet
+from ..netsim.ipv4 import PROTO_TCP
 
 _HEADER = struct.Struct("!HHIIBBHHH")
 HEADER_LEN = _HEADER.size  # 20 bytes without options
@@ -52,7 +52,8 @@ class TCPSegment:
     """A TCP segment.  Construction masks ``seq``/``ack`` to 32 bits and
     ``flags`` to a plain ``int`` (``Flags`` members accepted), as the
     wire would: a segment equals ``decode(encode(...))`` of itself, so
-    :class:`TCPPacket` can carry the object, and flag tests stay int-fast.
+    a :class:`~repro.netsim.ipv4.TransportPacket` can carry the object,
+    and flag tests stay int-fast.
     """
 
     __slots__ = ("src_port", "dst_port", "seq", "ack", "flags", "window", "payload", "mss")
@@ -220,50 +221,6 @@ class TCPSegment:
             f"seq={self.seq}, ack={self.ack}, flags={'|'.join(names) or '-'}, "
             f"len={len(self.payload)})"
         )
-
-
-class TCPPacket(IPv4Packet):
-    """An IPv4 packet that carries its TCP segment as an object.
-
-    The receiving stack reads :attr:`segment`; the bytes are encoded only
-    when something reads :attr:`payload` (an ICMP quote, a capture,
-    ``==``, :attr:`total_length`), then kept.  They equal an eager
-    encode at send time: nothing on a path rewrites the addresses the
-    checksum covers, and the payload cannot be reassigned.
-    """
-
-    __slots__ = ("segment", "_wire")
-
-    def __init__(self, src: int, dst: int, segment: TCPSegment, tos: int, ident: int) -> None:
-        self.src = src
-        self.dst = dst
-        self.protocol = PROTO_TCP
-        self.segment = segment
-        self._wire: bytes | None = None
-        self.ttl = DEFAULT_TTL
-        self.tos = tos
-        self.ident = ident
-        self.dont_fragment = True
-
-    @property  # type: ignore[override]
-    def payload(self) -> bytes:  # type: ignore[override]
-        wire = self._wire
-        if wire is None:
-            wire = self._wire = self.segment.encode(self.src, self.dst)
-        return wire
-
-    def copy(self) -> "TCPPacket":
-        new = TCPPacket.__new__(TCPPacket)
-        new.src = self.src
-        new.dst = self.dst
-        new.protocol = PROTO_TCP
-        new.segment = self.segment
-        new._wire = self._wire
-        new.ttl = self.ttl
-        new.tos = self.tos
-        new.ident = self.ident
-        new.dont_fragment = self.dont_fragment
-        return new
 
 
 def _parse_mss(options: bytes) -> int | None:

@@ -14,7 +14,7 @@ from repro.netsim.ipv4 import IPv4Packet, parse_addr
 from repro.netsim.link import link_pair
 from repro.netsim.middlebox import ECTBleacher, ECTDropper
 from repro.netsim.network import EVENT, FAST, Network
-from repro.netsim.queues import BernoulliLoss
+from repro.netsim.queues import BernoulliLoss, TimedOutageLoss
 from repro.netsim.router import Router
 from repro.netsim.topology import Topology
 from repro.obs import MetricsRegistry, PathTracer
@@ -293,7 +293,7 @@ class TestLanes:
         plan = FaultPlan(
             (
                 FaultEvent(BLEACH_ON, epoch=1, target="r1"),
-                FaultEvent(LINK_FLAP, epoch=2, target="r1->r2", magnitude=1.0),
+                FaultEvent(LINK_FLAP, epoch=3, target="r1->r2", magnitude=1.0),
             )
         )
         injectors = {}
@@ -309,10 +309,11 @@ class TestLanes:
 
             return begin
 
-        got, _, bursts, *_ = run_with_changes(epoch(1), epoch(2), epoch(3))
+        got, _, bursts, *_ = run_with_changes(epoch(1), epoch(2), epoch(3), epoch(4))
         assert delivered_ecn(got, bursts[0], bursts[1]) == {ECN.NOT_ECT}
-        assert bursts[2] == bursts[1]  # the flapped link lost every packet
-        assert delivered_ecn(got, bursts[2], bursts[3]) == {ECN.ECT_0}
+        assert delivered_ecn(got, bursts[1], bursts[2]) == {ECN.ECT_0}
+        assert bursts[3] == bursts[2]  # the flapped link lost every packet
+        assert delivered_ecn(got, bursts[3], bursts[4]) == {ECN.ECT_0}
 
     def test_installed_tracer_sees_the_next_packet(self):
         tracers = []
@@ -336,6 +337,25 @@ class TestLanes:
         laned, per_hop = registries
         assert laned.snapshot()["counters"]["router.forwarded"] > 0
         assert laned.snapshot() == per_hop.snapshot()
+
+    def test_stateful_access_loss_takes_the_per_hop_loop(self):
+        # A lane inlines only none or Bernoulli access loss; any other
+        # model keeps its own draws on the per-hop path.
+        runs = []
+        for per_hop in (False, True):
+            net, client, server = build_lane_chain(per_hop)
+            loss = TimedOutageLoss(base=0.2, outage_rate=2.0, outage_duration=0.05)
+            loss.bind_clock(net.scheduler.clock)
+            server.access = AccessLink(delay=0.002, loss=loss)
+            got = []
+            server.udp_bind(123, lambda d, p, t: got.append((p.encode(), t)))
+            sock = client.udp_bind(None)
+            for index in range(40):
+                sock.send(server.addr, 123, b"probe", ecn=ECN.ECT_0, ident=index)
+            net.scheduler.run()
+            assert all(lane is None for _, lane in net._route_cache.values())
+            runs.append((got, net.rng.getstate()))
+        assert runs[0] == runs[1] and runs[0][0]
 
     def test_ttl_expiring_mid_route_quotes_the_same(self):
         _, quotes, *_ = run_with_changes(lambda net, client, server: None, ttl=2)

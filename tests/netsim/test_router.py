@@ -49,9 +49,9 @@ class TestForwarding:
         assert forwarded.ttl == 9
 
     def test_decrements_in_place_on_simulator_owned_packet(self):
-        # Transit packets are simulator-owned (the network clones the
-        # caller's packet once at the send boundary), so the router
-        # decrements TTL in place instead of copying per hop.
+        # Transit packets are simulator-owned (a sender hands the
+        # network a new packet per send and never reads it again), so
+        # the router decrements TTL in place instead of copying per hop.
         original = packet(ttl=10)
         _, forwarded, _, _ = transit(router(), original)
         assert forwarded is original

@@ -23,12 +23,12 @@ from repro.netsim.icmp import (
     time_exceeded,
 )
 from repro.netsim.host import Host
-from repro.netsim.ipv4 import HEADER_LEN, IPv4Packet, PROTO_TCP, PROTO_UDP
+from repro.netsim.ipv4 import HEADER_LEN, IPv4Packet, PROTO_TCP, PROTO_UDP, TransportPacket
 from repro.netsim.sockets import UDPSocket
 from repro.netsim.udp import _HEADER as _UDP_HEADER
-from repro.netsim.udp import UDPDatagram, UDPPacket
+from repro.netsim.udp import UDPDatagram
 from repro.tcp.connection import TCPStack
-from repro.tcp.segment import Flags, TCPPacket, TCPSegment
+from repro.tcp.segment import Flags, TCPSegment
 
 addrs = st.integers(1, 0xFFFFFFFE)
 packets = st.builds(
@@ -208,8 +208,9 @@ def test_socket_incremental_udp_checksum_matches_encode(
 
 
 # ----------------------------------------------------------------------
-# Structured TCP segments: a TCPStack hands the network TCPPackets that
-# carry the segment object and encode it only when the bytes are read.
+# Structured TCP segments: a TCPStack hands the network TransportPackets
+# that carry the segment object and encode it only when the bytes are
+# read.
 # ----------------------------------------------------------------------
 
 
@@ -271,7 +272,7 @@ def test_structured_segment_matches_the_wire(src, dst, fields, tos):
     sender, receiver = _stack(src), _stack(dst)
     sender.transmit(dst, TCPSegment(*fields), tos)
     (packet,) = sender.host.sent
-    assert packet.__class__ is TCPPacket
+    assert packet.__class__ is TransportPacket and packet.protocol == PROTO_TCP
     # The receiving stack hands its connection exactly what it would
     # have parsed from the bytes.
     recorder = receiver.connections[fields[1], src, fields[0]] = _Recorder()
@@ -301,7 +302,7 @@ def test_structured_segment_quotes_like_an_eager_one(net_factory, fields, quote_
         client.on_icmp(lambda message, packet, now: quotes.append(message.body))
         segment = TCPSegment(*fields)
         if structured:
-            packet = TCPPacket(client.addr, server.addr, segment, 2, 7)
+            packet = TransportPacket(client.addr, server.addr, PROTO_TCP, segment, 64, 2, 7)
         else:
             wire = segment.encode(client.addr, server.addr)
             packet = IPv4Packet(client.addr, server.addr, PROTO_TCP, wire, tos=2, ident=7)
@@ -313,9 +314,9 @@ def test_structured_segment_quotes_like_an_eager_one(net_factory, fields, quote_
 
 
 # ----------------------------------------------------------------------
-# Structured UDP datagrams: a UDPSocket hands the network UDPPackets
-# that carry the datagram object and encode it only when the bytes are
-# read.
+# Structured UDP datagrams: a UDPSocket hands the network
+# TransportPackets that carry the datagram object and encode it only
+# when the bytes are read.
 # ----------------------------------------------------------------------
 udp_fields = st.tuples(
     st.integers(0, 0xFFFF),  # src port
@@ -345,7 +346,7 @@ def _send_udp(src, dst, fields):
 def test_structured_datagram_matches_the_wire(src, dst, fields):
     src_port, dst_port, payload, dscp, ecn, ttl, ident = fields
     packet = _send_udp(src, dst, fields)
-    assert packet.__class__ is UDPPacket
+    assert packet.__class__ is TransportPacket and packet.protocol == PROTO_UDP
     # The receiving host hands its socket exactly what it would have
     # parsed from the bytes.
     receiver = Host("receiver", dst, "r0")
@@ -354,14 +355,14 @@ def test_structured_datagram_matches_the_wire(src, dst, fields):
     receiver.deliver(packet, 0.0)
     wire = packet.payload
     assert got == [UDPDatagram.decode(wire)]
-    assert packet.datagram == UDPDatagram.decode(wire)
+    assert packet.body == UDPDatagram.decode(wire)
     # The lazily encoded bytes are the eager ones, and so is the datagram.
     assert wire == _reference_udp_wire(src, dst, src_port, dst_port, payload)
     eager = IPv4Packet(src, dst, PROTO_UDP, wire, ttl, (dscp << 2) | ecn, ident)
     assert packet == eager and eager == packet
     assert packet.total_length == eager.total_length
     assert packet.encode() == eager.encode()
-    assert packet.copy() == eager and packet.copy().__class__ is UDPPacket
+    assert packet.copy() == eager and packet.copy().__class__ is TransportPacket
     assert packet.with_ecn(ECN.CE).encode() == eager.with_ecn(ECN.CE).encode()
 
 
@@ -394,7 +395,7 @@ def test_structured_datagram_quotes_like_an_eager_one(net_factory, fields, quote
         tos = (dscp << 2) | ecn
         datagram = UDPDatagram(src_port, dst_port, payload)
         if structured:
-            packet = UDPPacket(client.addr, server.addr, datagram, 1, tos, ident)
+            packet = TransportPacket(client.addr, server.addr, PROTO_UDP, datagram, 1, tos, ident)
         else:
             wire = datagram.encode(client.addr, server.addr)
             packet = IPv4Packet(client.addr, server.addr, PROTO_UDP, wire, 1, tos, ident)
