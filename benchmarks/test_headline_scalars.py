@@ -10,9 +10,17 @@ records:
 * 82.0 % of TCP-reachable servers negotiate ECN.
 """
 
+import gc
+
 from repro.core.analysis.pathanalysis import analyze_campaign
 from repro.core.analysis.reachability import analyze_reachability
 from repro.core.analysis.tcp_ecn import analyze_tcp_ecn
+
+
+def _collect_garbage() -> None:
+    # Not ``setup=gc.collect``: pedantic would take its return value
+    # (the number of objects freed) as the round's arguments.
+    gc.collect()
 
 
 def test_headline_scalars(benchmark, bench_world, bench_study, bench_campaign):
@@ -23,7 +31,14 @@ def test_headline_scalars(benchmark, bench_world, bench_study, bench_campaign):
             analyze_campaign(bench_campaign, bench_world.noisy_as_map),
         )
 
-    reach, tcp, paths = benchmark.pedantic(regenerate, rounds=1, iterations=1)
+    # One regeneration takes about 0.04 s, so a single round is mostly
+    # timer and scheduling noise; the gate compares the mean of many.
+    # Each round starts from a collected heap, so the garbage collector
+    # runs at the same points in every round instead of landing its
+    # pauses on whichever rounds it happens to.
+    reach, tcp, paths = benchmark.pedantic(
+        regenerate, setup=_collect_garbage, rounds=20, iterations=1, warmup_rounds=1
+    )
 
     print()
     print("headline                      paper     reproduced")

@@ -24,12 +24,14 @@ def main() -> None:
 
     started = time.time()
     study = Study.run(scale=scale, seed=seed)
-    hops = sum(len(p.hops) for p in study.campaign)
+    # Every TTL each traceroute probed, answered or not; the report's
+    # "hops measured" counts only the answering hops it classifies.
+    hops_probed = sum(len(p.hops) for p in study.campaign)
     print(
         f"[{time.time() - started:6.1f}s] {study.world!r}: "
         f"{len(study.traces)} traces over "
         f"{len(study.traces.server_addrs)} discovered servers, "
-        f"{len(study.campaign)} traceroutes ({hops} hop observations)"
+        f"{len(study.campaign)} traceroutes ({hops_probed} hops probed)"
     )
     print()
     print(study.report())

@@ -40,7 +40,7 @@ class UDPSocket:
         self,
         dst_addr: int,
         dst_port: int,
-        payload: bytes,
+        payload,
         ecn: ECN = ECN.NOT_ECT,
         dscp: int = 0,
         ttl: int = DEFAULT_TTL,
@@ -48,10 +48,16 @@ class UDPSocket:
     ) -> None:
         """Send a datagram.
 
-        ``ecn`` and ``dscp`` set the TOS byte exactly as the real
-        client's ``setsockopt(IP_TOS)`` did; ``ttl`` and ``ident``
-        support the traceroute probes.  The network is handed a
-        :class:`~repro.netsim.ipv4.TransportPacket` and owns it from then on.
+        ``payload`` is bytes or an application message (a
+        ``QUICPacket`` or ``NTPPacket``), which is validated now, rides
+        to the receiving socket as the object and is encoded only if
+        something on the way reads its bytes (see
+        :class:`~repro.netsim.udp.UDPDatagram`).  The caller must not
+        mutate a message after sending it.  ``ecn`` and ``dscp`` set the
+        TOS byte exactly as the real client's ``setsockopt(IP_TOS)``
+        did; ``ttl`` and ``ident`` support the traceroute probes.  The
+        network is handed a :class:`~repro.netsim.ipv4.TransportPacket`
+        and owns it from then on.
         """
         if self.closed:
             raise SocketError(f"socket on port {self.port} is closed")

@@ -9,7 +9,6 @@ pseudo-header so captures and ICMP quotations are byte-faithful.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 
 from .checksum import internet_checksum, pseudo_header
 from .errors import CodecError
@@ -19,13 +18,60 @@ _HEADER = struct.Struct("!HHHH")
 HEADER_LEN = _HEADER.size  # 8
 
 
-@dataclass
 class UDPDatagram:
-    """A UDP datagram (header fields plus payload)."""
+    """A UDP datagram: header fields plus a payload.
 
-    src_port: int
-    dst_port: int
-    payload: bytes = b""
+    ``payload`` is either bytes or an application message (a
+    :class:`~repro.protocols.quic.packet.QUICPacket` or
+    :class:`~repro.protocols.ntp.packet.NTPPacket`: anything with
+    ``validate()`` and ``encode()``).  A message is checked here, at
+    send, with every check its ``encode`` makes, and rides in
+    :attr:`message` so the receiving application reads the object
+    itself (:meth:`read`).  Its bytes are encoded only when something
+    reads :attr:`payload` (an ICMP quote, :meth:`encode`, ``==``), then
+    kept; a datagram parsed from bytes has ``message`` None.
+
+    Ownership contract: a message handed to a datagram is never
+    mutated afterwards, by its sender or by whoever reads it, so the
+    bytes encoded whenever they are first read are the bytes an eager
+    encode at send time would have produced.
+    """
+
+    __slots__ = ("src_port", "dst_port", "message", "_payload")
+
+    def __init__(self, src_port: int, dst_port: int, payload=b"") -> None:
+        self.src_port = src_port
+        self.dst_port = dst_port
+        if payload.__class__ is not bytes and hasattr(payload, "validate"):
+            payload.validate()
+            self.message = payload
+            self._payload = None
+        else:
+            self.message = None
+            self._payload = payload
+
+    @property
+    def payload(self) -> bytes:
+        """The payload bytes (a carried message is encoded on first read)."""
+        payload = self._payload
+        if payload is None:
+            payload = self._payload = self.message.encode()
+        return payload
+
+    def read(self, cls):
+        """The carried message if it is a ``cls``, else ``cls.decode`` of
+        the payload bytes (which raises :class:`CodecError` on damage)."""
+        message = self.message
+        return message if message.__class__ is cls else cls.decode(self.payload)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not UDPDatagram:
+            return NotImplemented
+        return (
+            self.src_port == other.src_port
+            and self.dst_port == other.dst_port
+            and self.payload == other.payload
+        )
 
     @property
     def length(self) -> int:

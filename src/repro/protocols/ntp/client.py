@@ -78,7 +78,7 @@ class NTPQuery:
         self._socket.send(
             self.server_addr,
             NTP_PORT,
-            self._request.encode(),
+            self._request,
             ecn=self.ecn,
             ident=self.attempts_made,
         )
@@ -104,7 +104,7 @@ class NTPQuery:
         if self.finished or packet.src != self.server_addr:
             return
         try:
-            response = NTPPacket.decode(datagram.payload)
+            response = datagram.read(NTPPacket)
         except CodecError:
             return
         if self._request is None or not response.is_valid_response_to(self._request):

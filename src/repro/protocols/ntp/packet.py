@@ -40,7 +40,13 @@ def to_ntp_timestamp(seconds: float) -> int:
 
 @dataclass
 class NTPPacket:
-    """A parsed NTP packet (SNTP fields only; no extensions/MACs)."""
+    """A parsed NTP packet (SNTP fields only; no extensions/MACs).
+
+    The three 32-bit header words (``root_delay``, ``root_dispersion``,
+    ``reference_id``) are masked to their wire bits when the packet is
+    built, so a packet equals ``decode`` of its own bytes and can ride
+    a :class:`~repro.netsim.udp.UDPDatagram` as the object.
+    """
 
     mode: int = MODE_CLIENT
     version: int = VERSION
@@ -56,21 +62,30 @@ class NTPPacket:
     receive_ts: int = 0
     transmit_ts: int = 0
 
-    def encode(self) -> bytes:
-        """Serialise to the 48-byte wire format."""
+    def __post_init__(self) -> None:
+        self.root_delay &= 0xFFFFFFFF
+        self.root_dispersion &= 0xFFFFFFFF
+        self.reference_id &= 0xFFFFFFFF
+
+    def validate(self) -> None:
+        """Make every check :meth:`encode` makes; raises :class:`CodecError`."""
         if not 0 <= self.mode <= 7:
             raise CodecError(f"NTP mode out of range: {self.mode}")
         if not 0 <= self.version <= 7:
             raise CodecError(f"NTP version out of range: {self.version}")
+
+    def encode(self) -> bytes:
+        """Serialise to the 48-byte wire format."""
+        self.validate()
         li_vn_mode = (self.leap << 6) | (self.version << 3) | self.mode
         return _FORMAT.pack(
             li_vn_mode,
             self.stratum,
             self.poll,
             self.precision,
-            self.root_delay & 0xFFFFFFFF,
-            self.root_dispersion & 0xFFFFFFFF,
-            self.reference_id & 0xFFFFFFFF,
+            self.root_delay,
+            self.root_dispersion,
+            self.reference_id,
             self.reference_ts,
             self.origin_ts,
             self.receive_ts,

@@ -40,7 +40,7 @@ class NTPServer:
         if not self.online:
             return
         try:
-            request = NTPPacket.decode(datagram.payload)
+            request = datagram.read(NTPPacket)
         except CodecError:
             return
         if request.mode != MODE_CLIENT:
@@ -65,7 +65,7 @@ class NTPServer:
         self._socket.send(
             packet.src,
             datagram.src_port,
-            response.encode(),
+            response,
             ecn=ECN.NOT_ECT,
         )
 

@@ -138,7 +138,7 @@ class QUICProbe:
         self._socket.send(
             self.server_addr,
             QUIC_PORT,
-            initial.encode(),
+            initial,
             ecn=ecn,
             ident=self._attempt_ident,
         )
@@ -186,7 +186,7 @@ class QUICProbe:
             self._socket.send(
                 self.server_addr,
                 QUIC_PORT,
-                ping.encode(),
+                ping,
                 ecn=ECN.ECT_0,
                 ident=self._attempt_ident,
             )
@@ -204,7 +204,7 @@ class QUICProbe:
         if self.finished or packet.src != self.server_addr:
             return
         try:
-            reply = QUICPacket.decode(datagram.payload)
+            reply = datagram.read(QUICPacket)
         except CodecError:
             return
         if reply.cid not in (self.cid, self.cid + 1):

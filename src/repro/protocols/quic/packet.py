@@ -41,18 +41,16 @@ _ACK_ECN = struct.Struct("!IIIII")
 _CRYPTO_LEN = 8
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class PingFrame:
     """A PING frame — elicits an acknowledgement (RFC 9000 §19.2)."""
-
-    frame_type: int = FRAME_PING
 
     def encode(self) -> bytes:
         """Serialise to the one-byte wire form."""
         return bytes([FRAME_PING])
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class AckEcnFrame:
     """An ACK frame with ECN counts (RFC 9000 §19.3.2).
 
@@ -67,7 +65,6 @@ class AckEcnFrame:
     ect0: int = 0
     ect1: int = 0
     ce: int = 0
-    frame_type: int = FRAME_ACK_ECN
 
     def encode(self) -> bytes:
         """Serialise to the wire form (type byte + five counters)."""
@@ -76,37 +73,55 @@ class AckEcnFrame:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CryptoFrame:
     """A CRYPTO frame carrying a fixed 8-byte hello token."""
 
     token: bytes = CLIENT_HELLO
-    frame_type: int = FRAME_CRYPTO
+
+    def validate(self) -> None:
+        """Raise :class:`CodecError` unless the token fits the wire form."""
+        if len(self.token) != _CRYPTO_LEN:
+            raise CodecError(f"CRYPTO token must be {_CRYPTO_LEN} bytes: {self.token!r}")
 
     def encode(self) -> bytes:
         """Serialise to the wire form (type byte + 8-byte token)."""
-        if len(self.token) != _CRYPTO_LEN:
-            raise CodecError(f"CRYPTO token must be {_CRYPTO_LEN} bytes: {self.token!r}")
+        self.validate()
         return bytes([FRAME_CRYPTO]) + self.token
 
 
 Frame = PingFrame | AckEcnFrame | CryptoFrame
 
 
-@dataclass
+@dataclass(slots=True)
 class QUICPacket:
-    """A parsed QUIC-like packet: header plus a list of frames."""
+    """A parsed QUIC-like packet: header plus a list of frames.
+
+    The connection ID is masked to its 32 wire bits when the packet is
+    built, so a packet equals ``decode`` of its own bytes and can ride
+    a :class:`~repro.netsim.udp.UDPDatagram` as the object.
+    """
 
     ptype: int = TYPE_INITIAL
     cid: int = 0
     packet_number: int = 0
     frames: list[Frame] = field(default_factory=list)
 
-    def encode(self) -> bytes:
-        """Serialise header and frames to the wire format."""
+    def __post_init__(self) -> None:
+        self.cid &= 0xFFFFFFFF
+
+    def validate(self) -> None:
+        """Make every check :meth:`encode` makes; raises :class:`CodecError`."""
         if self.ptype not in (TYPE_INITIAL, TYPE_ONE_RTT):
             raise CodecError(f"QUIC packet type out of range: {self.ptype}")
-        out = _HEADER.pack(self.ptype, self.cid & 0xFFFFFFFF, self.packet_number)
+        for frame in self.frames:
+            if frame.__class__ is CryptoFrame:
+                frame.validate()
+
+    def encode(self) -> bytes:
+        """Serialise header and frames to the wire format."""
+        self.validate()
+        out = _HEADER.pack(self.ptype, self.cid, self.packet_number)
         return out + b"".join(frame.encode() for frame in self.frames)
 
     @classmethod
@@ -150,16 +165,16 @@ class QUICPacket:
     def first_ack_ecn(self) -> AckEcnFrame | None:
         """Return the first ACK_ECN frame, if any."""
         for frame in self.frames:
-            if isinstance(frame, AckEcnFrame):
+            if frame.__class__ is AckEcnFrame:
                 return frame
         return None
 
     def has_crypto(self, token: bytes) -> bool:
         """True if any CRYPTO frame carries exactly ``token``."""
-        return any(
-            isinstance(frame, CryptoFrame) and frame.token == token
-            for frame in self.frames
-        )
+        for frame in self.frames:
+            if frame.__class__ is CryptoFrame and frame.token == token:
+                return True
+        return False
 
     def __repr__(self) -> str:
         kind = "Initial" if self.ptype == TYPE_INITIAL else "1-RTT"

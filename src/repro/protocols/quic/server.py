@@ -96,7 +96,7 @@ class QUICServer:
         if not self.online:
             return
         try:
-            request = QUICPacket.decode(datagram.payload)
+            request = datagram.read(QUICPacket)
         except CodecError:
             return
         key = (packet.src, request.cid)
@@ -140,7 +140,7 @@ class QUICServer:
         self._socket.send(
             packet.src,
             datagram.src_port,
-            reply.encode(),
+            reply,
             ecn=ECN.NOT_ECT,
         )
 

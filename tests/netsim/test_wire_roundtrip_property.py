@@ -11,11 +11,13 @@ fresh-object rewrite.
 import struct
 from types import SimpleNamespace
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.netsim.checksum import internet_checksum, pseudo_header
 from repro.netsim.ecn import ECN
+from repro.netsim.errors import CodecError
 from repro.netsim.icmp import (
     CLASSIC_QUOTE_PAYLOAD,
     FULL_QUOTE_LIMIT,
@@ -27,6 +29,20 @@ from repro.netsim.ipv4 import HEADER_LEN, IPv4Packet, PROTO_TCP, PROTO_UDP, Tran
 from repro.netsim.sockets import UDPSocket
 from repro.netsim.udp import _HEADER as _UDP_HEADER
 from repro.netsim.udp import UDPDatagram
+from repro.protocols.ntp.packet import NTP_PORT, NTPPacket
+from repro.protocols.ntp.packet import PACKET_LEN as NTP_PACKET_LEN
+from repro.protocols.ntp.server import NTPServer
+from repro.protocols.quic.packet import (
+    CLIENT_HELLO,
+    QUIC_PORT,
+    TYPE_INITIAL,
+    TYPE_ONE_RTT,
+    AckEcnFrame,
+    CryptoFrame,
+    PingFrame,
+    QUICPacket,
+)
+from repro.protocols.quic.server import QUICServer
 from repro.tcp.connection import TCPStack
 from repro.tcp.segment import Flags, TCPSegment
 
@@ -403,3 +419,186 @@ def test_structured_datagram_quotes_like_an_eager_one(net_factory, fields, quote
         net.scheduler.run()
     structured_quote, eager_quote = quotes
     assert structured_quote == eager_quote
+
+
+# ----------------------------------------------------------------------
+# Application messages as objects: a QUICPacket or NTPPacket handed to
+# UDPSocket.send rides its datagram as the object and is encoded only
+# when the bytes are read.
+# ----------------------------------------------------------------------
+u32 = st.integers(0, 0xFFFFFFFF)
+#: Fields masked to 32 wire bits where the message is built.
+unmasked = st.integers(-(2**40), 2**40)
+quic_frames = st.lists(
+    st.one_of(
+        st.builds(PingFrame),
+        st.builds(AckEcnFrame, u32, u32, u32, u32, u32),
+        st.builds(CryptoFrame, st.binary(min_size=8, max_size=8)),
+    ),
+    max_size=4,
+)
+quic_packets = st.builds(
+    QUICPacket, st.sampled_from([TYPE_INITIAL, TYPE_ONE_RTT]), unmasked, u32, quic_frames
+)
+ntp_packets = st.builds(
+    NTPPacket,
+    mode=st.integers(0, 7),
+    version=st.integers(0, 7),
+    leap=st.integers(0, 3),
+    stratum=st.integers(0, 255),
+    poll=st.integers(-128, 127),
+    precision=st.integers(-128, 127),
+    root_delay=unmasked,
+    root_dispersion=unmasked,
+    reference_id=unmasked,
+    reference_ts=st.integers(0, 2**64 - 1),
+    origin_ts=st.integers(0, 2**64 - 1),
+    receive_ts=st.integers(0, 2**64 - 1),
+    transmit_ts=st.integers(0, 2**64 - 1),
+)
+messages = st.one_of(quic_packets, ntp_packets)
+
+
+def _eager_udp_wire(src, dst, src_port, dst_port, message):
+    """What the parent put on the wire: the message encoded at send."""
+    return UDPDatagram(src_port, dst_port, message.encode()).encode(src, dst)
+
+
+@settings(max_examples=200, deadline=None)
+@given(addrs, addrs, udp_fields, messages)
+def test_carried_message_matches_the_wire(src, dst, fields, message):
+    src_port, dst_port, _, dscp, ecn, ttl, ident = fields
+    packet = _send_udp(src, dst, (src_port, dst_port, message, dscp, ecn, ttl, ident))
+    # The receiving socket is handed the very object that was sent.
+    receiver = Host("receiver", dst, "r0")
+    got = []
+    receiver.udp_bind(dst_port, lambda datagram, p, now: got.append(datagram))
+    receiver.deliver(packet, 0.0)
+    (datagram,) = got
+    assert datagram.message is message
+    # The lazily encoded bytes are the eager ones ...
+    wire = packet.payload
+    assert wire == _eager_udp_wire(src, dst, src_port, dst_port, message)
+    eager = IPv4Packet(src, dst, PROTO_UDP, wire, ttl, (dscp << 2) | ecn, ident)
+    assert packet == eager and packet.total_length == eager.total_length
+    assert packet.encode() == eager.encode()
+    # ... and the carried object is what a receiver parses from them.
+    parsed = UDPDatagram.decode(wire)
+    assert parsed.message is None and parsed == datagram
+    assert type(message).decode(parsed.payload) == message
+
+
+def _zero_checksum_message(src, dst, src_port, dst_port, message):
+    """``message`` with one 16-bit-aligned word set so that the UDP
+    checksum computes to 0: the NTP reference id's low half, or the
+    middle two bytes of the QUIC packet number."""
+    if isinstance(message, NTPPacket):
+        message.reference_id &= 0xFFFF0000
+        word = _eager_udp_wire(src, dst, src_port, dst_port, message)[6:8]
+        if word != b"\xff\xff":
+            message.reference_id |= int.from_bytes(word, "big")
+    else:
+        message.packet_number &= 0xFF0000FF
+        word = _eager_udp_wire(src, dst, src_port, dst_port, message)[6:8]
+        if word != b"\xff\xff":
+            message.packet_number |= int.from_bytes(word, "big") << 8
+    return message
+
+
+@settings(max_examples=100, deadline=None)
+@given(addrs, addrs, st.integers(0, 0xFFFF), st.integers(0, 0xFFFF), messages)
+def test_carried_message_sends_a_zero_checksum_as_ffff(src, dst, src_port, dst_port, message):
+    message = _zero_checksum_message(src, dst, src_port, dst_port, message)
+    wire = _send_udp(src, dst, (src_port, dst_port, message, 0, 0, 64, 0)).payload
+    assert wire == _eager_udp_wire(src, dst, src_port, dst_port, message)
+    assert wire[6:8] == b"\xff\xff"
+
+
+@settings(
+    max_examples=50, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(udp_fields, messages, st.sampled_from([CLASSIC_QUOTE_PAYLOAD, FULL_QUOTE_LIMIT]))
+def test_carried_message_quotes_like_an_eager_one(net_factory, fields, message, quote_payload):
+    # A classic quote holds the UDP header, whose checksum covers the
+    # message; a 128-byte quote holds the message bytes too.
+    src_port, dst_port, _, dscp, ecn, _, ident = fields
+    quotes = []
+    for structured in (True, False):
+        net, client, server = net_factory()
+        net.topology.routers["r0"].icmp_quote_payload = quote_payload
+        client.on_icmp(lambda message, packet, now: quotes.append(message.body))
+        tos = (dscp << 2) | ecn
+        if structured:
+            datagram = UDPDatagram(src_port, dst_port, message)
+            packet = TransportPacket(client.addr, server.addr, PROTO_UDP, datagram, 1, tos, ident)
+        else:
+            wire = _eager_udp_wire(client.addr, server.addr, src_port, dst_port, message)
+            packet = IPv4Packet(client.addr, server.addr, PROTO_UDP, wire, 1, tos, ident)
+        client.send_ip(packet)
+        net.scheduler.run()
+    structured_quote, eager_quote = quotes
+    assert structured_quote == eager_quote
+
+
+bad_messages = st.one_of(
+    st.builds(QUICPacket, st.integers(2, 255), u32, u32, quic_frames),
+    st.builds(
+        QUICPacket,
+        st.sampled_from([TYPE_INITIAL, TYPE_ONE_RTT]),
+        u32,
+        u32,
+        st.tuples(
+            quic_frames,
+            st.builds(CryptoFrame, st.binary(max_size=16).filter(lambda t: len(t) != 8)),
+        ).map(lambda pair: pair[0] + [pair[1]]),
+    ),
+    st.builds(NTPPacket, mode=st.integers(8, 255)),
+    st.builds(NTPPacket, version=st.integers(8, 255)),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(addrs, addrs, bad_messages)
+def test_out_of_range_message_raises_at_send(src, dst, message):
+    # The message's own encode refuses it ...
+    with pytest.raises(CodecError):
+        message.encode()
+    # ... and so does the send, before anything reaches the network.
+    host = SimpleNamespace(addr=src, sent=[])
+    host.send_ip = host.sent.append
+    with pytest.raises(CodecError):
+        UDPSocket(host=host, port=5000).send(dst, 443, message)
+    assert host.sent == []
+
+
+@settings(
+    max_examples=50, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(st.sampled_from(["quic", "ntp"]), st.integers(0, 0xFFFF), st.data())
+def test_damaged_bytes_arrival_is_dropped(net_factory, family, cid, data):
+    # Bytes arrivals keep the decode path: a damaged request is dropped
+    # with its CodecError, the intact bytes are served, and the reply
+    # rides back as the object.
+    net, client, server = net_factory()
+    if family == "quic":
+        daemon = QUICServer(server)
+        request = QUICPacket(TYPE_INITIAL, cid, 0, [CryptoFrame(CLIENT_HELLO)])
+        port, header_len = QUIC_PORT, 9
+    else:
+        daemon = NTPServer(server)
+        request = NTPPacket.client_request(float(cid))
+        port, header_len = NTP_PORT, NTP_PACKET_LEN
+    wire = request.encode()
+    replies = []
+    sock = client.udp_bind(None, lambda datagram, p, now: replies.append(datagram))
+    sock.send(server.addr, port, wire[: data.draw(st.integers(0, header_len - 1))])
+    net.scheduler.run()
+    served = daemon.packets_served if family == "quic" else daemon.requests_served
+    assert served == 0 and replies == []
+    sock.send(server.addr, port, wire)
+    net.scheduler.run()
+    served = daemon.packets_served if family == "quic" else daemon.requests_served
+    assert served == 1
+    (reply,) = replies
+    assert reply.message is not None
+    assert type(reply.message).decode(reply.payload) == reply.message
